@@ -67,7 +67,7 @@ from repro.faults.policy import DegradationMode
 from repro.obs.exposition import render_prometheus
 from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.obs.trace import Span, TraceContext, Tracer
-from repro.service.fingerprint import fingerprint_statement
+from repro.service.fingerprint import StatementMemo, fingerprint_statement
 from repro.service.metrics import MetricsRegistry, merge_snapshots
 
 __all__ = ["ClusterConfig", "ClusterResponse", "ShardedServiceCluster"]
@@ -427,10 +427,9 @@ class ShardedServiceCluster:
         self._started = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._schema = config.shard_config.schema
-        # Exact-text -> canonical digest memo.  Canonicalization depends
-        # only on the schema, never on statistics, so entries stay valid
-        # across version bumps.
-        self._digest_memo: dict[str, str] = {}
+        self._digests = StatementMemo(
+            lambda text: str(fingerprint_statement(text, self._schema))
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -527,7 +526,7 @@ class ShardedServiceCluster:
         start = time.perf_counter()
         tracer = self._tracer
 
-        digest = self._fingerprint(text)
+        digest = self._digests.lookup(text)
         # Every request roots its own span tree — coalesced followers and
         # shed requests included — so the trace file answers "what
         # happened to request X" for every X, not just dispatch leaders.
@@ -724,7 +723,7 @@ class ShardedServiceCluster:
                 # account for each one so the ledger and counters match
                 # a request-at-a-time execution.
                 text, readings = requests[positions[0]]
-                digest = self._fingerprint(text)
+                digest = self._digests.lookup(text)
                 for position in positions[1:]:
                     self._metrics.counter("requests").increment()
                     results[position] = self._shed(
@@ -739,7 +738,7 @@ class ShardedServiceCluster:
             tracer = self._tracer
             dup_digest = ""
             if tracer is not None:
-                dup_digest = self._fingerprint(requests[positions[0]][0])
+                dup_digest = self._digests.lookup(requests[positions[0]][0])
             for position in positions[1:]:
                 dup_response = duplicate
                 if tracer is not None:
@@ -764,15 +763,6 @@ class ShardedServiceCluster:
                 self._slo.record(0.0, ok=response.ok, shed=False)
                 results[position] = dup_response
         return results
-
-    def _fingerprint(self, text: str) -> str:
-        digest = self._digest_memo.get(text)
-        if digest is None:
-            if len(self._digest_memo) >= 4096:
-                self._digest_memo.clear()
-            digest = str(fingerprint_statement(text, self._schema))
-            self._digest_memo[text] = digest
-        return digest
 
     def _expire(self, request_id: int) -> None:
         """Watchdog: fail every waiter of an execution that never replied."""

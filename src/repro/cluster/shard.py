@@ -231,24 +231,25 @@ class ShardServer:
         exported: dict[tuple, tuple[str, ...]] = {}
         plain = [key for key in order if key[2] is None]
         faulted = [key for key in order if key[2] is not None]
-        if self.tracer is None:
-            if plain:
-                payloads.update(self._execute_plain(plain, groups))
-            for key in faulted:
-                payloads[key] = self._execute_faulted(
-                    groups[key][0], digests[key], key
-                )
-        else:
-            if plain:
-                outcomes, spans = self._execute_plain_traced(
-                    plain, groups, digests
-                )
-                payloads.update(outcomes)
-                exported.update(spans)
-            for key in faulted:
-                payloads[key], exported[key] = self._execute_traced(
-                    key, groups[key], digests[key]
-                )
+        with self.service._recording_served() as served:
+            if self.tracer is None:
+                if plain:
+                    payloads.update(self._execute_plain(plain, groups))
+                for key in faulted:
+                    payloads[key] = self._execute_faulted(
+                        groups[key][0], digests[key], key
+                    )
+            else:
+                if plain:
+                    outcomes, spans = self._execute_plain_traced(
+                        plain, groups, digests
+                    )
+                    payloads.update(outcomes)
+                    exported.update(spans)
+                for key in faulted:
+                    payloads[key], exported[key] = self._execute_traced(
+                        key, groups[key], digests[key]
+                    )
 
         replies: list[ExecuteReply] = []
         version = self.service.engine.statistics_version
@@ -258,7 +259,8 @@ class ShardServer:
             members = groups[key]
             expected = 0.0
             if ok:
-                expected = self._expected_cost(members[0].text)
+                # The Eq. 3 expectation of the plan that served the group.
+                expected = served[digests[key]].expected_where_cost
                 # Every executed group charges its Eq. 3 total exactly
                 # once — the recorded side of the trace-vs-ledger
                 # conservation check (repro.obs.waterfall).
@@ -413,7 +415,7 @@ class ShardServer:
         members: list[ExecuteRequest],
         digest: str,
     ) -> tuple[tuple[bool, object, str, float], tuple[str, ...]]:
-        """Serve one group under a ``shard-execute`` span and export it.
+        """Serve one faulted group under a ``shard-execute`` span.
 
         The span is parented under the leader's wire
         :class:`~repro.obs.trace.TraceContext`; every service-level event
@@ -436,10 +438,7 @@ class ShardServer:
                 fingerprint=digest,
                 **fields,
             ) as span:
-                if key[2] is None:
-                    outcome = self._execute_one(leader)
-                else:
-                    outcome = self._execute_faulted(leader, digest, key)
+                outcome = self._execute_faulted(leader, digest, key)
                 ok, payload, error, _elapsed = outcome
                 span.annotate(ok=ok, **_result_fields(payload))
                 if error:
@@ -475,13 +474,6 @@ class ShardServer:
         except (ReproError, KeyError) as error:
             return False, None, str(error), time.perf_counter() - start
         return True, outcome, "", time.perf_counter() - start
-
-    def _expected_cost(self, text: str) -> float:
-        """The served plan's Eq. 3 expectation (cache hit after execute)."""
-        try:
-            return self.service.plan_for(text).expected_where_cost
-        except ReproError:
-            return 0.0
 
     # ------------------------------------------------------------------
     # Control path

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.analysis import annotate_plan, plan_summary
 from repro.core.attributes import Schema
 from repro.core.cost import ExecutionObserver, dataset_execution
-from repro.core.plan import PlanNode
+from repro.core.plan import ConditionNode, PlanNode, SequentialNode
 from repro.core.query import ConjunctiveQuery
 from repro.engine.language import ParsedQuery, parse_query
 from repro.exceptions import FaultConfigError, QueryError
@@ -36,6 +36,7 @@ from repro.probability.empirical import EmpiricalDistribution
 
 if TYPE_CHECKING:
     from repro.compile.ir import CompiledPlan
+    from repro.core.cost import DatasetExecution
     from repro.faults.model import FaultSchedule
     from repro.faults.policy import FaultPolicy
 
@@ -307,15 +308,8 @@ class AcquisitionalEngine:
         results are identical by the validator's proof.
         """
         matrix = self._validated(readings)
-        if kernel is not None:
-            from repro.compile.executor import execute_compiled
-
-            outcome = execute_compiled(kernel, matrix, observer=observer)
-        else:
-            outcome = dataset_execution(
-                prepared.plan, matrix, self._schema, observer=observer
-            )
-        extra = self._projection_extra(prepared, matrix)
+        outcome = self._where_pass(prepared, matrix, observer, kernel)
+        extra = self._projection_extra(prepared, matrix, outcome.verdicts)
         return self._build_result(
             prepared, matrix, outcome.costs, outcome.verdicts, extra
         )
@@ -365,7 +359,7 @@ class AcquisitionalEngine:
             dtype=bool,
             count=len(outcome.results),
         )
-        extra = self._projection_extra(prepared, matrix)
+        extra = self._projection_extra(prepared, matrix, verdicts)
         result = self._build_result(
             prepared, matrix, outcome.costs, verdicts, extra
         )
@@ -398,15 +392,8 @@ class AcquisitionalEngine:
         if not matrices:
             return []
         stacked = np.vstack(matrices)
-        if kernel is not None:
-            from repro.compile.executor import execute_compiled
-
-            outcome = execute_compiled(kernel, stacked, observer=observer)
-        else:
-            outcome = dataset_execution(
-                prepared.plan, stacked, self._schema, observer=observer
-            )
-        extra = self._projection_extra(prepared, stacked)
+        outcome = self._where_pass(prepared, stacked, observer, kernel)
+        extra = self._projection_extra(prepared, stacked, outcome.verdicts)
         results: list[QueryResult] = []
         start = 0
         for matrix in matrices:
@@ -423,6 +410,22 @@ class AcquisitionalEngine:
             start = end
         return results
 
+    def _where_pass(
+        self,
+        prepared: PreparedQuery,
+        matrix: np.ndarray,
+        observer: ExecutionObserver | None,
+        kernel: "CompiledPlan | None",
+    ) -> DatasetExecution:
+        """The WHERE pass: the compiled kernel when given, else the walker."""
+        if kernel is None:
+            return dataset_execution(
+                prepared.plan, matrix, self._schema, observer=observer
+            )
+        from repro.compile.executor import execute_compiled
+
+        return execute_compiled(kernel, matrix, observer=observer)
+
     def _validated(self, readings: np.ndarray) -> np.ndarray:
         matrix = np.asarray(readings)
         if matrix.ndim != 2 or matrix.shape[1] != len(self._schema):
@@ -438,9 +441,7 @@ class AcquisitionalEngine:
         if prepared.parsed.select_all:
             return self._schema.names, list(range(len(self._schema)))
         columns = prepared.parsed.select
-        return tuple(columns), [
-            self._schema.index_of(name) for name in columns
-        ]
+        return columns, [self._schema.index_of(name) for name in columns]
 
     def _build_result(
         self,
@@ -452,13 +453,11 @@ class AcquisitionalEngine:
     ) -> QueryResult:
         columns, select_indices = self._select_indices(prepared)
         matching = np.flatnonzero(verdicts)
-        rows = tuple(
-            tuple(int(value) for value in matrix[row, select_indices])
-            for row in matching
-        )
+        picked = matrix[np.ix_(matching, select_indices)]
+        rows = picked.astype(np.int64, copy=False).tolist()
         return QueryResult(
-            columns=tuple(columns),
-            rows=rows,
+            columns=columns,
+            rows=tuple(map(tuple, rows)),
             tuples_scanned=matrix.shape[0],
             where_cost=float(costs.sum()),
             projection_cost=float(extra[matching].sum()),
@@ -480,60 +479,39 @@ class AcquisitionalEngine:
         return "\n".join(lines)
 
     def _projection_extra(
-        self, prepared: PreparedQuery, matrix: np.ndarray
+        self, prepared: PreparedQuery, matrix: np.ndarray, verdicts: np.ndarray
     ) -> np.ndarray:
         """Per-row cost of acquiring selected attributes post-WHERE.
 
-        Attributes the WHERE plan acquired on a tuple's path are already
-        cached on the mote; only genuinely-unread attributes cost extra.
-        Per-path acquired sets are recovered with the same vectorized tree
-        routing used for costing.  Callers sum the returned array over
-        matching rows (non-matching tuples never reach projection).
+        Attributes the WHERE plan read on a tuple's path are free; only
+        unread ones cost extra.  Only matching rows reach projection, and
+        a matching row passed every step of its sequential leaf, so only
+        condition nodes route and a leaf has read all its step attributes.
         """
         _columns, select_indices = self._select_indices(prepared)
         extra = np.zeros(matrix.shape[0], dtype=np.float64)
-        if not select_indices:
-            return extra
         costs = self._schema.costs
 
-        from repro.core.plan import ConditionNode, SequentialNode, VerdictLeaf
-
-        def walk(node, rows: np.ndarray, acquired: frozenset[int]) -> None:
+        def walk(
+            node: PlanNode, rows: np.ndarray, acquired: frozenset[int]
+        ) -> None:
             if rows.size == 0:
-                return
-            if isinstance(node, (VerdictLeaf,)):
-                _charge(rows, acquired)
                 return
             if isinstance(node, ConditionNode):
                 branch_acquired = acquired | {node.attribute_index}
-                column = matrix[rows, node.attribute_index]
-                below = column < node.split_value
+                below = matrix[rows, node.attribute_index] < node.split_value
                 walk(node.below, rows[below], branch_acquired)
                 walk(node.above, rows[~below], branch_acquired)
                 return
             if isinstance(node, SequentialNode):
-                from repro.core.cost import predicate_mask
-
-                alive = rows
-                local = set(acquired)
-                for step in node.steps:
-                    if alive.size == 0:
-                        break
-                    local.add(step.attribute_index)
-                    satisfied = predicate_mask(
-                        step.predicate, matrix[alive, step.attribute_index]
-                    )
-                    # Tuples rejected here never reach projection.
-                    alive = alive[satisfied]
-                _charge(alive, frozenset(local))
-                return
-
-        def _charge(rows: np.ndarray, acquired: frozenset[int]) -> None:
+                acquired = acquired.union(
+                    step.attribute_index for step in node.steps
+                )
             unread = [
                 index for index in select_indices if index not in acquired
             ]
             if unread:
-                extra[rows] += sum(costs[index] for index in unread)
+                extra[rows] = sum(costs[index] for index in unread)
 
-        walk(prepared.plan, np.arange(matrix.shape[0]), frozenset())
+        walk(prepared.plan, np.flatnonzero(verdicts), frozenset())
         return extra

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Generic, TypeVar
 
 from repro.core.attributes import Schema
 from repro.core.boolean import And, BooleanQuery, Formula, Leaf, Or
@@ -38,9 +39,16 @@ from repro.engine.language import ParsedQuery, parse_query
 
 __all__ = [
     "QueryFingerprint",
+    "STATEMENT_MEMO_CAPACITY",
+    "StatementMemo",
     "fingerprint_parsed",
     "fingerprint_statement",
 ]
+
+# Texts a StatementMemo holds before it clears and starts over.
+STATEMENT_MEMO_CAPACITY = 4096
+
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -146,3 +154,29 @@ def fingerprint_parsed(
 def fingerprint_statement(text: str, schema: Schema) -> QueryFingerprint:
     """Parse ``text`` against ``schema`` and fingerprint it."""
     return fingerprint_parsed(parse_query(text, schema), schema)
+
+
+class StatementMemo(Generic[V]):
+    """Bounded exact-text memo: each statement text is loaded once.
+
+    ``load`` maps text to the service's ``(ParsedQuery, QueryFingerprint)``
+    or the front door's digest; both depend only on the schema, so entries
+    survive statistics bumps.  A failing load raises on every call and is
+    never memoised; a full memo clears and starts over.  Lookups share one
+    value, so values must be immutable (all of the above are frozen).
+    """
+
+    __slots__ = ("_load", "_entries")
+
+    def __init__(self, load: Callable[[str], V]) -> None:
+        self._load = load
+        self._entries: dict[str, V] = {}
+
+    def lookup(self, text: str) -> V:
+        value = self._entries.get(text)
+        if value is None:
+            value = self._load(text)
+            if len(self._entries) >= STATEMENT_MEMO_CAPACITY:
+                self._entries.clear()
+            self._entries[text] = value
+        return value

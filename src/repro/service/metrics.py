@@ -13,7 +13,7 @@ Every metric (and the registry's create-on-first-use maps) is guarded by
 a lock, so collection from request threads and scraping from a
 front-door aggregator can interleave without dropping samples.  The
 locks are per-object and never held across user code, so contention is
-one dict/deque operation wide.  *Process* safety is by construction
+one dict or array operation wide.  *Process* safety is by construction
 rather than by locking: each shard worker owns a private registry, and
 cross-process aggregation happens on immutable snapshots via
 :func:`merge_snapshots`.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import deque
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -165,7 +164,8 @@ class LatencyHistogram:
     def __init__(self, reservoir: int = _DEFAULT_RESERVOIR) -> None:
         if reservoir < 1:
             raise ServiceError(f"reservoir must be >= 1, got {reservoir}")
-        self._recent: deque[float] = deque(maxlen=reservoir)
+        # A ring buffer: sample ``i`` lives at ``i % reservoir``.
+        self._recent = np.empty(reservoir, dtype=np.float64)
         self._count = 0
         self._total = 0.0
         self._max = 0.0
@@ -176,7 +176,7 @@ class LatencyHistogram:
         if value < 0.0:
             raise ServiceError(f"latency must be >= 0, got {value}")
         with self._lock:
-            self._recent.append(value)
+            self._recent[self._count % self._recent.size] = value
             self._count += 1
             self._total += value
             if value > self._max:
@@ -187,23 +187,15 @@ class LatencyHistogram:
         with self._lock:
             return self._count
 
-    @property
-    def mean_seconds(self) -> float:
-        with self._lock:
-            return self._total / self._count if self._count else 0.0
-
     def percentile(self, q: float) -> float:
         """The q-th percentile (seconds) over the recent reservoir."""
         with self._lock:
-            if not self._recent:
-                return 0.0
-            window = np.fromiter(self._recent, float)
-        return float(np.percentile(window, q))
+            window = self._recent[: min(self._count, self._recent.size)].copy()
+        return float(np.percentile(window, q)) if window.size else 0.0
 
     def snapshot(self) -> dict:
         with self._lock:
-            reservoir = self._recent.maxlen
-            window = np.fromiter(self._recent, float) if self._recent else None
+            window = self._recent[: min(self._count, self._recent.size)].copy()
             count = self._count
             total = self._total
             peak = self._max
@@ -211,11 +203,11 @@ class LatencyHistogram:
             "count": count,
             "mean_ms": round((total / count if count else 0.0) * 1e3, 4),
             "max_ms": round(peak * 1e3, 4),
-            "window": 0 if window is None else int(window.size),
-            "reservoir": reservoir if reservoir is not None else 0,
+            "window": int(window.size),
+            "reservoir": int(self._recent.size),
         }
         for q in _PERCENTILES:
-            value = 0.0 if window is None else float(np.percentile(window, q))
+            value = float(np.percentile(window, q)) if window.size else 0.0
             report[f"p{q:g}_ms_window"] = round(value * 1e3, 4)
         return report
 

@@ -48,7 +48,11 @@ from repro.engine.language import ParsedQuery, parse_query
 from repro.exceptions import PlanVerificationError, QueryError, ServiceError
 from repro.execution.streaming import AdaptiveStreamExecutor, ReplanEvent
 from repro.service.cache import PlanCache
-from repro.service.fingerprint import QueryFingerprint, fingerprint_parsed
+from repro.service.fingerprint import (
+    QueryFingerprint,
+    StatementMemo,
+    fingerprint_parsed,
+)
 from repro.service.metrics import MetricsRegistry
 
 from repro.verify import verify_plan
@@ -208,6 +212,8 @@ class AcquisitionalService:
         self._profiles: dict[QueryFingerprint, _PlanObservability] = {}
         self._bandit_store: "BanditStateStore | None" = None
         self._active_span = ""
+        self._served: dict[str, PreparedQuery] | None = None
+        self._statements = StatementMemo(self._parse)
         engine.add_statistics_listener(self._on_statistics_version)
 
     def _timer(self) -> "Callable[[], float]":
@@ -305,16 +311,27 @@ class AcquisitionalService:
         finally:
             self._tracer = tracer
 
+    @contextmanager
+    def _recording_served(self) -> Iterator[dict[str, PreparedQuery]]:
+        """Collect, by digest, the plans serving requests (for shard replies)."""
+        served: dict[str, PreparedQuery] = {}
+        self._served = served
+        try:
+            yield served
+        finally:
+            self._served = None
+
+    def _parse(self, text: str) -> tuple[ParsedQuery, QueryFingerprint]:
+        parsed = parse_query(text, self._engine.schema)
+        return parsed, fingerprint_parsed(parsed, self._engine.schema)
+
     def fingerprint(self, text: str) -> QueryFingerprint:
         """Canonical fingerprint of a statement under the engine's schema."""
-        return fingerprint_parsed(
-            parse_query(text, self._engine.schema), self._engine.schema
-        )
+        return self._statements.lookup(text)[1]
 
     def plan_for(self, text: str) -> PreparedQuery:
         """The (cached) prepared plan serving a statement."""
-        parsed = parse_query(text, self._engine.schema)
-        fingerprint = fingerprint_parsed(parsed, self._engine.schema)
+        parsed, fingerprint = self._statements.lookup(text)
         return self._prepared_for(parsed, fingerprint, text, span="")
 
     def _span(self) -> str:
@@ -338,6 +355,8 @@ class AcquisitionalService:
                     self._tracer.emit(
                         "cache-hit", span=span, fingerprint=str(fingerprint)
                     )
+                if self._served is not None:
+                    self._served[str(fingerprint)] = cached
                 return cached
             self._metrics.labeled_counter("cache_events", "event").labels(
                 event="miss"
@@ -366,6 +385,8 @@ class AcquisitionalService:
                 self._cache.put(fingerprint, version, prepared)
             finally:
                 self._active_span = ""
+        if self._served is not None:
+            self._served[str(fingerprint)] = prepared
         return prepared
 
     def _kernel_for(
@@ -456,8 +477,7 @@ class AcquisitionalService:
         """Serve one statement over live readings."""
         self._metrics.counter("queries").increment()
         span = self._span()
-        parsed = parse_query(text, self._engine.schema)
-        fingerprint = fingerprint_parsed(parsed, self._engine.schema)
+        parsed, fingerprint = self._statements.lookup(text)
         prepared = self._prepared_for(parsed, fingerprint, text, span)
         observer = self._observer(fingerprint, prepared)
         kernel = self._kernel_for(fingerprint, prepared, span)
@@ -504,8 +524,7 @@ class AcquisitionalService:
         effective = policy if policy is not None else FaultPolicy()
         self._metrics.counter("queries").increment()
         span = self._span()
-        parsed = parse_query(text, self._engine.schema)
-        fingerprint = fingerprint_parsed(parsed, self._engine.schema)
+        parsed, fingerprint = self._statements.lookup(text)
         prepared = self._prepared_for(parsed, fingerprint, text, span)
         report = verify_plan(
             prepared.plan,
@@ -594,23 +613,18 @@ class AcquisitionalService:
         self._metrics.counter("batch_requests").increment(len(requests))
         span = self._span()
         groups: dict[QueryFingerprint, list[int]] = {}
-        parsed_requests: list[tuple[ParsedQuery, np.ndarray]] = []
-        for position, (text, readings) in enumerate(requests):
-            parsed = parse_query(text, self._engine.schema)
-            fingerprint = fingerprint_parsed(parsed, self._engine.schema)
+        for position, (text, _readings) in enumerate(requests):
+            fingerprint = self._statements.lookup(text)[1]
             groups.setdefault(fingerprint, []).append(position)
-            parsed_requests.append((parsed, readings))
 
         results: list[QueryResult | None] = [None] * len(requests)
         for fingerprint, positions in groups.items():
-            first_parsed, _first_readings = parsed_requests[positions[0]]
             text = requests[positions[0]][0]
-            prepared = self._prepared_for(
-                first_parsed, fingerprint, text, span
-            )
+            parsed = self._statements.lookup(text)[0]
+            prepared = self._prepared_for(parsed, fingerprint, text, span)
             observer = self._observer(fingerprint, prepared)
             kernel = self._kernel_for(fingerprint, prepared, span)
-            matrices = [parsed_requests[p][1] for p in positions]
+            matrices = [requests[p][1] for p in positions]
             timer = self._timer()
             start = time.perf_counter()
             trace_start = timer()
@@ -656,7 +670,7 @@ class AcquisitionalService:
         :class:`~repro.execution.streaming.AdaptiveStreamExecutor`
         (including the profile-drift knobs).
         """
-        parsed = parse_query(text, self._engine.schema)
+        parsed = self._statements.lookup(text)[0]
         if not parsed.is_conjunctive:
             raise QueryError(
                 "adaptive streaming requires a conjunctive WHERE clause"
@@ -724,7 +738,7 @@ class AcquisitionalService:
         from repro.learn import LearnedStreamExecutor
         from repro.learn.stream import LearnedReplanEvent
 
-        parsed = parse_query(text, self._engine.schema)
+        parsed, fingerprint = self._statements.lookup(text)
         if not parsed.is_conjunctive:
             raise QueryError(
                 "learned streaming requires a conjunctive WHERE clause"
@@ -741,7 +755,6 @@ class AcquisitionalService:
                     "integration; it wires metrics, tracing, and the "
                     "fingerprint-keyed bandit state store itself"
                 )
-        fingerprint = fingerprint_parsed(parsed, self._engine.schema)
 
         def on_replan(event: LearnedReplanEvent) -> None:
             if event.reason == "order-swap":
