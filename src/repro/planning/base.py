@@ -38,6 +38,8 @@ __all__ = [
     "PlanningResult",
     "Planner",
     "SequentialPlanner",
+    "SideScores",
+    "SplitScorer",
     "effective_cost",
     "resolved_leaf",
     "sequential_node_from_order",
@@ -147,6 +149,18 @@ class SequentialPlanner(Planner):
         :class:`VerdictLeaf` when the ranges already determine the query.
         """
 
+    def split_scorer(
+        self, query: ConjunctiveQuery, ranges: RangeVector
+    ) -> "SplitScorer":
+        """Prices this planner's plans on both sides of ``ranges``' splits.
+
+        GreedySplit (Figure 6) asks for ``SeqCost`` of every candidate
+        side of one subproblem.  The default plans each side with
+        :meth:`plan_sequence` when first asked; planners that can score
+        all sides of an attribute from one counting pass override this.
+        """
+        return SplitScorer(self, query, ranges)
+
     def plan(self, query: ConjunctiveQuery) -> PlanningResult:
         require_conjunctive(query)
         ranges = RangeVector.full(self.schema)
@@ -155,6 +169,72 @@ class SequentialPlanner(Planner):
         return PlanningResult(
             plan=node, expected_cost=cost, planner=self.name, stats=stats
         )
+
+
+class SideScores(ABC):
+    """Base-plan costs on both sides of one attribute's candidate splits.
+
+    ``position`` indexes the candidate list the scores were built for;
+    ``above`` picks the side ``X_i >= x`` over the side ``X_i < x``.
+    """
+
+    @abstractmethod
+    def cost(self, position: int, above: bool) -> float:
+        """Expected cost (Equation 3) of the side's sequential plan."""
+
+    @abstractmethod
+    def plan(self, position: int, above: bool) -> PlanNode:
+        """The side's sequential plan (or verdict leaf)."""
+
+
+class SplitScorer:
+    """Scores candidate split sides of one subproblem for GreedySplit.
+
+    This default plans a side with the planner's :meth:`plan_sequence`
+    only when GreedySplit first asks for it, so Figure 6's pruning still
+    skips the sides it never needs.
+    """
+
+    def __init__(
+        self,
+        planner: SequentialPlanner,
+        query: ConjunctiveQuery,
+        ranges: RangeVector,
+    ) -> None:
+        self._planner = planner
+        self._query = query
+        self._ranges = ranges
+
+    def score(self, attribute_index: int, candidates: list[int]) -> SideScores:
+        """Scores for splitting attribute ``attribute_index`` at ``candidates``."""
+        return _PlannedSides(self, attribute_index, candidates)
+
+
+class _PlannedSides(SideScores):
+    """One :meth:`SequentialPlanner.plan_sequence` call per side, on demand."""
+
+    def __init__(
+        self, scorer: SplitScorer, attribute_index: int, candidates: list[int]
+    ) -> None:
+        self._scorer = scorer
+        self._index = attribute_index
+        self._candidates = candidates
+        self._planned: dict[tuple[int, bool], tuple[float, PlanNode]] = {}
+
+    def _side(self, position: int, above: bool) -> tuple[float, PlanNode]:
+        planned = self._planned.get((position, above))
+        if planned is None:
+            scorer = self._scorer
+            sides = scorer._ranges.split(self._index, self._candidates[position])
+            planned = scorer._planner.plan_sequence(scorer._query, sides[above])
+            self._planned[position, above] = planned
+        return planned
+
+    def cost(self, position: int, above: bool) -> float:
+        return self._side(position, above)[0]
+
+    def plan(self, position: int, above: bool) -> PlanNode:
+        return self._side(position, above)[1]
 
 
 def require_conjunctive(query) -> None:

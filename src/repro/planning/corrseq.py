@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core.plan import PlanNode
 from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
-from repro.planning.base import SequentialPlanner
+from repro.planning.base import SequentialPlanner, SplitScorer
 from repro.planning.greedy_sequential import GreedySequentialPlanner
 from repro.planning.optimal_sequential import OptimalSequentialPlanner
 from repro.probability.base import Distribution
@@ -48,3 +48,13 @@ class CorrSeqPlanner(SequentialPlanner):
         if undetermined <= self._optimal_threshold:
             return self._optimal.plan_sequence(query, ranges)
         return self._greedy.plan_sequence(query, ranges)
+
+    def split_scorer(
+        self, query: ConjunctiveQuery, ranges: RangeVector
+    ) -> SplitScorer:
+        # A side never has more undetermined predicates than its subproblem,
+        # so every side of a small subproblem goes to OptSeq.
+        undetermined = len(query.undetermined_predicates(ranges))
+        if undetermined <= self._optimal_threshold:
+            return self._optimal.split_scorer(query, ranges)
+        return super().split_scorer(query, ranges)

@@ -59,48 +59,72 @@ def greedy_split(
 
     Implements Figure 6 including its pruning: an attribute whose
     acquisition cost alone reaches the best total so far is skipped, and the
-    second side of a split is only planned when the first side leaves room.
+    second side of a split is only costed when the first side leaves room.
+    Side costs come from the base planner's :meth:`split_scorer`, which may
+    score all sides of an attribute in one pass; only the winning split's
+    side plans are built.
     """
     schema = distribution.schema
-    best: SplitChoice | None = None
-    side_cache: dict[RangeVector, tuple[float, PlanNode]] = {}
-
-    def side_plan(side: RangeVector) -> tuple[float, PlanNode]:
-        cached = side_cache.get(side)
-        if cached is None:
-            cached = base_planner.plan_sequence(query, side)
-            side_cache[side] = cached
-            if stats is not None:
-                stats.sequential_plans_built += 1
-        return cached
+    scorer = base_planner.split_scorer(query, ranges)
+    # (total, attribute, split value, position, P(below), below cost,
+    #  above cost, side scores) of the best split so far.
+    best: tuple | None = None
 
     for index in range(len(schema)):
         acquisition = effective_cost(schema, ranges, index, cost_model)
-        if best is not None and acquisition >= best.cost:
+        if best is not None and acquisition >= best[0]:
             continue
         candidates = policy.candidates(index, ranges)
+        if not candidates:
+            continue
         below_probabilities = split_probabilities(
             distribution, index, candidates, ranges
         )
-        for split_value, probability_below in zip(candidates, below_probabilities):
+        sides = scorer.score(index, candidates)
+        for position, (split_value, probability_below) in enumerate(
+            zip(candidates, below_probabilities)
+        ):
             if stats is not None:
                 stats.splits_considered += 1
-            below_ranges, above_ranges = ranges.split(index, split_value)
-            below_cost, below_plan = side_plan(below_ranges)
+                stats.sequential_plans_built += 1
+            below_cost = sides.cost(position, above=False)
             total = acquisition + probability_below * below_cost
-            if best is not None and total >= best.cost:
+            if best is not None and total >= best[0]:
                 continue
-            above_cost, above_plan = side_plan(above_ranges)
+            if stats is not None:
+                stats.sequential_plans_built += 1
+            above_cost = sides.cost(position, above=True)
             total += (1.0 - probability_below) * above_cost
-            if best is None or total < best.cost:
-                best = SplitChoice(
-                    cost=total,
-                    attribute_index=index,
-                    split_value=split_value,
-                    probability_below=probability_below,
-                    below_cost=below_cost,
-                    below_plan=below_plan,
-                    above_cost=above_cost,
-                    above_plan=above_plan,
+            if best is None or total < best[0]:
+                best = (
+                    total,
+                    index,
+                    split_value,
+                    position,
+                    probability_below,
+                    below_cost,
+                    above_cost,
+                    sides,
                 )
-    return best
+    if best is None:
+        return None
+    (
+        total,
+        index,
+        split_value,
+        position,
+        probability_below,
+        below_cost,
+        above_cost,
+        sides,
+    ) = best
+    return SplitChoice(
+        cost=total,
+        attribute_index=index,
+        split_value=split_value,
+        probability_below=probability_below,
+        below_cost=below_cost,
+        below_plan=sides.plan(position, above=False),
+        above_cost=above_cost,
+        above_plan=sides.plan(position, above=True),
+    )

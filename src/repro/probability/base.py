@@ -19,13 +19,16 @@ extension).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.attributes import Schema
 from repro.core.predicates import Predicate
 from repro.core.ranges import RangeVector
+
+if TYPE_CHECKING:
+    from repro.probability.empirical import OutcomeCounter
 
 __all__ = ["Distribution", "PredicateBinding", "SequentialConditioner"]
 
@@ -94,6 +97,18 @@ class Distribution(ABC):
         subproblem ranges.  This is the rediscretized joint distribution of
         Section 4.1.2 / 5.2.
         """
+
+    def outcome_counter(
+        self, bindings: Sequence[PredicateBinding], ranges: RangeVector
+    ) -> "OutcomeCounter | None":
+        """Integer outcome counts for scoring many split sides at once.
+
+        Dataset-backed models return an
+        :class:`~repro.probability.empirical.OutcomeCounter` over the
+        subproblem's rows; models that do not count rows return ``None``
+        and planners fall back to one query per side.
+        """
+        return None
 
     def satisfied_given_satisfied(
         self,

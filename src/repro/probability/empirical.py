@@ -35,7 +35,7 @@ from repro.probability.base import (
 )
 from repro.probability.histograms import value_histogram
 
-__all__ = ["EmpiricalDistribution"]
+__all__ = ["EmpiricalDistribution", "OutcomeCounter"]
 
 # Joint tables over predicate outcomes are 2**m entries; beyond this many
 # predicates callers should use GreedySeq, which never materializes the joint.
@@ -193,13 +193,16 @@ class EmpiricalDistribution(Distribution):
         size = 1 << len(bindings)
         if rows.size == 0:
             return np.zeros(size, dtype=np.float64)
-        codes = np.zeros(rows.size, dtype=np.int64)
-        for bit, binding in enumerate(bindings):
-            codes |= self._satisfaction_mask(binding)[rows].astype(np.int64) << bit
+        codes = self._outcome_codes(bindings, rows)
         counts = np.bincount(codes, minlength=size).astype(np.float64)
         if self._smoothing:
             counts += self._smoothing
         return counts / counts.sum()
+
+    def outcome_counter(
+        self, bindings: Sequence[PredicateBinding], ranges: RangeVector
+    ) -> "OutcomeCounter":
+        return OutcomeCounter(self, bindings, ranges)
 
     def satisfied_given_satisfied(
         self,
@@ -250,6 +253,15 @@ class EmpiricalDistribution(Distribution):
             self._predicate_masks[key] = mask
         return mask
 
+    def _outcome_codes(
+        self, bindings: Sequence[PredicateBinding], rows: np.ndarray
+    ) -> np.ndarray:
+        """Per-row outcome bitmask: bit ``j`` set when ``bindings[j]`` holds."""
+        codes = np.zeros(rows.size, dtype=np.int64)
+        for bit, binding in enumerate(bindings):
+            codes |= self._satisfaction_mask(binding)[rows].astype(np.int64) << bit
+        return codes
+
     def _conjunction_mask(
         self, bindings: Sequence[PredicateBinding], rows: np.ndarray
     ) -> np.ndarray:
@@ -286,6 +298,95 @@ class EmpiricalDistribution(Distribution):
         """Drop cached row sets and predicate masks (frees memory)."""
         self._row_cache.clear()
         self._predicate_masks.clear()
+
+
+class OutcomeCounter:
+    """Outcome counts of one subproblem's rows, bucketed by attribute value.
+
+    Each row of the subproblem is encoded once as its outcome bitmask over
+    ``bindings`` (bit ``j`` set when ``bindings[j]`` holds, as in
+    :meth:`EmpiricalDistribution.predicate_joint`).  One ``bincount`` per
+    attribute then counts every candidate split: a side's outcome counts
+    are a prefix or suffix sum over value buckets (Equation 7 lifted to
+    the predicate lattice).  :meth:`joints` and :meth:`pass_probabilities`
+    turn side counts into exactly the floats that
+    :meth:`~EmpiricalDistribution.predicate_joint` and the sequential
+    conditioner report for that side's row set.
+    """
+
+    def __init__(
+        self,
+        distribution: EmpiricalDistribution,
+        bindings: Sequence[PredicateBinding],
+        ranges: RangeVector,
+    ) -> None:
+        self._data = distribution._data
+        self._ranges = ranges
+        self._rows = distribution.rows_matching(ranges)
+        self._codes = distribution._outcome_codes(bindings, self._rows)
+        self._size = 1 << len(bindings)
+        self._smoothing = distribution.smoothing
+
+    def bucket_counts(
+        self, attribute_index: int, boundaries: Sequence[int]
+    ) -> np.ndarray:
+        """Outcome counts per value bucket of one attribute.
+
+        ``boundaries`` are ascending values interior to the subproblem's
+        range; bucket ``k`` holds the rows with
+        ``boundaries[k-1] <= value < boundaries[k]`` (open at both ends).
+        Returns an int64 array of shape ``(len(boundaries) + 1, 2**m)``.
+        """
+        interval = self._ranges[attribute_index]
+        bucket_of = np.searchsorted(
+            boundaries, np.arange(interval.low, interval.high + 1), side="right"
+        )
+        buckets = bucket_of[self._data[self._rows, attribute_index] - interval.low]
+        size = self._size
+        counts = np.bincount(
+            buckets * size + self._codes, minlength=(len(boundaries) + 1) * size
+        )
+        return counts.reshape(len(boundaries) + 1, size)
+
+    def joints(self, counts: np.ndarray) -> np.ndarray:
+        """:meth:`~EmpiricalDistribution.predicate_joint` of each row set.
+
+        Row ``k`` of ``counts`` holds one row set's outcome counts.
+        """
+        joints = counts.astype(np.float64)
+        if self._smoothing:
+            joints += self._smoothing
+        empty = counts.sum(axis=1) == 0
+        totals = joints.sum(axis=1, keepdims=True)
+        totals[empty] = 1.0
+        joints /= totals
+        joints[empty] = 0.0
+        return joints
+
+    def pass_probabilities(
+        self, sums: np.ndarray, satisfied: np.ndarray, bits: np.ndarray
+    ) -> np.ndarray:
+        """The sequential conditioner's pass probability for each row set.
+
+        ``sums[k]`` are row set ``k``'s superset sums of outcome counts:
+        ``sums[k, S]`` rows satisfy every predicate in ``S``.  Entry ``k``
+        is ``P(bits[k] holds | satisfied[k] all held)``, falling back to
+        the predicate's marginal when no row satisfies ``satisfied[k]``.
+        """
+        smoothing = self._smoothing
+        sets = np.arange(len(sums))
+        held = sums[sets, satisfied] + 2.0 * smoothing
+        hits = sums[sets, satisfied | bits] + smoothing
+        if (held > 0.0).all():
+            return hits / held
+        marginal_rows = sums[:, 0] + 2.0 * smoothing
+        marginal = np.divide(
+            sums[sets, bits] + smoothing,
+            marginal_rows,
+            out=np.zeros(len(sums)),
+            where=marginal_rows > 0.0,
+        )
+        return np.divide(hits, held, out=marginal, where=held > 0.0)
 
 
 class _RowSetConditioner(SequentialConditioner):

@@ -26,22 +26,26 @@ __all__ = ["superset_sums", "conditional_from_superset_sums"]
 def superset_sums(joint: np.ndarray) -> np.ndarray:
     """For each bitmask ``S``, the total mass of outcomes ``t ⊇ S``.
 
-    ``joint`` must have length ``2**m`` for some ``m >= 0``.  Entry ``S`` of
-    the result is ``sum(joint[t] for t where (t & S) == S)``.
+    ``joint``'s last axis must have length ``2**m`` for some ``m >= 0``.
+    Entry ``S`` of the result is ``sum(joint[t] for t where (t & S) == S)``;
+    a 2-D ``joint`` holds one table per row, each summed exactly as it
+    would be alone.  Integer counts come back as exact float64 counts.
     """
-    size = joint.shape[0]
+    size = joint.shape[-1]
     if size == 0 or size & (size - 1):
         raise DistributionError(
             f"joint length must be a power of two, got {size}"
         )
-    sums = joint.astype(np.float64).copy()
+    sums = joint.astype(np.float64)
+    tables = sums.reshape(-1, size)
     bit = 1
     while bit < size:
         # Indices with this bit clear absorb the mass of their set-bit twin:
         # after processing bit b, sums[S] aggregates outcomes matching S on
-        # bits <= b and arbitrary elsewhere.
-        clear = (np.arange(size) & bit) == 0
-        sums[clear] += sums[~clear]
+        # bits <= b and arbitrary elsewhere.  Viewed as
+        # (high bits, this bit, low bits), the twins are the two middle rows.
+        twins = tables.reshape(len(tables), size // (2 * bit), 2, bit)
+        twins[:, :, 0, :] += twins[:, :, 1, :]
         bit <<= 1
     return sums
 
