@@ -38,9 +38,6 @@ Mirrors the basestation workflow of the paper's architecture
     repro chaos   --schema trace/schema.json --plan plan.json \
                   --trace trace/test.csv --query "SELECT * WHERE ..." \
                   --schedule faults.json --seed 7 --degradation skip
-    repro compile --schema trace/schema.json --plan plan.json \
-                  --trace trace/train.csv --out plan.kernel.json
-    repro compile --suite
 
 Every command reads/writes the JSON/CSV formats of
 :mod:`repro.data.trace_io`, so artifacts interoperate with the library
@@ -243,14 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--policy", choices=("lru", "lfu"), default="lfu")
     serve_bench.add_argument("--smoothing", type=float, default=0.0)
     serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument(
-        "--exec-backend",
-        choices=("interp", "compiled"),
-        default="interp",
-        help="execution backend: the tree-walking interpreter or the "
-        "translation-validated columnar compile tier (TV-rejected plans "
-        "fall back to the interpreter)",
-    )
     serve_bench.add_argument("--out", type=Path, default=None, help="JSON report path")
     serve_bench.add_argument(
         "--metrics-out",
@@ -334,13 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_sharded.add_argument("--policy", choices=("lru", "lfu"), default="lfu")
     serve_sharded.add_argument("--smoothing", type=float, default=0.0)
     serve_sharded.add_argument("--seed", type=int, default=0)
-    serve_sharded.add_argument(
-        "--exec-backend",
-        choices=("interp", "compiled"),
-        default="interp",
-        help="per-shard execution backend: the tree-walking interpreter "
-        "or the translation-validated columnar compile tier",
-    )
     serve_sharded.add_argument("--out", type=Path, default=None, help="JSON report path")
     serve_sharded.add_argument(
         "--prometheus-out",
@@ -671,51 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--smoothing", type=float, default=0.0)
     chaos.add_argument(
-        "--json", action="store_true", dest="as_json", help="JSON report output"
-    )
-
-    compile_cmd = commands.add_parser(
-        "compile",
-        help="lower a plan into the columnar kernel IR and prove the "
-        "translation, or run the compile-tier CI suite (--suite)",
-        description="Lower a plan file into the typed kernel IR and run "
-        "the translation validator (TV001-TV010; see docs/COMPILER.md).  "
-        "With --trace, the TV008 Eq. 3 conservation check runs against a "
-        "distribution fitted to the trace.  --out writes the kernel IR "
-        "as JSON (only when the proof succeeds).  --suite first "
-        "self-tests the validator on the seeded miscompilation corpus "
-        "(every mutant class must be caught, every clean kernel must "
-        "pass silently), then lowers and proves every planner x dataset "
-        "plan.  Exit status matches `repro lint-plan`: 0 when the "
-        "translation is proven (no ERROR-level TV diagnostic), 1 on any "
-        "ERROR or corpus failure, 2 on usage or I/O errors.",
-    )
-    compile_cmd.add_argument("--schema", type=Path, default=None)
-    compile_cmd.add_argument(
-        "--plan", type=Path, default=None, help="plan JSON to compile"
-    )
-    compile_cmd.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        help="training trace CSV; enables the TV008 Eq. 3 conservation "
-        "check",
-    )
-    compile_cmd.add_argument("--smoothing", type=float, default=0.0)
-    compile_cmd.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the proven kernel IR as JSON (with --suite: the "
-        "suite report)",
-    )
-    compile_cmd.add_argument(
-        "--suite",
-        action="store_true",
-        help="run the miscompilation corpus self-test, then lower and "
-        "prove every planner x dataset plan; exit 1 on any failure",
-    )
-    compile_cmd.add_argument(
         "--json", action="store_true", dest="as_json", help="JSON report output"
     )
 
@@ -1124,7 +1061,6 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
                 cache_policy=args.policy,
                 cache_enabled=enabled,
                 tracer=tracer,
-                exec_backend=args.exec_backend,
             )
             qps = _run_workload(service, requests, args.batch_size)
             results["cache_on" if enabled else "cache_off"] = {
@@ -1178,7 +1114,6 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
                 "batch_size": args.batch_size,
                 "capacity": args.capacity,
                 "policy": args.policy,
-                "exec_backend": args.exec_backend,
             },
             "speedup": round(speedup, 2),
             **results,
@@ -1217,7 +1152,6 @@ def _cluster_config(
             smoothing=args.smoothing,
             cache_capacity=args.capacity,
             cache_policy=args.policy,
-            exec_backend=getattr(args, "exec_backend", "interp"),
         ),
         shards=workers,
         backend=args.backend,
@@ -2053,146 +1987,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _command_compile_suite(args: argparse.Namespace) -> int:
-    from repro.compile import default_corpus_query, lower_plan, validate_translation
-    from repro.compile.mutants import run_corpus as run_tv_corpus
-
-    # Validator self-test: every seeded miscompilation class must be
-    # caught, every clean kernel must pass silently — with and without
-    # the distribution that arms the TV008 conservation check.
-    corpus_query = default_corpus_query()
-    corpus_schema = corpus_query.schema
-    rng = np.random.default_rng(17)
-    corpus_data = rng.integers(1, 9, size=(400, len(corpus_schema)))
-    corpus_distribution = EmpiricalDistribution(
-        corpus_schema, corpus_data, smoothing=0.5
-    )
-    corpus_failures = run_tv_corpus()
-    corpus_failures += run_tv_corpus(distribution=corpus_distribution)
-
-    total_errors = 0
-    total_warnings = 0
-    rows = []
-    reports = []
-    for dataset_name, dataset, queries in _lint_suite_datasets():
-        schema = dataset.schema
-        distribution = EmpiricalDistribution(
-            schema, dataset.data, smoothing=args.smoothing or 0.5
-        )
-        for planner_name, planner in _lint_suite_planners(distribution).items():
-            errors = 0
-            warnings = 0
-            for query in queries:
-                result = planner.plan_timed(query)
-                compiled = lower_plan(result.plan, schema)
-                report = validate_translation(
-                    compiled,
-                    result.plan,
-                    schema,
-                    distribution=distribution,
-                    subject=f"{dataset_name}/{planner_name}: {query.describe()}",
-                )
-                errors += len(report.errors)
-                warnings += len(report.warnings)
-                if report.diagnostics:
-                    reports.append(report)
-            rows.append((dataset_name, planner_name, len(queries), errors, warnings))
-            total_errors += errors
-            total_warnings += warnings
-
-    failed = bool(total_errors or corpus_failures)
-    document = {
-        "ok": not failed,
-        "errors": total_errors,
-        "warnings": total_warnings,
-        "corpus": {
-            "ok": not corpus_failures,
-            "failures": corpus_failures,
-        },
-        "results": [
-            {
-                "dataset": dataset,
-                "planner": planner,
-                "queries": queries,
-                "errors": errors,
-                "warnings": warnings,
-            }
-            for dataset, planner, queries, errors, warnings in rows
-        ],
-        "reports": [report.as_dict() for report in reports],
-    }
-    if args.out is not None:
-        args.out.write_text(json.dumps(document, indent=2) + "\n")
-        logger.info("compile suite report written to %s", args.out)
-    if args.as_json:
-        print(json.dumps(document, indent=2))
-    else:
-        if corpus_failures:
-            print(f"miscompilation corpus FAILED ({len(corpus_failures)} case(s)):")
-            for failure in corpus_failures:
-                print(f"  - {failure}")
-        else:
-            print(
-                "miscompilation corpus ok: every mutant class caught, "
-                "clean kernels silent"
-            )
-        print()
-        print(f"{'dataset':<11} {'planner':<13} {'queries':>7} {'errors':>7} {'warnings':>9}")
-        for dataset, planner, queries, errors, warnings in rows:
-            print(f"{dataset:<11} {planner:<13} {queries:>7} {errors:>7} {warnings:>9}")
-        for report in reports:
-            print()
-            print(report.format())
-        verdict = "FAILED" if failed else "clean"
-        print(
-            f"\ncompile suite {verdict}: {total_errors} error(s), "
-            f"{total_warnings} warning(s) across {len(rows)} planner/dataset "
-            f"runs; {len(corpus_failures)} corpus failure(s)"
-        )
-    return 1 if failed else 0
-
-
-def _command_compile(args: argparse.Namespace) -> int:
-    if args.suite:
-        return _command_compile_suite(args)
-    if args.schema is None or args.plan is None:
-        raise ReproError("compile needs --schema and --plan (or --suite)")
-    from repro.compile import compile_plan
-
-    schema = load_schema(args.schema)
-    plan = load_plan(args.plan)
-    distribution = None
-    if args.trace is not None:
-        train = load_trace(args.trace, schema)
-        distribution = EmpiricalDistribution(
-            schema, train, smoothing=args.smoothing
-        )
-    compiled, report = compile_plan(plan, schema, distribution=distribution)
-    if args.out is not None and report.ok:
-        args.out.write_text(json.dumps(compiled.to_dict(), indent=2) + "\n")
-        logger.info("kernel IR written to %s", args.out)
-    if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "subject": str(args.plan),
-                    "ok": report.ok,
-                    "ops": len(compiled.ops),
-                    "registers": compiled.register_count,
-                    "report": report.as_dict(),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(
-            f"lowered {args.plan}: {len(compiled.ops)} op(s) over "
-            f"{compiled.register_count} register(s)"
-        )
-        print(report.format())
-    return 0 if report.ok else 1
-
-
 def _command_learn_bench(args: argparse.Namespace) -> int:
     from repro.learn import run_learned_bench
 
@@ -2264,7 +2058,6 @@ def main(argv: list[str] | None = None) -> int:
         "profile": _command_profile,
         "metrics": _command_metrics,
         "chaos": _command_chaos,
-        "compile": _command_compile,
         "learn-bench": _command_learn_bench,
     }
     try:

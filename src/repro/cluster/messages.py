@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _PLANNERS = ("naive", "greedy-seq", "opt-seq", "corr-seq", "heuristic")
-_EXEC_BACKENDS = ("interp", "compiled")
 CONTROL_KINDS = ("ping", "stats", "sync_version", "shutdown")
 
 
@@ -59,10 +58,7 @@ class ShardConfig:
     ``batch_window`` caps how many queued requests a worker drains into
     one coalesced/batched execution pass.  ``tracing`` gives the shard a
     name-prefixed :class:`~repro.obs.trace.Tracer` whose spans are
-    exported back to the front door on replies.  ``exec_backend``
-    selects the shard service's execution tier (``"interp"`` or the
-    translation-validated ``"compiled"`` columnar tier; rejected
-    kernels fall back to the interpreter per-plan).
+    exported back to the front door on replies.
     """
 
     schema: Schema
@@ -76,7 +72,6 @@ class ShardConfig:
     profiling: bool = False
     batch_window: int = 128
     tracing: bool = False
-    exec_backend: str = "interp"
 
     def __post_init__(self) -> None:
         if self.planner not in _PLANNERS:
@@ -86,11 +81,6 @@ class ShardConfig:
         if self.batch_window < 1:
             raise ClusterError(
                 f"batch_window must be >= 1, got {self.batch_window}"
-            )
-        if self.exec_backend not in _EXEC_BACKENDS:
-            raise ClusterError(
-                f"unknown exec_backend {self.exec_backend!r}; "
-                f"choose from {_EXEC_BACKENDS}"
             )
 
 

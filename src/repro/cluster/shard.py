@@ -187,7 +187,6 @@ class ShardServer:
             verify_admission=config.verify_admission,
             profiling=config.profiling,
             tracer=self.tracer,
-            exec_backend=config.exec_backend,
         )
 
     # ------------------------------------------------------------------

@@ -35,8 +35,6 @@ from repro.planning.split_points import SplitPointPolicy
 from repro.probability.empirical import EmpiricalDistribution
 
 if TYPE_CHECKING:
-    from repro.compile.ir import CompiledPlan
-    from repro.core.cost import DatasetExecution
     from repro.faults.model import FaultSchedule
     from repro.faults.policy import FaultPolicy
 
@@ -294,21 +292,18 @@ class AcquisitionalEngine:
         prepared: PreparedQuery,
         readings: np.ndarray,
         observer: ExecutionObserver | None = None,
-        kernel: "CompiledPlan | None" = None,
     ) -> QueryResult:
         """Run an already-prepared statement over live readings.
 
         ``observer`` (usually a :class:`repro.obs.PlanProfile`) meters the
         WHERE plan's per-node behaviour; post-WHERE projection
         acquisitions are accounted in ``projection_cost`` but are not
-        node events, so they stay outside the profile.  A ``kernel``
-        (a translation-validated :class:`~repro.compile.CompiledPlan`
-        lowered from ``prepared.plan``) routes the WHERE clause through
-        the columnar compiled tier instead of the interpreting walker;
-        results are identical by the validator's proof.
+        node events, so they stay outside the profile.
         """
         matrix = self._validated(readings)
-        outcome = self._where_pass(prepared, matrix, observer, kernel)
+        outcome = dataset_execution(
+            prepared.plan, matrix, self._schema, observer=observer
+        )
         extra = self._projection_extra(prepared, matrix, outcome.verdicts)
         return self._build_result(
             prepared, matrix, outcome.costs, outcome.verdicts, extra
@@ -377,7 +372,6 @@ class AcquisitionalEngine:
         prepared: PreparedQuery,
         readings_list: list[np.ndarray],
         observer: ExecutionObserver | None = None,
-        kernel: "CompiledPlan | None" = None,
     ) -> list[QueryResult]:
         """Run one prepared statement over many batches in a single pass.
 
@@ -385,14 +379,15 @@ class AcquisitionalEngine:
         vectorized tree walk amortizes across every request sharing the
         plan — then per-batch results are sliced back out.  This is the
         serving layer's same-fingerprint admission path.  ``observer``
-        meters the WHERE plan exactly as in :meth:`execute_prepared`,
-        and ``kernel`` selects the compiled tier the same way.
+        meters the WHERE plan exactly as in :meth:`execute_prepared`.
         """
         matrices = [self._validated(readings) for readings in readings_list]
         if not matrices:
             return []
         stacked = np.vstack(matrices)
-        outcome = self._where_pass(prepared, stacked, observer, kernel)
+        outcome = dataset_execution(
+            prepared.plan, stacked, self._schema, observer=observer
+        )
         extra = self._projection_extra(prepared, stacked, outcome.verdicts)
         results: list[QueryResult] = []
         start = 0
@@ -409,22 +404,6 @@ class AcquisitionalEngine:
             )
             start = end
         return results
-
-    def _where_pass(
-        self,
-        prepared: PreparedQuery,
-        matrix: np.ndarray,
-        observer: ExecutionObserver | None,
-        kernel: "CompiledPlan | None",
-    ) -> DatasetExecution:
-        """The WHERE pass: the compiled kernel when given, else the walker."""
-        if kernel is None:
-            return dataset_execution(
-                prepared.plan, matrix, self._schema, observer=observer
-            )
-        from repro.compile.executor import execute_compiled
-
-        return execute_compiled(kernel, matrix, observer=observer)
 
     def _validated(self, readings: np.ndarray) -> np.ndarray:
         matrix = np.asarray(readings)

@@ -40,10 +40,6 @@ class PlanningError(ReproError):
     """A planner could not produce a plan for the given inputs."""
 
 
-class CompileError(PlanError):
-    """A plan could not be lowered to kernel IR, or the IR is malformed."""
-
-
 class DistributionError(ReproError):
     """A probability model was queried outside its supported domain."""
 

@@ -1,7 +1,7 @@
 """Bandit state persistence across statistics-version bumps.
 
-The serving layer invalidates plan caches, profiles, and compiled
-kernels whenever the statistics version moves — that machinery exists
+The serving layer invalidates plan caches and profiles whenever the
+statistics version moves — that machinery exists
 precisely to throw stale *derived* artifacts away.  Learned posteriors
 are different: they are evidence, and evidence survives a version bump
 (discounted, via :meth:`~repro.learn.bandit.OrderBanditEnsemble.adopt`).

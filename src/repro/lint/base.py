@@ -59,7 +59,6 @@ class LintConfig:
         "repro.faults",
         "repro.verify",
         "repro.analysis",
-        "repro.compile",
         "repro.learn",
         "repro.obs",
         "repro.service.fingerprint",
@@ -82,7 +81,6 @@ class LintConfig:
         "repro.faults",
         "repro.analysis",
         "repro.verify",
-        "repro.compile",
         "repro.engine",
         "repro.learn",
         "repro.cluster.admission",

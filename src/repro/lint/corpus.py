@@ -106,16 +106,16 @@ def violation_cases() -> list[LintCase]:
         ),
         _case(
             "det004-module-level-generator",
-            "a compile-tier module binds a seeded generator at import",
-            "repro.compile.example",
+            "an execution module binds a seeded generator at import",
+            "repro.execution.example",
             """
             import numpy as np
 
             _RNG = np.random.default_rng(42)
 
-            def shuffle_ops(ops):
-                order = _RNG.permutation(len(ops))
-                return [ops[i] for i in order]
+            def shuffle_rows(rows):
+                order = _RNG.permutation(len(rows))
+                return [rows[i] for i in order]
             """,
             "DET004",
         ),
@@ -354,10 +354,10 @@ def clean_cases() -> list[LintCase]:
             """,
         ),
         _case(
-            "clean-compile-function-scoped-rng",
-            "compile-tier code may build seeded generators inside "
+            "clean-function-scoped-rng",
+            "execution code may build seeded generators inside "
             "functions — only import-time state is banned",
-            "repro.compile.example",
+            "repro.execution.example",
             """
             import numpy as np
 

@@ -17,9 +17,10 @@ reduces to three source-level disciplines:
 - deterministic modules construct no RNG state at import time — not
   even *seeded* state (``DET004``).  A module-level generator is shared
   mutable state: whichever import-order-dependent caller draws first
-  shifts every later draw.  The compile tier is the motivating case:
-  kernels must be pure functions of (plan, schema, statistics version),
-  so ``repro.compile`` must hold no generator for anything to consume.
+  shifts every later draw.  Seeded replay is the motivating case: a
+  chaos run or a learned-stream replay must be byte-identical in every
+  process, so ``repro.execution`` and ``repro.faults`` must hold no
+  generator that an earlier import could already have advanced.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def check_determinism(context: ModuleContext) -> list[LintFinding]:
         # DET004 — module-level RNG construction in deterministic
         # modules.  Fires on the import-time execution scope only
         # (qualname ""): a generator bound at module scope is shared
-        # mutable state even when seeded, and the compile tier must not
+        # mutable state even when seeded, so no deterministic module may
         # create or consume any RNG at import.
         if (
             config.wants("DET004")

@@ -58,7 +58,6 @@ from repro.service.metrics import MetricsRegistry
 from repro.verify import verify_plan
 
 if TYPE_CHECKING:
-    from repro.compile.ir import CompiledPlan
     from repro.faults.model import FaultSchedule
     from repro.faults.policy import FaultPolicy
     from repro.learn.state import BanditStateStore
@@ -67,30 +66,7 @@ if TYPE_CHECKING:
     from repro.obs.profile import PlanProfile
     from repro.obs.trace import Tracer
 
-__all__ = ["AcquisitionalService", "EXEC_BACKENDS"]
-
-# Execution backends the service can route WHERE clauses through:
-# the interpreting tree walker, or the translation-validated columnar
-# compile tier (falling back to the interpreter per-plan when a kernel
-# fails compilation or its equivalence proof).
-EXEC_BACKENDS = ("interp", "compiled")
-
-
-class _CompiledEntry:
-    """Per-fingerprint compiled-tier decision: a proven kernel or None.
-
-    ``kernel is None`` records a *negative* result — the plan failed to
-    lower or failed translation validation — so the fallback decision is
-    made once per (plan, statistics version), not per request.
-    """
-
-    __slots__ = ("prepared", "kernel")
-
-    def __init__(
-        self, prepared: PreparedQuery, kernel: "CompiledPlan | None"
-    ) -> None:
-        self.prepared = prepared
-        self.kernel = kernel
+__all__ = ["AcquisitionalService"]
 
 
 class _PlanObservability:
@@ -155,14 +131,6 @@ class AcquisitionalService:
     drift_min_tuples:
         Plans profiled on fewer tuples than this are skipped by
         :meth:`check_drift` (small samples make the score noisy).
-    exec_backend:
-        ``"interp"`` (the default) executes WHERE clauses with the
-        interpreting tree walker; ``"compiled"`` lowers each served
-        plan to kernel IR, runs the translation validator, and — only
-        when the equivalence proof succeeds (counted in
-        ``plans_compiled``) — executes through the columnar compiled
-        tier.  Plans whose kernels fail to compile or fail validation
-        are counted in ``tv_rejected`` and served by the interpreter.
     """
 
     def __init__(
@@ -176,7 +144,6 @@ class AcquisitionalService:
         tracer: "Tracer | None" = None,
         drift_threshold: float = 25.0,
         drift_min_tuples: int = 256,
-        exec_backend: str = "interp",
     ) -> None:
         self._engine = engine
         self._verify_admission = bool(verify_admission)
@@ -198,17 +165,6 @@ class AcquisitionalService:
             )
         self._drift_threshold = float(drift_threshold)
         self._drift_min_tuples = int(drift_min_tuples)
-        if exec_backend not in EXEC_BACKENDS:
-            raise ServiceError(
-                f"unknown exec_backend {exec_backend!r}; "
-                f"expected one of {EXEC_BACKENDS}"
-            )
-        self._exec_backend = exec_backend
-        self._compiled: dict[QueryFingerprint, _CompiledEntry] = {}
-        if exec_backend == "compiled":
-            # Pre-register the pair so dashboards see explicit zeros.
-            self._metrics.counter("plans_compiled")
-            self._metrics.counter("tv_rejected")
         self._profiles: dict[QueryFingerprint, _PlanObservability] = {}
         self._bandit_store: "BanditStateStore | None" = None
         self._active_span = ""
@@ -280,10 +236,6 @@ class AcquisitionalService:
     @property
     def profiling(self) -> bool:
         return self._profiling
-
-    @property
-    def exec_backend(self) -> str:
-        return self._exec_backend
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -389,63 +341,6 @@ class AcquisitionalService:
             self._served[str(fingerprint)] = prepared
         return prepared
 
-    def _kernel_for(
-        self,
-        fingerprint: QueryFingerprint,
-        prepared: PreparedQuery,
-        span: str,
-    ) -> "CompiledPlan | None":
-        """The proven kernel serving ``prepared``, or None (interpreter).
-
-        Compiles at most once per (fingerprint, plan): the entry is
-        rebuilt when the served plan object changes (replanning under
-        new statistics) and dropped wholesale on statistics bumps.  A
-        kernel is used only when the translation validator's equivalence
-        proof succeeds; failures — lowering errors and ``TV*``
-        rejections alike — fall back to the interpreting walker.
-        """
-        if self._exec_backend != "compiled":
-            return None
-        entry = self._compiled.get(fingerprint)
-        if entry is not None and entry.prepared is prepared:
-            return entry.kernel
-        from repro.compile import compile_plan
-        from repro.exceptions import CompileError
-
-        kernel: "CompiledPlan | None" = None
-        detail: dict[str, Any] = {}
-        try:
-            compiled, report = compile_plan(
-                prepared.plan,
-                self._engine.schema,
-                statistics_version=prepared.statistics_version,
-                distribution=self._engine.distribution,
-                expected_statistics_version=self._engine.statistics_version,
-            )
-        except CompileError as error:
-            detail = {"reason": "compile-error", "error": str(error)}
-        else:
-            if report.ok:
-                kernel = compiled
-            else:
-                detail = {
-                    "reason": "tv-rejected",
-                    "codes": ",".join(sorted(report.codes())),
-                }
-        if kernel is not None:
-            self._metrics.counter("plans_compiled").increment()
-        else:
-            self._metrics.counter("tv_rejected").increment()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "compile-reject",
-                    span=span,
-                    fingerprint=str(fingerprint),
-                    **detail,
-                )
-        self._compiled[fingerprint] = _CompiledEntry(prepared, kernel)
-        return kernel
-
     def _observer(
         self, fingerprint: QueryFingerprint, prepared: PreparedQuery
     ) -> "PlanProfile | None":
@@ -480,12 +375,11 @@ class AcquisitionalService:
         parsed, fingerprint = self._statements.lookup(text)
         prepared = self._prepared_for(parsed, fingerprint, text, span)
         observer = self._observer(fingerprint, prepared)
-        kernel = self._kernel_for(fingerprint, prepared, span)
         timer = self._timer()
         start = time.perf_counter()
         trace_start = timer()
         result = self._engine.execute_prepared(
-            prepared, readings, observer=observer, kernel=kernel
+            prepared, readings, observer=observer
         )
         elapsed = time.perf_counter() - start
         self._metrics.histogram("execution").observe(elapsed)
@@ -623,13 +517,12 @@ class AcquisitionalService:
             parsed = self._statements.lookup(text)[0]
             prepared = self._prepared_for(parsed, fingerprint, text, span)
             observer = self._observer(fingerprint, prepared)
-            kernel = self._kernel_for(fingerprint, prepared, span)
             matrices = [requests[p][1] for p in positions]
             timer = self._timer()
             start = time.perf_counter()
             trace_start = timer()
             group_results = self._engine.execute_prepared_many(
-                prepared, matrices, observer=observer, kernel=kernel
+                prepared, matrices, observer=observer
             )
             elapsed = time.perf_counter() - start
             self._metrics.histogram("execution").observe(elapsed)
@@ -804,9 +697,6 @@ class AcquisitionalService:
         # Profiles describe plans trained on the old statistics; their
         # monitors' predictions are stale too.  Start fresh ledgers.
         self._profiles.clear()
-        # Kernels carry the old statistics stamp (TV010 would reject
-        # them anyway); drop them with the plans they were lowered from.
-        self._compiled.clear()
         # The bandit state store survives on purpose: learned posteriors
         # are evidence (adopted with a discount), not artifacts derived
         # from the outgoing statistics generation.
@@ -900,7 +790,6 @@ class AcquisitionalService:
             "statistics_version": self._engine.statistics_version,
             "cache_enabled": self._cache_enabled,
             "profiling": self._profiling,
-            "exec_backend": self._exec_backend,
             "cache": cache_stats.as_dict(),
             "counters": metrics["counters"],
             "gauges": metrics["gauges"],

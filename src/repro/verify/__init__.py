@@ -50,7 +50,7 @@ from repro.verify.diagnostics import (
 from repro.verify.ft import check_fault_tolerance
 from repro.verify.learn import check_learned
 from repro.verify.mutations import MutationCase, bytecode_mutations, plan_mutations
-from repro.verify.paths import ROOT_PATH, iter_plan_paths, node_at, step_path
+from repro.verify.paths import ROOT_PATH, iter_plan_paths, step_path
 from repro.verify.verifier import (
     PlanVerifier,
     assert_valid_plan,
@@ -74,6 +74,5 @@ __all__ = [
     "bytecode_mutations",
     "ROOT_PATH",
     "iter_plan_paths",
-    "node_at",
     "step_path",
 ]

@@ -83,17 +83,6 @@ CODE_CATALOG: dict[str, tuple[Severity, str]] = {
     "BC006": (Severity.ERROR, "unknown node kind"),
     "BC007": (Severity.ERROR, "malformed node encoding"),
     "BC008": (Severity.ERROR, "plan nesting exceeds the verifiable depth"),
-    # Translation validation (compiled kernel IR vs source plan)
-    "TV001": (Severity.ERROR, "kernel does not cover the plan tree node-for-node"),
-    "TV002": (Severity.ERROR, "mask wiring disagrees with the plan's branch structure"),
-    "TV003": (Severity.ERROR, "sequential short-circuit chain broken or reordered"),
-    "TV004": (Severity.ERROR, "kernel op parameters disagree with the plan node"),
-    "TV005": (Severity.ERROR, "kernel verdict disagrees with the plan's decision"),
-    "TV006": (Severity.ERROR, "kernel verdict masks do not partition the batch"),
-    "TV007": (Severity.ERROR, "kernel cost charges disagree with path-static chargedness"),
-    "TV008": (Severity.ERROR, "kernel cost counters do not conserve the Eq. 3 decomposition"),
-    "TV009": (Severity.ERROR, "malformed kernel IR"),
-    "TV010": (Severity.ERROR, "kernel compiled under stale statistics"),
     # Learned-planner provenance (bandit posteriors + regret ledger)
     "LRN001": (Severity.ERROR, "exploration spend exceeds the regret budget"),
     "LRN002": (Severity.ERROR, "regret-ledger sides do not reconcile with the observed total"),

@@ -20,17 +20,13 @@ the same plan.
 
 from __future__ import annotations
 
-import re
 from typing import Iterator
 
-from repro.core.plan import ConditionNode, PlanNode, SequentialNode
-from repro.exceptions import PlanError
+from repro.core.plan import ConditionNode, PlanNode
 
-__all__ = ["ROOT_PATH", "iter_plan_paths", "node_at", "step_path"]
+__all__ = ["ROOT_PATH", "iter_plan_paths", "step_path"]
 
 ROOT_PATH = "root"
-
-_STEP_SEGMENT = re.compile(r"^steps\[(\d+)\]$")
 
 
 def step_path(path: str, step_index: int) -> str:
@@ -49,42 +45,3 @@ def iter_plan_paths(plan: PlanNode) -> Iterator[tuple[str, PlanNode]]:
 
     yield from walk(plan, ROOT_PATH)
 
-
-def node_at(plan: PlanNode, path: str) -> PlanNode:
-    """Resolve a node path back to the node it addresses.
-
-    A ``steps[i]`` suffix resolves to the sequential node owning the
-    step (steps are not nodes).  Raises :class:`PlanError` when the path
-    does not address a node of ``plan``.
-    """
-    segments = path.split("/")
-    if not segments or segments[0] != ROOT_PATH:
-        raise PlanError(f"node path must start with {ROOT_PATH!r}, got {path!r}")
-    node = plan
-    for segment in segments[1:]:
-        step = _STEP_SEGMENT.match(segment)
-        if step is not None:
-            if not isinstance(node, SequentialNode):
-                raise PlanError(
-                    f"path {path!r} addresses a step of a "
-                    f"{type(node).__name__}, which has no steps"
-                )
-            index = int(step.group(1))
-            if index >= len(node.steps):
-                raise PlanError(
-                    f"path {path!r} addresses step {index} but the node "
-                    f"has {len(node.steps)} steps"
-                )
-            return node
-        if not isinstance(node, ConditionNode):
-            raise PlanError(
-                f"path {path!r} descends through a {type(node).__name__}, "
-                "which has no children"
-            )
-        if segment == "below":
-            node = node.below
-        elif segment == "above":
-            node = node.above
-        else:
-            raise PlanError(f"unknown path segment {segment!r} in {path!r}")
-    return node

@@ -29,7 +29,6 @@ from repro.verify.rules import check_cost, check_tree
 
 if TYPE_CHECKING:
     from repro.analysis.certificates import CostCertificate
-    from repro.compile.ir import CompiledPlan
     from repro.faults.policy import FaultPolicy
     from repro.learn.bandit import LearnedProvenance
 
@@ -62,7 +61,6 @@ def verify_plan(
     subject: str = "plan",
     certificate: "CostCertificate | None" = None,
     fault_policy: "FaultPolicy | None" = None,
-    compiled: "CompiledPlan | None" = None,
     provenance: "LearnedProvenance | None" = None,
 ) -> VerificationReport:
     """Statically verify a plan tree; nothing is executed.
@@ -75,11 +73,7 @@ def verify_plan(
     distribution) additionally re-derives its cost-bound claims
     (``DF101``).  A ``fault_policy`` enables the fault-tolerance rules
     (``FT001``-``FT003``): the degraded paths the policy selects must
-    remain semantically sound.  A ``compiled`` kernel (from
-    :func:`repro.compile.lower_plan`) additionally runs the translation
-    validator (``TV001``-``TV010``): the kernel must be provably
-    equivalent to the plan before the compiled execution tier may use
-    it.  A learned-planner ``provenance`` (from
+    remain semantically sound.  A learned-planner ``provenance`` (from
     :class:`repro.learn.planner.BanditPlanner` or the learned stream
     executor) additionally runs the ``LRN`` rules: regret-budget
     conservation, arm-posterior well-formedness, and plan/served-arm
@@ -139,19 +133,6 @@ def verify_plan(
         from repro.verify.learn import check_learned
 
         findings.extend(check_learned(plan, provenance, tolerance=tolerance))
-    if compiled is not None and structurally_sound:
-        from repro.compile.validate import validate_translation
-
-        tv_report = validate_translation(
-            compiled,
-            plan,
-            schema,
-            distribution=distribution,
-            certificate=certificate,
-            cost_model=cost_model,
-            subject=subject,
-        )
-        findings.extend(tv_report.diagnostics)
     return VerificationReport.from_findings(findings, subject=subject)
 
 
@@ -247,7 +228,6 @@ class PlanVerifier:
         subject: str = "plan",
         certificate: "CostCertificate | None" = None,
         fault_policy: "FaultPolicy | None" = None,
-        compiled: "CompiledPlan | None" = None,
         provenance: "LearnedProvenance | None" = None,
     ) -> VerificationReport:
         return verify_plan(
@@ -262,7 +242,6 @@ class PlanVerifier:
             subject=subject,
             certificate=certificate,
             fault_policy=fault_policy,
-            compiled=compiled,
             provenance=provenance,
         )
 

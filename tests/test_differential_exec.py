@@ -1,15 +1,14 @@
 """Differential execution: every runtime agrees on verdicts and Eq. 3 costs.
 
-The repo grew five ways to run a plan — the scalar per-tuple executor,
-the vectorized dataset walker, the bytecode interpreter, the
-sensor-network simulator, and the translation-validated columnar kernel
-— and until now nothing cross-checked them.  For every planner's plan
-over the same data, all five must produce the identical selected-tuple
-set, and the cost paths must reconcile exactly: per-row scalar costs
-equal the vectorized cost vector, the compiled kernel's cost vector is
-bit-identical to the walker's, the simulator's per-mote acquisition
-energy equals the vectorized total over that mote's window, and the
-unsmoothed Eq. 3 expectation equals the measured mean.
+The repo has four ways to run a plan — the scalar per-tuple executor,
+the vectorized dataset walker, the bytecode interpreter, and the
+sensor-network simulator — and until now nothing cross-checked them.
+For every planner's plan over the same data, all four must produce the
+identical selected-tuple set, and the cost paths must reconcile
+exactly: per-row scalar costs equal the vectorized cost vector, the
+simulator's per-mote acquisition energy equals the vectorized total
+over that mote's window, and the unsmoothed Eq. 3 expectation equals
+the measured mean.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compile import compile_plan as compile_kernel
-from repro.compile import execute_compiled
 from repro.core import (
     ConjunctiveQuery,
     RangePredicate,
@@ -114,18 +111,6 @@ class TestExecutorAgreement:
         )
         for mote_id, outcome in enumerate(per_mote):
             assert report.acquisition_energy[mote_id] == outcome.total_cost
-
-    def test_compiled_kernel_matches_vectorized_walker(self, planned):
-        schema, _query, _train, test, plan = planned
-        vectorized = dataset_execution(plan, test, schema)
-        kernel, report = compile_kernel(plan, schema)
-        assert report.ok, report.format()
-        compiled = execute_compiled(kernel, test)
-        assert np.array_equal(compiled.verdicts, vectorized.verdicts)
-        # Charges are emitted in the walker's pre-order, so the per-row
-        # cost vector is bit-identical, not merely close.
-        assert np.array_equal(compiled.costs, vectorized.costs)
-        assert compiled.total_cost == vectorized.total_cost
 
     def test_verdicts_equal_ground_truth(self, planned):
         schema, query, _train, test, plan = planned

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compile import compile_plan
 from repro.core import dataset_execution
 from repro.core.cost import predicate_mask
 from repro.core.plan import ConditionNode, SequentialNode, VerdictLeaf
@@ -133,14 +132,6 @@ def assert_same(result, expected):
     assert all(type(value) is int for row in result.rows for value in row)
 
 
-def kernel_for(engine, prepared):
-    kernel, report = compile_plan(
-        prepared.plan, engine.schema, distribution=engine.distribution
-    )
-    assert report.ok
-    return kernel
-
-
 @pytest.mark.parametrize("select", sorted(SELECTS))
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda t: np.dtype(t).name)
 def test_execute_prepared_matches_old_assembly(engine, data, select, dtype):
@@ -150,10 +141,6 @@ def test_execute_prepared_matches_old_assembly(engine, data, select, dtype):
     expected = old_execute(engine, prepared, matrix)
     assert expected[1], "the window should select some rows"
     assert_same(engine.execute_prepared(prepared, matrix), expected)
-    kernel = kernel_for(engine, prepared)
-    assert_same(
-        engine.execute_prepared(prepared, matrix, kernel=kernel), expected
-    )
 
 
 def test_disjunctive_statement_matches_old_assembly(data):
@@ -176,8 +163,7 @@ def test_zero_match_window(engine, data):
     assert_same(result, old_execute(engine, prepared, window))
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled"])
-def test_execute_prepared_many_slices_the_stacked_pass(engine, data, backend):
+def test_execute_prepared_many_slices_the_stacked_pass(engine, data):
     _schema, _train, live = data
     prepared = engine.prepare(f"{SELECTS['duplicate']} {WHERE}")
     batches = [
@@ -187,8 +173,7 @@ def test_execute_prepared_many_slices_the_stacked_pass(engine, data, backend):
         live[:0],  # empty window
         live[71:300].astype(np.float64),
     ]
-    kernel = kernel_for(engine, prepared) if backend == "compiled" else None
-    results = engine.execute_prepared_many(prepared, batches, kernel=kernel)
+    results = engine.execute_prepared_many(prepared, batches)
     # The old path: one stacked walk, stacked projection, sliced per batch.
     stacked = np.vstack(batches)
     outcome = dataset_execution(prepared.plan, stacked, engine.schema)
@@ -246,11 +231,10 @@ def test_execute_prepared_resilient_matches_old_assembly(engine, data, mode):
     )
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled"])
-def test_service_backends_match_old_assembly(data, backend):
+def test_service_matches_old_assembly(data):
     schema, train, live = data
     engine = AcquisitionalEngine(schema, train)
-    service = AcquisitionalService(engine, exec_backend=backend)
+    service = AcquisitionalService(engine)
     for select in SELECTS.values():
         text = f"{select} {WHERE}"
         expected = old_execute(engine, service.plan_for(text), live)
@@ -259,5 +243,3 @@ def test_service_backends_match_old_assembly(data, backend):
         prepared = service.plan_for(text)
         assert_same(batch[0], old_execute(engine, prepared, live[:50]))
         assert_same(batch[1], old_execute(engine, prepared, live[50:]))
-    if backend == "compiled":
-        assert service.metrics.counter("plans_compiled").value > 0

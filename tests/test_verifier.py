@@ -85,7 +85,6 @@ class TestCatalog:
                 "DF0",
                 "DF1",
                 "FT0",
-                "TV0",
                 "LRN",
             )
             assert isinstance(severity, Severity)
