@@ -896,10 +896,10 @@ def _command_chaos(args: argparse.Namespace) -> int:
     unsound: list[int] = []
     if query is not None:
         for row in outcome.selected:
-            observed = outcome.results[row].observed
             for predicate, index in zip(query.predicates, query.attribute_indices):
-                value = observed.get(index)
-                if value is None or not predicate.satisfied_by(value):
+                if not outcome.acquired[row, index] or not predicate.satisfied_by(
+                    int(outcome.observed[row, index])
+                ):
                     unsound.append(row)
                     break
     ledger_ok = outcome.ledger_conserved()

@@ -169,6 +169,7 @@ def dataset_execution(
     schema: Schema,
     cost_model: AcquisitionCostModel | None = None,
     observer: ExecutionObserver | None = None,
+    reads: np.ndarray | None = None,
 ) -> DatasetExecution:
     """Run a plan over every row of ``data`` with vectorized tree routing.
 
@@ -182,6 +183,9 @@ def dataset_execution(
     ``observer`` (when given) receives one event per visited node batch —
     see :class:`ExecutionObserver`; node batches with zero routed rows are
     skipped entirely and produce no events.
+
+    ``reads`` (when given) is a rows-by-attributes boolean matrix that
+    receives ``True`` wherever a row's walk acquired an attribute.
     """
     matrix = np.asarray(data)
     if matrix.ndim != 2 or matrix.shape[1] != len(schema):
@@ -214,6 +218,8 @@ def dataset_execution(
             if charged:
                 row_costs[rows] += charge(index, acquired)
                 acquired = acquired | {index}
+                if reads is not None:
+                    reads[rows, index] = True
             column = matrix[rows, index]
             below = column < node.split_value
             below_rows = rows[below]
@@ -237,6 +243,8 @@ def dataset_execution(
                 if charged:
                     row_costs[alive] += charge(index, mutable_acquired)
                     mutable_acquired.add(index)
+                    if reads is not None:
+                        reads[alive, index] = True
                 satisfied = predicate_mask(step.predicate, matrix[alive, index])
                 surviving = alive[satisfied]
                 if observer is not None:

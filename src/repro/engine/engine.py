@@ -319,8 +319,9 @@ class AcquisitionalEngine:
     ) -> ResilientQueryResult:
         """Run a prepared statement with fault injection and degradation.
 
-        WHERE-clause acquisitions flow through a seeded
-        :class:`~repro.faults.FaultInjector`; once retries are exhausted
+        WHERE-clause acquisitions roll the seeded schedule's row-keyed
+        dice in :class:`~repro.faults.FaultTolerantExecutor`; once retries
+        are exhausted
         the configured :class:`~repro.faults.FaultPolicy` degrades the
         tuple (abstain / skip-to-predicates / impute).  Abstained tuples
         are excluded from the rows and reported in ``abstained_rows``.
@@ -349,14 +350,9 @@ class AcquisitionalEngine:
             distribution=self._distribution,
         )
         outcome = executor.run(prepared.plan, matrix, schedule, rng)
-        verdicts = np.fromiter(
-            (r.verdict is True for r in outcome.results),
-            dtype=bool,
-            count=len(outcome.results),
-        )
-        extra = self._projection_extra(prepared, matrix, verdicts)
+        extra = self._projection_extra(prepared, matrix, outcome.verdicts)
         result = self._build_result(
-            prepared, matrix, outcome.costs, verdicts, extra
+            prepared, matrix, outcome.costs, outcome.verdicts, extra
         )
         return ResilientQueryResult(
             result=result,

@@ -72,7 +72,7 @@ class SimulationReport:
 
     The fault fields stay zero for fault-free runs; for
     :meth:`SensorNetworkSimulator.run_faulted` deployments they aggregate
-    the per-mote injector counters, and ``retry_energy`` is the slice of
+    the per-mote fault counters, and ``retry_energy`` is the slice of
     acquisition energy spent on backed-off re-attempts.
     """
 
@@ -231,7 +231,7 @@ class SensorNetworkSimulator:
         ``rng`` so the whole deployment replays from one seed.  Abstained
         tuples are withdrawn — they cost acquisition energy but are never
         radioed back — and the report's fault counters aggregate the
-        per-mote injectors.  ``query`` is required for SKIP/IMPUTE
+        per-mote runs.  ``query`` is required for SKIP/IMPUTE
         degradation (the fallback path evaluates it directly).
         """
         from repro.faults.executor import FaultTolerantExecutor

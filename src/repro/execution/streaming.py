@@ -33,11 +33,12 @@ from repro.core.attributes import Schema
 from repro.core.cost import ExecutionObserver, dataset_execution
 from repro.core.plan import PlanNode
 from repro.core.query import ConjunctiveQuery
-from repro.exceptions import AcquisitionFailure, FaultConfigError, PlanningError
+from repro.exceptions import FaultConfigError, PlanningError
 from repro.planning.base import Planner
 from repro.probability.empirical import EmpiricalDistribution
 
 if TYPE_CHECKING:
+    from repro.faults.executor import FaultedDatasetExecution
     from repro.faults.model import FaultSchedule
     from repro.faults.policy import FaultPolicy
 
@@ -142,10 +143,10 @@ class AdaptiveStreamExecutor:
         receives every execution event across all plans (on top of the
         internal per-plan profiles).
     fault_schedule:
-        When given, every acquisition flows through a seeded
-        :class:`~repro.faults.FaultInjector` replaying this schedule, the
-        plan is executed with :class:`~repro.faults.FaultTolerantExecutor`
-        degradation, and sustained outages (per the policy's
+        When given, the stream runs in windows through
+        :class:`~repro.faults.FaultTolerantExecutor`, which replays this
+        schedule on row-keyed dice and degrades failed reads per the
+        policy, and sustained outages (per the policy's
         ``outage_replan_threshold`` over ``outage_window`` recent tuples)
         become an ``"outage"`` replan trigger.  Requires ``fault_rng``;
         incompatible with ``profile_drift_threshold`` (per-node profiling
@@ -358,9 +359,9 @@ class AdaptiveStreamExecutor:
             self._on_replan(event)
 
     def _replan(
-        self, window: deque
+        self, window: "deque | np.ndarray"
     ) -> tuple[PlanNode, float, EmpiricalDistribution]:
-        snapshot = np.asarray(list(window), dtype=np.int64)
+        snapshot = np.asarray(window, dtype=np.int64)
         distribution = EmpiricalDistribution(
             self._schema, snapshot, smoothing=self._smoothing
         )
@@ -369,20 +370,24 @@ class AdaptiveStreamExecutor:
         return result.plan, result.expected_cost, distribution
 
     def _process_faulted(self, matrix: np.ndarray) -> StreamReport:
-        """The fault-injected twin of :meth:`process`.
+        """The fault-injected twin of :meth:`process`, run in windows.
 
-        One :class:`~repro.faults.FaultInjector` serves the whole stream
-        (outages span tuples, budgets deplete run-wide); degradation runs
-        through :class:`~repro.faults.FaultTolerantExecutor`, rebuilt at
-        each replan so IMPUTE marginals track the window distribution.
-        Sustained outages — a fraction of recent tuples with at least one
-        failed acquisition above the policy's threshold — trigger an
-        ``"outage"`` replan.
+        One :class:`~repro.faults.state.FaultState` carries through the
+        whole stream (outages span tuples, budgets deplete run-wide).
+        Each window runs the current plan through
+        :class:`~repro.faults.FaultTolerantExecutor` — rebuilt at each
+        replan so IMPUTE marginals track the window distribution — from
+        just after one replan up to the next interval replan.  The drift
+        and outage triggers are then evaluated for every row of the
+        window at once; when one fires early, the window is cut there
+        and its kept prefix re-run from the window's starting state.
+        Sustained outages — a fraction of recent tuples with at least
+        one failed acquisition at or above the policy's threshold —
+        trigger an ``"outage"`` replan.
         """
-        from repro.execution.acquisition import TupleSource
-        from repro.faults.executor import FaultTolerantExecutor
-        from repro.faults.injector import FaultInjector
+        from repro.faults.executor import FaultTolerantExecutor, query_read_plan
         from repro.faults.policy import FaultPolicy
+        from repro.faults.state import FaultState
 
         assert self._fault_schedule is not None
         assert self._fault_rng is not None
@@ -393,106 +398,102 @@ class AdaptiveStreamExecutor:
         costs = np.zeros(total, dtype=np.float64)
         verdicts = np.zeros(total, dtype=bool)
         abstained = np.zeros(total, dtype=bool)
+        fails = np.zeros(total, dtype=bool)
         replans: list[ReplanEvent] = []
+        state = FaultState.fresh(self._fault_schedule, self._fault_rng)
+        executor = FaultTolerantExecutor(self._schema, policy, query=self._query)
         tuples_degraded = 0
 
-        window: deque = deque(maxlen=self._window)
-        fail_window: deque = deque(maxlen=policy.outage_window)
-        plan: PlanNode | None = None
-        predicted = 0.0
-        since_replan = 0
-        cost_since_replan = 0.0
-        executor = FaultTolerantExecutor(self._schema, policy, query=self._query)
-        injector: FaultInjector | None = None
+        def keep(window: "FaultedDatasetExecution", start: int) -> None:
+            nonlocal tuples_degraded
+            end = start + window.rows
+            costs[start:end] = window.costs
+            verdicts[start:end] = window.verdicts
+            abstained[start:end] = window.abstains
+            fails[start:end] = window.failed.any(axis=1)
+            tuples_degraded += int(np.count_nonzero(window.degraded))
 
-        def swap_plan() -> None:
-            nonlocal plan, predicted, executor
-            plan, predicted, distribution = self._replan(window)
+        def replan(position: int, reason: str) -> tuple[PlanNode, float]:
+            nonlocal executor
+            plan, predicted, distribution = self._replan(
+                matrix[max(0, position - self._window) : position]
+            )
             executor = FaultTolerantExecutor(
                 self._schema, policy, query=self._query, distribution=distribution
             )
+            self._record(replans, ReplanEvent(position, predicted, reason))
+            return plan, predicted
 
+        # Warm-up: the plan-less read of every query attribute.
         warmup = min(self._window, self._replan_interval, total)
-        for position in range(total):
-            row = matrix[position]
-            source = TupleSource(self._schema, row)
-            if injector is None:
-                injector = FaultInjector(
-                    source,
-                    self._fault_schedule,
-                    self._fault_rng,
-                    retry_policy=policy.retry,
+        if warmup:
+            window = executor.run(
+                query_read_plan(self._query),
+                matrix[:warmup],
+                state=state,
+                read_all=True,
+            )
+            keep(window, 0)
+            state = window.state
+            plan, predicted = replan(warmup, "interval")
+        threshold = policy.outage_replan_threshold
+        span = policy.outage_window
+        outage_start = 0  # the outage window forgets tuples before this
+        position = warmup
+        while position < total:
+            end = min(total, position + self._replan_interval)
+            window = executor.run(
+                plan, matrix[position:end], state=state, first_row=position
+            )
+            fails[position:end] = window.failed.any(axis=1)
+            since = np.arange(1, window.rows + 1)
+            interval = since >= self._replan_interval
+            drifted = np.zeros(window.rows, dtype=bool)
+            if self._drift_threshold is not None and predicted > 0.0:
+                drifted = (since >= 50) & (
+                    np.cumsum(window.costs) / since
+                    > self._drift_threshold * predicted
                 )
+            outage = np.zeros(window.rows, dtype=bool)
+            if threshold is not None:
+                low = max(outage_start, position - span)
+                counts = np.concatenate(([0], np.cumsum(fails[low:end])))
+                after = np.arange(position, end) + 1
+                full = after - outage_start >= span
+                failing = counts[after - low] - counts[np.maximum(after - span - low, 0)]
+                outage = full & (failing / span >= threshold)
+            fired = interval | drifted | outage
+            if not fired.any():
+                keep(window, position)
+                state = window.state
+                break
+            cut = int(np.argmax(fired))
+            if cut + 1 < window.rows:
+                window = executor.run(
+                    plan,
+                    matrix[position : position + cut + 1],
+                    state=state,
+                    first_row=position,
+                )
+            keep(window, position)
+            state = window.state
+            position += cut + 1
+            if outage[cut]:
+                reason = "outage"
+                outage_start = position
+            elif drifted[cut]:
+                reason = "drift"
             else:
-                injector.rebind(source)
-
-            if plan is None:
-                verdict, failed = self._warmup_acquire(injector, policy)
-                costs[position] = injector.total_cost
-                verdicts[position] = verdict is True
-                abstained[position] = verdict is None
-                fail_window.append(failed)
-                if failed:
-                    tuples_degraded += 1
-                window.append(row)
-                if position + 1 >= warmup:
-                    swap_plan()
-                    self._record(
-                        replans, ReplanEvent(position + 1, predicted, "interval")
-                    )
-                    since_replan = 0
-                    cost_since_replan = 0.0
-                continue
-
-            result = executor.execute_source(plan, injector)
-            costs[position] = result.cost
-            verdicts[position] = result.verdict is True
-            abstained[position] = result.abstained
-            fail_window.append(bool(result.failed))
-            if result.degraded:
-                tuples_degraded += 1
-            window.append(row)
-            since_replan += 1
-            cost_since_replan += float(result.cost)
-
-            drifted = (
-                self._drift_threshold is not None
-                and since_replan >= 50
-                and predicted > 0.0
-                and cost_since_replan / since_replan
-                > self._drift_threshold * predicted
-            )
-            outage = (
-                policy.outage_replan_threshold is not None
-                and len(fail_window) >= policy.outage_window
-                and sum(fail_window) / len(fail_window)
-                >= policy.outage_replan_threshold
-            )
-            if since_replan >= self._replan_interval or drifted or outage:
-                if outage:
-                    reason = "outage"
-                elif drifted:
-                    reason = "drift"
-                else:
-                    reason = "interval"
-                swap_plan()
-                self._record(
-                    replans, ReplanEvent(position + 1, predicted, reason)
-                )
-                since_replan = 0
-                cost_since_replan = 0.0
-                if outage:
-                    fail_window.clear()
+                reason = "interval"
+            plan, predicted = replan(position, reason)
 
         stats = StreamFaultStats(
-            acquisitions_failed=(
-                injector.acquisitions_failed if injector is not None else 0
-            ),
-            retries_total=injector.retries_total if injector is not None else 0,
+            acquisitions_failed=state.acquisitions_failed,
+            retries_total=state.retries_total,
             tuples_degraded=tuples_degraded,
             tuples_abstained=int(abstained.sum()),
-            corruptions=injector.corruptions if injector is not None else 0,
-            retry_cost=injector.run_retry_cost if injector is not None else 0.0,
+            corruptions=state.corrupted,
+            retry_cost=state.retry_cost,
         )
         return StreamReport(
             costs=costs,
@@ -501,33 +502,3 @@ class AdaptiveStreamExecutor:
             abstained=abstained,
             faults=stats,
         )
-
-    def _warmup_acquire(
-        self, injector: "FaultInjector", policy: "FaultPolicy"
-    ) -> tuple[bool | None, bool]:
-        """Plan-less warm-up read of every query attribute through faults.
-
-        Mirrors the plain warm-up (acquire all query attributes, evaluate
-        the query) so a zero schedule reproduces it exactly; under real
-        faults a falsified predicate still decides False, otherwise any
-        failed read abstains the tuple.
-        """
-        from repro.faults.policy import DegradationMode
-
-        verdict: bool | None = True
-        failed = False
-        for predicate, index in zip(
-            self._query.predicates, self._query.attribute_indices
-        ):
-            try:
-                value = injector.acquire(index)
-            except AcquisitionFailure:
-                failed = True
-                if policy.degradation is DegradationMode.ABSTAIN:
-                    return None, True
-                if verdict is True:
-                    verdict = None
-                continue
-            if not predicate.satisfied_by(value):
-                verdict = False
-        return verdict, failed

@@ -10,17 +10,18 @@ fight through transient failures with exponentially backed-off,
 budgeted retries whose charges land in the same cost ledger.
 
 Determinism is a hard requirement (the chaos suite replays schedules in
-CI): all randomness flows from the single ``rng`` argument — a
-:class:`numpy.random.Generator` the caller seeds — and the injector
-draws from it only for attempts on attributes with a non-zero profile,
-so a given (schedule, seed, plan, data) quadruple reproduces the exact
-same fault sequence.  There is no module-level randomness.
+CI): every die is a pure function of (run key, row id, attribute,
+attempt) — :func:`~repro.faults.state.fault_dice`, the same function the
+windowed executor uses — and the run key is drawn from the single
+``rng`` argument the first time a non-zero profile needs a die.  There is
+no module-level randomness.
 
 Fault *state* outlives individual tuples: stuck-at-last remembers the
-last delivered value across resets, burst outages span tuples, and
-retry budgets deplete over the whole run.  :meth:`rebind` swaps in the
-next tuple's backend while preserving that state; :meth:`reset` clears
-the per-tuple read cache and cost only.
+last delivered value across rows, burst outages span tuples, and retry
+budgets deplete over the whole run; it lives in one
+:class:`~repro.faults.state.FaultState`.  :meth:`rebind` and
+:meth:`reset` start the next row (the next row id) while preserving that
+state; they clear the per-tuple read cache and cost only.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.exceptions import AcquisitionError, AcquisitionFailure
 from repro.execution.acquisition import AcquisitionSource
 from repro.faults.model import FaultSchedule
 from repro.faults.policy import RetryPolicy
+from repro.faults.state import FaultState
 
 __all__ = ["FaultInjector"]
 
@@ -48,12 +50,16 @@ class FaultInjector(AcquisitionSource):
     rng:
         The **single** source of randomness.  Callers seed it
         (``np.random.default_rng(seed)``) and hand it in; the injector
-        never touches global numpy state.
+        draws the run key from it on first need and never touches global
+        numpy state.
     retry_policy:
         When given, ``acquire`` retries failed attempts up to the
         policy's bounds before letting :class:`AcquisitionFailure`
         escape; retry charges are metered separately (:attr:`retry_cost`)
         on top of the base ledger.
+
+    The first tuple is row 0 (the dice coordinate); each :meth:`rebind`
+    or :meth:`reset` moves to the next row.
     """
 
     def __init__(
@@ -63,30 +69,16 @@ class FaultInjector(AcquisitionSource):
         rng: np.random.Generator,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if not isinstance(rng, np.random.Generator):
-            raise AcquisitionError(
-                "FaultInjector requires a numpy Generator as its single "
-                f"seed source, got {type(rng).__name__}"
-            )
         super().__init__(source.schema)
         self._source = source
-        self._schedule = schedule.validated(source.schema)
-        self._rng = rng
+        self._state = FaultState.fresh(schedule.validated(source.schema), rng)
         self._retry_policy = retry_policy
-        # Per-tuple ledgers (cleared by reset/rebind).
+        self._row = 0
+        # Per-tuple ledgers and attempt numbers (cleared by reset/rebind).
         self._tuple_base_cost = 0.0
         self._tuple_retry_cost = 0.0
-        # Run-wide fault state (survives reset/rebind).
-        self._last_delivered: dict[int, int] = {}
-        self._outage_remaining: dict[int, int] = {}
-        self._budget_spent: dict[int, int] = {}
-        # Run-wide counters.
-        self._attempts = 0
-        self._failures: dict[str, int] = {}
-        self._corruptions: dict[str, int] = {}
-        self._retries_total = 0
+        self._tries: dict[int, int] = {}
         self._run_base_cost = 0.0
-        self._run_retry_cost = 0.0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -98,7 +90,17 @@ class FaultInjector(AcquisitionSource):
 
     @property
     def schedule(self) -> FaultSchedule:
-        return self._schedule
+        return self._state.schedule
+
+    @property
+    def state(self) -> FaultState:
+        """The run-wide fault state this injector advances."""
+        return self._state
+
+    @property
+    def row(self) -> int:
+        """Row id of the current tuple (the dice coordinate)."""
+        return self._row
 
     @property
     def retry_policy(self) -> RetryPolicy | None:
@@ -120,34 +122,34 @@ class FaultInjector(AcquisitionSource):
 
     @property
     def run_retry_cost(self) -> float:
-        return self._run_retry_cost
+        return self._state.retry_cost
 
     @property
     def attempts(self) -> int:
         """Read attempts over the injector's lifetime (incl. failures)."""
-        return self._attempts
+        return self._state.attempts
 
     @property
     def retries_total(self) -> int:
-        return self._retries_total
+        return self._state.retries_total
 
     @property
     def acquisitions_failed(self) -> int:
         """Failed attempts over the run (each retry that fails counts)."""
-        return sum(self._failures.values())
+        return self._state.acquisitions_failed
 
     @property
     def failures_by_kind(self) -> dict[str, int]:
-        return dict(self._failures)
+        return dict(self._state.failures)
 
     @property
     def corruptions(self) -> int:
         """Silently wrong deliveries (stuck/noise that changed the value)."""
-        return sum(self._corruptions.values())
+        return self._state.corrupted
 
     @property
     def corruptions_by_kind(self) -> dict[str, int]:
-        return dict(self._corruptions)
+        return dict(self._state.corruptions)
 
     @property
     def observed(self) -> dict[int, int]:
@@ -159,11 +161,10 @@ class FaultInjector(AcquisitionSource):
     # ------------------------------------------------------------------
 
     def reset(self) -> None:
-        """New tuple on the same backend; fault state persists."""
+        """Next tuple on the same backend; fault state persists."""
         super().reset()
         self._source.reset()
-        self._tuple_base_cost = 0.0
-        self._tuple_retry_cost = 0.0
+        self._next_row()
 
     def rebind(self, source: AcquisitionSource) -> None:
         """Point at the next tuple's backend; fault state persists."""
@@ -173,6 +174,11 @@ class FaultInjector(AcquisitionSource):
             )
         self._source = source
         super().reset()
+        self._next_row()
+
+    def _next_row(self) -> None:
+        self._row += 1
+        self._tries.clear()
         self._tuple_base_cost = 0.0
         self._tuple_retry_cost = 0.0
 
@@ -190,103 +196,50 @@ class FaultInjector(AcquisitionSource):
         cached = self._cache.get(attribute_index)
         if cached is not None:
             return cached
+        state = self._state
         retry_number = 0
         while True:
             try:
                 value = self._attempt(attribute_index, retry_number)
             except AcquisitionFailure:
-                if not self._may_retry(attribute_index, retry_number):
+                if not state.may_retry(
+                    attribute_index, retry_number, self._retry_policy
+                ):
                     raise
-                self._budget_spent[attribute_index] = (
-                    self._budget_spent.get(attribute_index, 0) + 1
-                )
-                self._retries_total += 1
+                state.spend_retry(attribute_index)
                 retry_number += 1
                 continue
             self._cache[attribute_index] = value
             return value
 
-    def _may_retry(self, attribute_index: int, retry_number: int) -> bool:
-        policy = self._retry_policy
-        if policy is None or retry_number >= policy.max_retries:
-            return False
-        budget = policy.budget_for(attribute_index)
-        if budget is None:
-            return True
-        return self._budget_spent.get(attribute_index, 0) < budget
-
     def _read(self, attribute_index: int) -> int:
         # Unused: acquire() is fully overridden, but the ABC requires it.
         return self._source.acquire(attribute_index)
 
-    def _charge(self, attribute_index: int, retry_number: int) -> None:
+    def _attempt(self, attribute_index: int, retry_number: int) -> int:
+        """One read attempt: charge energy, then roll the row-keyed die."""
         # Backends meter stateful costs (board power-ups) via _cost_of;
         # charging through it keeps rich cost models exact under faults.
-        charge = self._source._cost_of(attribute_index)
+        charge = self._state.charge(
+            self._source._cost_of(attribute_index),
+            retry_number,
+            self._retry_policy,
+        )
         if retry_number > 0:
-            assert self._retry_policy is not None
-            charge *= self._retry_policy.backoff_multiplier(retry_number)
             self._tuple_retry_cost += charge
-            self._run_retry_cost += charge
         else:
             self._tuple_base_cost += charge
             self._run_base_cost += charge
         self._total_cost += charge
-
-    def _fail(self, attribute_index: int, kind: str) -> None:
-        self._failures[kind] = self._failures.get(kind, 0) + 1
-        raise AcquisitionFailure(kind, attribute_index)
-
-    def _attempt(self, attribute_index: int, retry_number: int) -> int:
-        """One read attempt: charge energy, then roll the fault dice."""
-        self._attempts += 1
-        self._charge(attribute_index, retry_number)
-        profile = self._schedule.for_index(attribute_index)
-        if profile is None or profile.is_zero:
-            # Fault-free attribute: no draw at all, so a zero schedule is
-            # byte-identical to the plain backend.
-            value = self._source._read(attribute_index)
-            self._last_delivered[attribute_index] = value
-            return value
-        remaining = self._outage_remaining.get(attribute_index, 0)
-        if remaining > 0:
-            self._outage_remaining[attribute_index] = remaining - 1
-            self._fail(attribute_index, "outage")
-        draw = float(self._rng.random())
-        if draw < profile.drop_rate:
-            self._fail(attribute_index, "drop")
-        draw -= profile.drop_rate
-        if draw < profile.timeout_rate:
-            self._fail(attribute_index, "timeout")
-        draw -= profile.timeout_rate
-        if draw < profile.outage_rate:
-            # This attempt fails and starts a burst covering the next
-            # outage_length - 1 attempts as well.
-            self._outage_remaining[attribute_index] = profile.outage_length - 1
-            self._fail(attribute_index, "outage")
-        draw -= profile.outage_rate
-        true_value = self._source._read(attribute_index)
-        if draw < profile.stuck_rate:
-            value = self._last_delivered.get(attribute_index, true_value)
-            if value != true_value:
-                self._corruptions["stuck"] = (
-                    self._corruptions.get("stuck", 0) + 1
-                )
-            # A stuck sensor keeps reporting the same value: do not
-            # refresh last_delivered from the true reading.
-            self._last_delivered[attribute_index] = value
-            return value
-        draw -= profile.stuck_rate
-        if draw < profile.noise_rate:
-            scale = profile.noise_scale
-            delta = int(self._rng.integers(-scale, scale + 1))
-            domain = self._schema[attribute_index].domain_size
-            value = min(max(true_value + delta, 1), domain)
-            if value != true_value:
-                self._corruptions["noise"] = (
-                    self._corruptions.get("noise", 0) + 1
-                )
-            self._last_delivered[attribute_index] = value
-            return value
-        self._last_delivered[attribute_index] = true_value
-        return true_value
+        attempt = self._tries.get(attribute_index, 0)
+        self._tries[attribute_index] = attempt + 1
+        value, kind = self._state.roll(
+            attribute_index,
+            self._row,
+            attempt,
+            self._source._read(attribute_index),
+            self._schema[attribute_index].domain_size,
+        )
+        if value is None:
+            raise AcquisitionFailure(kind, attribute_index)
+        return value

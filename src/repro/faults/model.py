@@ -3,8 +3,8 @@
 The paper's premise is that attributes are *acquired* from flaky physical
 sources — TinyDB motes lose readings, time out, and return stuck values.
 This module describes those failure modes declaratively so they can be
-injected deterministically (:class:`~repro.faults.injector.FaultInjector`),
-replayed from the CLI (``repro chaos``), and reasoned about by tests.
+injected deterministically (:mod:`repro.faults.state` rolls them as
+row-keyed dice), replayed from the CLI (``repro chaos``), and reasoned about by tests.
 
 Per attribute, five failure modes are modelled:
 
@@ -113,7 +113,7 @@ class FaultSchedule:
 
     Attributes absent from ``profiles`` are fault-free.  The schedule
     carries *no* randomness of its own — determinism flows from the single
-    ``rng`` argument handed to :class:`~repro.faults.injector.FaultInjector`,
+    ``rng`` the run key is drawn from (:class:`~repro.faults.state.DiceKey`),
     so the same (schedule, seed, plan, data) quadruple replays the exact
     same fault sequence in CI and in ``repro chaos --seed``.
     """

@@ -30,12 +30,14 @@ refit → replan from scratch" reflex.  The stream drives an
   :class:`~repro.learn.ledger.RegretLedger`, whose exploration side is
   hard-capped by the regret budget.
 
-Fault-injected runs reuse PR 5's machinery (one seeded injector for the
-whole stream, fault-tolerant execution, outage-triggered refits) with
-the arm reward being the *faulted* realized cost — retries included —
-so the ledger's conservation invariant holds under storms too.  Branch
-routing needs the metered scalar walker, so fault-injected learning
-runs flat (no conditioning skeleton), mirroring the adaptive executor's
+Fault-injected runs share the adaptive executor's machinery (one fault
+state carried through the whole stream, windowed fault-tolerant
+execution, outage-triggered refits) with the arm reward being the
+*faulted* realized cost — retries included — so the ledger's
+conservation invariant holds under storms too.  Arm decisions stay per
+tuple; only the execution is windowed.  Branch routing needs the
+metered scalar walker, so fault-injected learning runs flat (no
+conditioning skeleton), mirroring the adaptive executor's
 profile-drift restriction.
 """
 
@@ -50,12 +52,7 @@ import numpy as np
 from repro.core.attributes import Schema
 from repro.core.plan import PlanNode, SequentialNode, VerdictLeaf
 from repro.core.query import ConjunctiveQuery
-from repro.exceptions import (
-    AcquisitionFailure,
-    FaultConfigError,
-    LearningError,
-    PlanningError,
-)
+from repro.exceptions import FaultConfigError, LearningError, PlanningError
 from repro.execution.streaming import StreamFaultStats
 from repro.learn.arms import DEFAULT_MAX_ARM_PREDICATES
 from repro.learn.bandit import (
@@ -688,18 +685,28 @@ class LearnedStreamExecutor:
     # ------------------------------------------------------------------
 
     def _process_faulted(self, matrix: np.ndarray) -> LearnedStreamReport:
-        """Flat bandit learning under PR 5's fault machinery.
+        """Flat bandit learning over windowed fault-tolerant execution.
 
-        One seeded injector serves the whole stream; rewards are the
-        *faulted* realized costs (retries included), and the explore
-        gate's span is inflated by the worst-case retry blow-up so the
-        regret budget stays sound under storms.  Sustained outages
-        trigger warm-started refits, mirroring the adaptive executor.
+        One :class:`~repro.faults.state.FaultState` carries through the
+        whole stream; rewards are the *faulted* realized costs (retries
+        included), and the explore gate's span is inflated by the
+        worst-case retry blow-up so the regret budget stays sound under
+        storms.  Sustained outages trigger warm-started refits, mirroring
+        the adaptive executor.
+
+        Arm decisions stay per tuple: ``wants_full_pull``/``select``,
+        ``record`` and the swap/commit checks run for every tuple in
+        order.  Only the execution is windowed: the current decision (a
+        served pull of the incumbent, or a full-information pull) runs
+        speculatively over a window, and the window is cut at the first
+        tuple whose decision differs, or after a tuple that swaps,
+        commits or trips the outage trigger.  The kept prefix is re-run
+        from the window's starting state; the rows after the cut run
+        again under the next decision on the same row-keyed dice.
         """
-        from repro.execution.acquisition import TupleSource
-        from repro.faults.executor import FaultTolerantExecutor
-        from repro.faults.injector import FaultInjector
+        from repro.faults.executor import FaultTolerantExecutor, query_read_plan
         from repro.faults.policy import FaultPolicy
+        from repro.faults.state import FaultState
 
         assert self._fault_schedule is not None
         assert self._fault_rng is not None
@@ -719,142 +726,159 @@ class LearnedStreamExecutor:
         costs = np.zeros(total, dtype=np.float64)
         verdicts = np.zeros(total, dtype=bool)
         abstained = np.zeros(total, dtype=bool)
+        fails = [False] * total  # tuples with a read that stayed unavailable
         pulls = np.full(total, -1, dtype=np.int64)
         replans: list[LearnedReplanEvent] = []
-        window: deque = deque(maxlen=self._window)
-        fail_window: deque = deque(maxlen=policy.outage_window)
         ledger = RegretLedger(self._budget())
+        state = FaultState.fresh(self._fault_schedule, self._fault_rng)
         tuples_degraded = 0
 
-        ensemble: OrderBanditEnsemble | None = None
-        distribution: EmpiricalDistribution | None = None
-        executor = FaultTolerantExecutor(self._schema, policy, query=self._query)
-        injector: FaultInjector | None = None
-
-        warmup = min(self._warmup, total)
-        for position in range(total):
-            row = matrix[position]
-            source = TupleSource(self._schema, row)
-            if injector is None:
-                injector = FaultInjector(
-                    source,
-                    self._fault_schedule,
-                    self._fault_rng,
-                    retry_policy=retry,
-                )
+        def refit(
+            position: int, reason: str, old: OrderBanditEnsemble | None
+        ) -> tuple[
+            OrderBanditEnsemble, EmpiricalDistribution, FaultTolerantExecutor
+        ]:
+            rows = matrix[max(0, position - self._window) : position]
+            distribution = self._fit_distribution(rows)
+            if old is None:
+                ensemble = self._build_ensemble(distribution, ledger, span_inflation)
+                warm = self._adopt_stored(ensemble)
             else:
-                injector.rebind(source)
-
-            if ensemble is None:
-                verdict, failed = self._warmup_acquire_faulted(injector, policy)
-                ledger.charge_warmup(float(injector.total_cost))
-                costs[position] = injector.total_cost
-                verdicts[position] = verdict is True
-                abstained[position] = verdict is None
-                fail_window.append(failed)
-                if failed:
-                    tuples_degraded += 1
-                window.append(row)
-                if position + 1 >= warmup:
-                    distribution = self._fit_distribution(window)
-                    ensemble = self._build_ensemble(
-                        distribution, ledger, span_inflation
-                    )
-                    warm = self._adopt_stored(ensemble)
-                    executor = FaultTolerantExecutor(
-                        self._schema,
-                        policy,
-                        query=self._query,
-                        distribution=distribution,
-                    )
-                    self._store_state(ensemble)
-                    self._emit(
-                        replans,
-                        LearnedReplanEvent(
-                            position=position + 1,
-                            reason="warmup",
-                            branch="root",
-                            arm=-1,
-                            expected_cost=ensemble.expected_cost(distribution),
-                            warm=warm,
-                            budget_remaining=ledger.budget_remaining,
-                        ),
-                    )
-                continue
-
-            assert distribution is not None
-            branch = ensemble.branches[0]
-            if branch.wants_full_pull():
-                cost, verdict, failed = self._full_pull_faulted(
-                    branch, ensemble, injector, policy
-                )
-                costs[position] = cost
-                verdicts[position] = verdict is True
-                abstained[position] = verdict is None
-                pulls[position] = branch.served
-                fail_window.append(failed)
-                if failed:
-                    tuples_degraded += 1
-            else:
-                arm_id = branch.select()
-                plan = branch.arm_space[arm_id].plan
-                result = executor.execute_source(plan, injector)
-                branch.record(arm_id, float(result.cost))
-                costs[position] = result.cost
-                verdicts[position] = result.verdict is True
-                abstained[position] = result.abstained
-                pulls[position] = arm_id
-                fail_window.append(bool(result.failed))
-                if result.degraded:
-                    tuples_degraded += 1
-            window.append(row)
-
-            self._post_pull(
-                position, branch, ensemble, distribution, ledger, replans
-            )
-
-            outage = (
-                policy.outage_replan_threshold is not None
-                and len(fail_window) >= policy.outage_window
-                and sum(fail_window) / len(fail_window)
-                >= policy.outage_replan_threshold
-            )
-            if outage:
-                distribution = self._fit_distribution(window)
                 ensemble, warm = self._refit(
-                    ensemble, distribution, ledger, span_inflation
+                    old, distribution, ledger, span_inflation
                 )
-                executor = FaultTolerantExecutor(
-                    self._schema,
-                    policy,
-                    query=self._query,
-                    distribution=distribution,
-                )
-                fail_window.clear()
-                self._store_state(ensemble)
-                self._emit(
-                    replans,
-                    LearnedReplanEvent(
-                        position=position + 1,
-                        reason="outage",
-                        branch="root",
-                        arm=-1,
-                        expected_cost=ensemble.expected_cost(distribution),
-                        warm=warm,
-                        budget_remaining=ledger.budget_remaining,
-                    ),
-                )
+            executor = FaultTolerantExecutor(
+                self._schema, policy, query=self._query, distribution=distribution
+            )
+            self._store_state(ensemble)
+            self._emit(
+                replans,
+                LearnedReplanEvent(
+                    position=position,
+                    reason=reason,
+                    branch="root",
+                    arm=-1,
+                    expected_cost=ensemble.expected_cost(distribution),
+                    warm=warm,
+                    budget_remaining=ledger.budget_remaining,
+                ),
+            )
+            return ensemble, distribution, executor
 
-        assert ensemble is not None
-        assert injector is not None
+        # Warm-up: the plan-less read of every query attribute.
+        warmup = min(self._warmup, total)
+        executor = FaultTolerantExecutor(self._schema, policy, query=self._query)
+        window = executor.run(
+            query_read_plan(self._query), matrix[:warmup], state=state, read_all=True
+        )
+        state = window.state
+        for cost in window.costs.tolist():
+            ledger.charge_warmup(cost)
+        costs[:warmup] = window.costs
+        verdicts[:warmup] = window.verdicts
+        abstained[:warmup] = window.abstains
+        fails[:warmup] = window.failed.any(axis=1).tolist()
+        tuples_degraded += int(np.count_nonzero(window.degraded))
+        ensemble, distribution, executor = refit(warmup, "warmup", None)
+
+        threshold = policy.outage_replan_threshold
+        outage_window = policy.outage_window
+        outage_start = 0  # the outage window forgets tuples before this
+        failing = sum(fails[max(0, warmup - outage_window) : warmup])
+        position = warmup
+        decision: tuple[bool, int] | None = None
+        while position < total:
+            branch = ensemble.branches[0]
+            if decision is None:
+                full = branch.wants_full_pull()
+                decision = (full, branch.served if full else branch.select())
+            full, arm_id = decision
+            plan = branch.arm_space[arm_id].plan
+            # A burst's pulls change the incumbent's evidence every tuple;
+            # a served run usually lasts to the end of the stream.
+            end = min(total, position + max(1, self._burst_pulls)) if full else total
+            runner = executor
+            window = runner.run(
+                plan,
+                matrix[position:end],
+                state=state,
+                first_row=position,
+                read_all=full,
+            )
+            fails[position:end] = window.failed.any(axis=1).tolist()
+            window_costs = window.costs.tolist()
+            kept = 0
+            for offset, cost in enumerate(window_costs):
+                here = position + offset
+                if offset:
+                    wants = branch.wants_full_pull()
+                    decision = (wants, branch.served if wants else branch.select())
+                    if decision != (full, arm_id):
+                        break
+                if not full:
+                    branch.record(arm_id, cost)
+                    pulls[here] = arm_id
+                elif fails[here]:
+                    branch.record_full_failure(cost)
+                    pulls[here] = branch.served
+                else:
+                    values = {
+                        step.attribute_index: int(
+                            window.observed[offset, step.attribute_index]
+                        )
+                        for step in plan.steps
+                    }
+                    branch.record_full(
+                        cost,
+                        self._replay_costs(ensemble, branch, values, frozenset()),
+                    )
+                    pulls[here] = branch.served
+                kept = offset + 1
+                decision = None
+
+                events = len(replans)
+                self._post_pull(
+                    here, branch, ensemble, distribution, ledger, replans
+                )
+                failing += fails[here]
+                if here - outage_window >= outage_start:
+                    failing -= fails[here - outage_window]
+                if (
+                    threshold is not None
+                    and here + 1 - outage_start >= outage_window
+                    and failing / outage_window >= threshold
+                ):
+                    ensemble, distribution, executor = refit(
+                        here + 1, "outage", ensemble
+                    )
+                    outage_start = here + 1
+                    failing = 0
+                if len(replans) != events:
+                    break
+            if kept < window.rows:
+                window = runner.run(
+                    plan,
+                    matrix[position : position + kept],
+                    state=state,
+                    first_row=position,
+                    read_all=full,
+                )
+            state = window.state
+            stop = position + kept
+            costs[position:stop] = window.costs
+            verdicts[position:stop] = window.verdicts
+            abstained[position:stop] = window.abstains
+            tuples_degraded += int(np.count_nonzero(window.degraded))
+            position = stop
+
         self._store_state(ensemble)
         stats = StreamFaultStats(
-            acquisitions_failed=injector.acquisitions_failed,
-            retries_total=injector.retries_total,
+            acquisitions_failed=state.acquisitions_failed,
+            retries_total=state.retries_total,
             tuples_degraded=tuples_degraded,
             tuples_abstained=int(abstained.sum()),
-            corruptions=injector.corruptions,
-            retry_cost=injector.run_retry_cost,
+            corruptions=state.corrupted,
+            retry_cost=state.retry_cost,
         )
         return LearnedStreamReport(
             costs=costs,
@@ -868,81 +892,3 @@ class LearnedStreamExecutor:
             abstained=abstained,
             faults=stats,
         )
-
-    def _full_pull_faulted(
-        self,
-        branch: BranchBandit,
-        ensemble: OrderBanditEnsemble,
-        injector: Any,
-        policy: "FaultPolicy",
-    ) -> tuple[float, bool | None, bool]:
-        """A full-information exploration pull through the fault injector.
-
-        Every branch attribute is acquired (retries and all); on a clean
-        read the arms are replayed on the fetched values — corrupted or
-        not, all arms see the same row — with *clean* schema costs, so
-        the paired sample stays on one cost basis while the ledger is
-        charged the realized, fault-inflated read.  If any acquisition
-        ultimately fails the replay is impossible: the whole realized
-        cost is booked as exploration that bought nothing
-        (:meth:`~repro.learn.bandit.BranchBandit.record_full_failure`)
-        and the tuple degrades per policy, mirroring the warm-up reader.
-        """
-        from repro.faults.policy import DegradationMode
-
-        plan = branch.served_arm.plan
-        if not isinstance(plan, SequentialNode):  # pragma: no cover
-            raise LearningError(
-                f"full pull on non-sequential arm {type(plan).__name__}"
-            )
-        values: dict[int, int] = {}
-        verdict: bool | None = True
-        failed = False
-        for step in plan.steps:
-            index = step.attribute_index
-            try:
-                value = injector.acquire(index)
-            except AcquisitionFailure:
-                failed = True
-                if policy.degradation is DegradationMode.ABSTAIN:
-                    verdict = None
-                    break
-                if verdict is True:
-                    verdict = None
-                continue
-            values[index] = int(value)
-            if not step.predicate.satisfied_by(value):
-                verdict = False
-        cost = float(injector.total_cost)
-        if failed:
-            branch.record_full_failure(cost)
-        else:
-            branch.record_full(
-                cost,
-                self._replay_costs(ensemble, branch, values, frozenset()),
-            )
-        return cost, verdict, failed
-
-    def _warmup_acquire_faulted(
-        self, injector: Any, policy: "FaultPolicy"
-    ) -> tuple[bool | None, bool]:
-        """Plan-less warm-up read of every query attribute through faults."""
-        from repro.faults.policy import DegradationMode
-
-        verdict: bool | None = True
-        failed = False
-        for predicate, index in zip(
-            self._query.predicates, self._query.attribute_indices
-        ):
-            try:
-                value = injector.acquire(index)
-            except AcquisitionFailure:
-                failed = True
-                if policy.degradation is DegradationMode.ABSTAIN:
-                    return None, True
-                if verdict is True:
-                    verdict = None
-                continue
-            if not predicate.satisfied_by(value):
-                verdict = False
-        return verdict, failed
