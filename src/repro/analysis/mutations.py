@@ -2,9 +2,10 @@
 
 Mirrors :mod:`repro.verify.mutations`: each case seeds one defect class
 the dataflow analyzer must catch, named by its expected ``DF*`` code.
-The analysis self-test asserts every case fires, and ``repro analyze
---suite`` runs the same corpus in CI so a silently-dead rule cannot
-ship.  Certificate defects carry a plan *and* a lying
+The one corpus runner (:func:`repro.corpus.run_corpus`, family
+``dataflow``) asserts every case fires, and both CLI suites run it in
+CI so a silently-dead rule cannot ship.  Certificate defects carry a
+plan *and* a lying
 :class:`~repro.analysis.certificates.CostCertificate`, so they get their
 own :class:`CertificateCase` shape.
 """
@@ -20,10 +21,10 @@ from repro.core.ranges import RangeVector
 from repro.probability.base import Distribution
 from repro.verify.mutations import (
     MutationCase,
-    _leaf_for,
-    _require_mutable_query,
     canonical_conditional_plan,
     canonical_sequential_plan,
+    leaf_for,
+    require_mutable_query,
 )
 
 __all__ = ["CertificateCase", "dataflow_mutations", "certificate_mutations"]
@@ -42,7 +43,7 @@ class CertificateCase:
 
 def dataflow_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
     """Seeded dataflow defects, one case per DF rule."""
-    _require_mutable_query(query)
+    require_mutable_query(query)
     conditional = canonical_conditional_plan(query)
     index = conditional.attribute_index
     full = RangeVector.full(query.schema)
@@ -60,8 +61,8 @@ def dataflow_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
             attribute=conditional.attribute,
             attribute_index=index,
             split_value=conditional.split_value,
-            below=_leaf_for(query, below_ranges),
-            above=_leaf_for(query, below_ranges),
+            below=leaf_for(query, below_ranges),
+            above=leaf_for(query, below_ranges),
         ),
         above=conditional.above,
     )
@@ -108,7 +109,7 @@ def certificate_mutations(
     query: ConjunctiveQuery, distribution: Distribution
 ) -> list[CertificateCase]:
     """Seeded cost-bound lies, every one a ``DF101``."""
-    _require_mutable_query(query)
+    require_mutable_query(query)
     conditional = canonical_conditional_plan(query)
     honest = certify_plan(conditional, distribution)
     inflated = dict(honest.bounds)

@@ -52,23 +52,21 @@ import logging
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from repro import __version__
 from repro.analysis import (
     analyze_plan,
-    certificate_mutations,
-    certify_plan,
-    check_certificate,
     check_dataflow,
-    dataflow_mutations,
     optimize_plan,
     render_analysis,
 )
 from repro.core.analysis import annotate_plan, plan_summary
-from repro.core.attributes import Attribute, Schema
+from repro.core.attributes import Schema
 from repro.core.cost import dataset_execution
+from repro.corpus import FAMILIES, run_corpus
 from repro.data.garden import generate_garden_dataset
 from repro.data.lab import generate_lab_dataset
 from repro.data.split import time_split
@@ -98,7 +96,7 @@ from repro.faults import (
     FaultTolerantExecutor,
     RetryPolicy,
 )
-from repro.lint import lint_paths, lint_repo, run_corpus
+from repro.lint import lint_paths, lint_repo
 from repro.obs import (
     DEFAULT_DRIFT_THRESHOLD,
     SEGMENTS,
@@ -121,8 +119,6 @@ from repro.planning.greedy_sequential import GreedySequentialPlanner
 from repro.planning.naive import NaivePlanner
 from repro.planning.optimal_sequential import OptimalSequentialPlanner
 from repro.planning.split_points import SplitPointPolicy
-from repro.core.predicates import RangePredicate
-from repro.core.query import ConjunctiveQuery
 from repro.probability.empirical import EmpiricalDistribution
 from repro.service.service import AcquisitionalService
 from repro.verify import (
@@ -131,10 +127,6 @@ from repro.verify import (
     verify_bytecode,
     verify_plan,
 )
-from repro.verify.mutations import (
-    canonical_conditional_plan,
-    canonical_sequential_plan,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -142,6 +134,10 @@ logger = logging.getLogger("repro.cli")
 
 PLANNER_CHOICES = ("naive", "greedy-seq", "opt-seq", "corr-seq", "heuristic", "exhaustive")
 LOG_LEVELS = ("debug", "info", "warning", "error")
+
+# What a report verb builds: the JSON payload, its text rendering, and
+# whether it passed (exit 0) or not (exit 1).
+Report = tuple[dict, str, bool]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full report as JSON instead of text",
     )
     obs_report.add_argument(
-        "--out", type=Path, default=None, help="also write the JSON report here"
+        "--out",
+        type=Path,
+        default=None,
+        help="also write the JSON report here (with or without --json)",
     )
 
     lint = commands.add_parser(
@@ -446,12 +445,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="statement the plan should answer; enables the semantic rules",
     )
-    lint.add_argument("--smoothing", type=float, default=0.0)
+    lint.add_argument(
+        "--smoothing",
+        type=float,
+        default=None,
+        help="distribution smoothing (default: 0, or 0.5 under --suite)",
+    )
     lint.add_argument(
         "--suite",
         action="store_true",
-        help="lint the plans of all five planners on Garden, Lab, and "
-        "synthetic workloads; exit 1 on any ERROR diagnostic",
+        help="run the planner x dataset sweep (every rule, compiled "
+        "forms, cost certificates) and every corpus self-test; exit 1 on "
+        "any ERROR diagnostic or corpus failure (same as analyze --suite)",
     )
     lint.add_argument(
         "--json", action="store_true", dest="as_json", help="JSON report output"
@@ -467,9 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
         "alongside a tree rendering of each node's abstract state.  "
         "--fix rewrites the plan with the analysis-driven optimizer (dead-"
         "branch elimination and predicate subsumption; the result is "
-        "re-verified before it is written).  --suite analyzes every "
-        "planner x dataset combination, checks planner cost certificates "
-        "(DF101), and runs the DF mutation corpus.  Exit status matches "
+        "re-verified before it is written).  --suite runs the planner x "
+        "dataset sweep shared with `repro lint-plan --suite`: every rule, "
+        "compiled forms and planner cost certificates (DF101), then every "
+        "corpus self-test.  Exit status matches "
         "`repro lint-plan`: 0 when no ERROR-level diagnostic fires "
         "(warnings do not fail), 1 on any ERROR, 2 on usage or I/O errors.  "
         "Honours the global --log-level flag.",
@@ -499,12 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--suite",
         action="store_true",
-        help="analyze the plans of all five planners on Garden, Lab, and "
-        "synthetic workloads, verify cost certificates, and self-test the "
-        "DF rules on the mutation corpus; exit 1 on any ERROR diagnostic",
+        help="run the planner x dataset sweep (every rule, compiled "
+        "forms, cost certificates) and every corpus self-test; exit 1 on "
+        "any ERROR diagnostic or corpus failure (same as lint-plan --suite)",
     )
     analyze.add_argument(
-        "--smoothing", type=float, default=0.0, help="suite distribution smoothing"
+        "--smoothing",
+        type=float,
+        default=None,
+        help="suite distribution smoothing (default: 0.5)",
     )
     analyze.add_argument(
         "--json", action="store_true", dest="as_json", help="JSON report output"
@@ -550,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         type=Path,
         default=None,
-        help="also write the JSON report to this file (the CI artifact)",
+        help="also write the JSON report to this file, with or without "
+        "--json (the CI artifact)",
     )
 
     profile = commands.add_parser(
@@ -578,7 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", dest="as_json", help="JSON report output"
     )
     profile.add_argument(
-        "--out", type=Path, default=None, help="also write the report to a file"
+        "--out",
+        type=Path,
+        default=None,
+        help="also write the JSON report here (with or without --json)",
     )
 
     metrics = commands.add_parser(
@@ -709,7 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
         "pulls)",
     )
     learn_bench.add_argument(
-        "--out", type=Path, default=None, help="write the JSON report here"
+        "--out",
+        type=Path,
+        default=None,
+        help="also write the JSON report here (with or without --json)",
     )
     learn_bench.add_argument(
         "--json", action="store_true", dest="as_json", help="JSON report output"
@@ -863,7 +879,7 @@ def _command_execute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_chaos(args: argparse.Namespace) -> int:
+def _report_chaos(args: argparse.Namespace) -> Report:
     schema = load_schema(args.schema)
     plan = load_plan(args.plan)
     trace = load_trace(args.trace, schema)
@@ -905,51 +921,50 @@ def _command_chaos(args: argparse.Namespace) -> int:
     ledger_ok = outcome.ledger_conserved()
     failed = bool(unsound) or not ledger_ok
 
-    if args.as_json:
-        payload = {
-            "seed": args.seed,
-            "degradation": args.degradation,
-            "tuples_scanned": outcome.rows,
-            "tuples_selected": len(outcome.selected),
-            "tuples_abstained": outcome.tuples_abstained,
-            "tuples_degraded": outcome.tuples_degraded,
-            "abstained_rows": list(outcome.abstained),
-            "acquisitions_failed": outcome.acquisitions_failed,
-            "retries_total": outcome.retries_total,
-            "failures_by_kind": dict(outcome.failures_by_kind),
-            "base_cost": outcome.base_cost,
-            "retry_cost": outcome.retry_cost,
-            "total_cost": outcome.total_cost,
-            "ledger_ok": ledger_ok,
-            "unsound_rows": unsound,
-            "ok": not failed,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"tuples scanned     : {outcome.rows}")
-        print(f"tuples selected    : {len(outcome.selected)}")
-        print(f"tuples abstained   : {outcome.tuples_abstained}")
-        print(f"tuples degraded    : {outcome.tuples_degraded}")
-        print(f"acquisitions failed: {outcome.acquisitions_failed}")
-        print(f"retries            : {outcome.retries_total}")
-        if outcome.failures_by_kind:
-            kinds = ", ".join(
-                f"{kind}={count}"
-                for kind, count in sorted(outcome.failures_by_kind.items())
-            )
-            print(f"failures by kind   : {kinds}")
-        print(
-            f"cost ledger        : total {outcome.total_cost:.1f} = "
-            f"base {outcome.base_cost:.1f} + retry {outcome.retry_cost:.1f} "
-            f"[{'ok' if ledger_ok else 'DRIFT'}]"
+    payload = {
+        "seed": args.seed,
+        "degradation": args.degradation,
+        "tuples_scanned": outcome.rows,
+        "tuples_selected": len(outcome.selected),
+        "tuples_abstained": outcome.tuples_abstained,
+        "tuples_degraded": outcome.tuples_degraded,
+        "abstained_rows": list(outcome.abstained),
+        "acquisitions_failed": outcome.acquisitions_failed,
+        "retries_total": outcome.retries_total,
+        "failures_by_kind": dict(outcome.failures_by_kind),
+        "base_cost": outcome.base_cost,
+        "retry_cost": outcome.retry_cost,
+        "total_cost": outcome.total_cost,
+        "ledger_ok": ledger_ok,
+        "unsound_rows": unsound,
+        "ok": not failed,
+    }
+    lines = [
+        f"tuples scanned     : {outcome.rows}",
+        f"tuples selected    : {len(outcome.selected)}",
+        f"tuples abstained   : {outcome.tuples_abstained}",
+        f"tuples degraded    : {outcome.tuples_degraded}",
+        f"acquisitions failed: {outcome.acquisitions_failed}",
+        f"retries            : {outcome.retries_total}",
+    ]
+    if outcome.failures_by_kind:
+        kinds = ", ".join(
+            f"{kind}={count}"
+            for kind, count in sorted(outcome.failures_by_kind.items())
         )
-        if query is not None:
-            verdict = "sound" if not unsound else f"UNSOUND rows {unsound}"
-            print(f"selected tuples    : {verdict}")
-        else:
-            print("selected tuples    : soundness audit skipped (no --query)")
-        print(f"chaos audit        : {'FAILED' if failed else 'passed'}")
-    return 1 if failed else 0
+        lines.append(f"failures by kind   : {kinds}")
+    lines.append(
+        f"cost ledger        : total {outcome.total_cost:.1f} = "
+        f"base {outcome.base_cost:.1f} + retry {outcome.retry_cost:.1f} "
+        f"[{'ok' if ledger_ok else 'DRIFT'}]"
+    )
+    if query is not None:
+        verdict = "sound" if not unsound else f"UNSOUND rows {unsound}"
+        lines.append(f"selected tuples    : {verdict}")
+    else:
+        lines.append("selected tuples    : soundness audit skipped (no --query)")
+    lines.append(f"chaos audit        : {'FAILED' if failed else 'passed'}")
+    return payload, "\n".join(lines), not failed
 
 
 def _command_compare(args: argparse.Namespace) -> int:
@@ -1077,13 +1092,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     if args.metrics_out is not None and warm_service is not None:
         snapshot = warm_service.metrics.snapshot()
         args.metrics_out.write_text(
-            json.dumps(
-                {
-                    "snapshot": snapshot,
-                    "prometheus": render_prometheus(snapshot),
-                },
-                indent=2,
-            )
+            _json({"snapshot": snapshot, "prometheus": render_prometheus(snapshot)})
             + "\n"
         )
         logger.info("metrics snapshot written to %s", args.metrics_out)
@@ -1091,36 +1100,31 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     on = results["cache_on"]["queries_per_second"]
     off = results["cache_off"]["queries_per_second"]
     speedup = on / off if off > 0 else float("inf")
-    print(
-        f"workload: {args.requests} requests over {len(shapes)} shapes "
-        f"(zipf {args.zipf}), {args.rows_per_request} rows/request"
-    )
-    print(f"cache off: {off:>10.1f} q/s")
-    print(f"cache on : {on:>10.1f} q/s   ({speedup:.1f}x)")
     cache_stats = results["cache_on"]["stats"]["cache"]
-    print(
+    text = (
+        f"workload: {args.requests} requests over {len(shapes)} shapes "
+        f"(zipf {args.zipf}), {args.rows_per_request} rows/request\n"
+        f"cache off: {off:>10.1f} q/s\n"
+        f"cache on : {on:>10.1f} q/s   ({speedup:.1f}x)\n"
         f"hit rate {cache_stats['hit_rate']:.1%}, "
         f"{cache_stats['evictions']} evictions, "
         f"{cache_stats['invalidations']} invalidations "
         f"({cache_stats['policy']}, capacity {cache_stats['capacity']})"
     )
-    if args.out is not None:
-        report = {
-            "config": {
-                "shapes": len(shapes),
-                "requests": args.requests,
-                "zipf": args.zipf,
-                "rows_per_request": args.rows_per_request,
-                "batch_size": args.batch_size,
-                "capacity": args.capacity,
-                "policy": args.policy,
-            },
-            "speedup": round(speedup, 2),
-            **results,
-        }
-        args.out.write_text(json.dumps(report, indent=2))
-        logger.info("report written to %s", args.out)
-    return 0
+    report = {
+        "config": {
+            "shapes": len(shapes),
+            "requests": args.requests,
+            "zipf": args.zipf,
+            "rows_per_request": args.rows_per_request,
+            "batch_size": args.batch_size,
+            "capacity": args.capacity,
+            "policy": args.policy,
+        },
+        "speedup": round(speedup, 2),
+        **results,
+    }
+    return _emit(args, report, text, True, out=args.out)
 
 
 def _command_cache_stats(args: argparse.Namespace) -> int:
@@ -1136,7 +1140,7 @@ def _command_cache_stats(args: argparse.Namespace) -> int:
         print(f"{fingerprint.digest}  {text.strip()}")
         for _repeat in range(args.repeat):
             service.execute(text, live)
-    print(json.dumps(service.stats(), indent=2))
+    print(_json(service.stats()))
     return 0
 
 
@@ -1294,7 +1298,7 @@ def _command_serve_sharded(args: argparse.Namespace) -> int:
             args.prometheus_out.write_text(exposition)
             logger.info("exposition written to %s", args.prometheus_out)
         if args.slo_out is not None:
-            args.slo_out.write_text(json.dumps(front["slo"], indent=2) + "\n")
+            args.slo_out.write_text(_json(front["slo"]) + "\n")
             logger.info("SLO snapshot written to %s", args.slo_out)
         return report
 
@@ -1303,33 +1307,22 @@ def _command_serve_sharded(args: argparse.Namespace) -> int:
         logger.info("trace events written to %s", args.trace_out)
     front = report["front_door"]
     coalescing = front["coalescing"]
-    print(
+    slo = front["slo"]
+    text = (
         f"workload: {report['config']['requests']} requests over "
         f"{report['config']['shapes']} shapes (zipf {args.zipf}), "
-        f"{args.workers} workers ({args.backend})"
-    )
-    print(
+        f"{args.workers} workers ({args.backend})\n"
         f"served {report['served']}, shed {report['shed']}, "
-        f"failed {report['failed']} at {report['queries_per_second']:.1f} q/s"
-    )
-    print(
+        f"failed {report['failed']} at {report['queries_per_second']:.1f} q/s\n"
         f"coalescing: {coalescing['dispatched_requests']} dispatched, "
-        f"{coalescing['coalesced_requests']} coalesced"
-    )
-    print(
+        f"{coalescing['coalesced_requests']} coalesced\n"
         f"admission: {front['admission']['requests_shed']} shed, "
-        f"{front['admission']['shed_cost_avoided']} Eq.3 cost avoided"
-    )
-    slo = front["slo"]
-    print(
+        f"{front['admission']['shed_cost_avoided']} Eq.3 cost avoided\n"
         f"slo: {slo['requests']} requests, "
         f"latency burn {slo['latency']['burn_rate']:.2f}, "
         f"error burn {slo['errors']['burn_rate']:.2f}"
     )
-    if args.out is not None:
-        args.out.write_text(json.dumps(report, indent=2))
-        logger.info("report written to %s", args.out)
-    return 0
+    return _emit(args, report, text, True, out=args.out)
 
 
 def _command_shard_stats(args: argparse.Namespace) -> int:
@@ -1357,8 +1350,7 @@ def _command_shard_stats(args: argparse.Namespace) -> int:
                         )
             return await cluster.stats()
 
-    stats = asyncio.run(main())
-    print(json.dumps(stats, indent=2))
+    print(_json(asyncio.run(main())))
     return 0
 
 
@@ -1444,7 +1436,7 @@ def _render_obs_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _command_obs_report(args: argparse.Namespace) -> int:
+def _report_obs(args: argparse.Namespace) -> Report:
     if args.top < 0:
         raise ReproError("--top must be >= 0")
     if not 0.0 < args.percentile <= 100.0:
@@ -1493,18 +1485,10 @@ def _command_obs_report(args: argparse.Namespace) -> int:
             payload["slo"] = front["slo"]
     payload["findings"] = findings
     payload["ok"] = not findings
-    text = json.dumps(payload, indent=2)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-        logger.info("report written to %s", args.out)
-    if args.as_json:
-        print(text)
-    else:
-        print(_render_obs_report(payload))
-    return 0 if not findings else 1
+    return payload, _render_obs_report(payload), not findings
 
 
-def _command_profile(args: argparse.Namespace) -> int:
+def _report_profile(args: argparse.Namespace) -> Report:
     schema = load_schema(args.schema)
     train = load_trace(args.trace, schema)
     test = load_trace(args.test, schema) if args.test is not None else train
@@ -1523,35 +1507,26 @@ def _command_profile(args: argparse.Namespace) -> int:
         expected=result.expected_cost,
         threshold=args.drift_threshold,
     )
-
-    if args.as_json:
-        payload = profile_report_dict(
-            result.plan,
-            distribution,
-            profile,
-            expected=result.expected_cost,
-            monitor=monitor,
-        )
-        payload["query"] = args.query.strip()
-        payload["planner"] = result.planner
-        rendered = json.dumps(payload, indent=2)
-    else:
-        header = (
-            f"query: {args.query.strip()}\n"
-            f"planner: {result.planner}\n"
-        )
-        rendered = header + render_profile_report(
-            result.plan,
-            distribution,
-            profile,
-            expected=result.expected_cost,
-            monitor=monitor,
-        )
-    print(rendered)
-    if args.out is not None:
-        args.out.write_text(rendered + "\n")
-        logger.info("profile report written to %s", args.out)
-    return 0
+    payload = profile_report_dict(
+        result.plan,
+        distribution,
+        profile,
+        expected=result.expected_cost,
+        monitor=monitor,
+    )
+    payload["query"] = args.query.strip()
+    payload["planner"] = result.planner
+    text = (
+        f"query: {args.query.strip()}\n"
+        f"planner: {result.planner}\n"
+    ) + render_profile_report(
+        result.plan,
+        distribution,
+        profile,
+        expected=result.expected_cost,
+        monitor=monitor,
+    )
+    return payload, text, True
 
 
 def _command_metrics(args: argparse.Namespace) -> int:
@@ -1571,13 +1546,13 @@ def _command_metrics(args: argparse.Namespace) -> int:
     service.stats()  # refresh the gauges before the snapshot is taken
     snapshot = service.metrics.snapshot()
     if args.format == "json":
-        print(json.dumps(snapshot, indent=2))
+        print(_json(snapshot))
     else:
         print(render_prometheus(snapshot), end="")
     return 0
 
 
-def _lint_suite_datasets():
+def _suite_datasets():
     """Small planner-verification workloads: every dataset family, sized so
     even the exhaustive planner finishes in seconds."""
     garden = generate_garden_dataset(
@@ -1602,7 +1577,7 @@ def _lint_suite_datasets():
     ]
 
 
-def _lint_suite_planners(distribution: EmpiricalDistribution) -> dict:
+def _suite_planners(distribution: EmpiricalDistribution) -> dict:
     """The five planners the verifier gates, smallest-config exhaustive."""
     schema = distribution.schema
     policy = SplitPointPolicy.equal_width(schema, [1] * len(schema))
@@ -1619,19 +1594,33 @@ def _lint_suite_planners(distribution: EmpiricalDistribution) -> dict:
     }
 
 
-def _command_lint_suite(args: argparse.Namespace) -> int:
-    total_errors = 0
-    total_warnings = 0
-    rows = []
-    reports = []
-    for dataset_name, dataset, queries in _lint_suite_datasets():
+def _report_suite(args: argparse.Namespace) -> Report:
+    """The planner x dataset sweep behind ``lint-plan --suite`` and
+    ``analyze --suite``.
+
+    Every plan is verified against the full rule catalog, its compiled
+    form included, and its planner's cost certificate is re-derived
+    (DF101).  Every exhaustive plan must ship a certificate that
+    survives.  Then every corpus family self-tests its rules.
+    """
+    smoothing = 0.5 if args.smoothing is None else args.smoothing
+    rows: list[dict] = []
+    reports: list[VerificationReport] = []
+    gate_failures: list[str] = []
+    for dataset_name, dataset, queries in _suite_datasets():
         schema = dataset.schema
         distribution = EmpiricalDistribution(
-            schema, dataset.data, smoothing=args.smoothing or 0.5
+            schema, dataset.data, smoothing=smoothing
         )
-        for planner_name, planner in _lint_suite_planners(distribution).items():
-            errors = 0
-            warnings = 0
+        for planner_name, planner in _suite_planners(distribution).items():
+            row = {
+                "dataset": dataset_name,
+                "planner": planner_name,
+                "queries": len(queries),
+                "errors": 0,
+                "warnings": 0,
+                "certified": 0,
+            }
             for query in queries:
                 result = planner.plan_timed(query)
                 report = verify_plan(
@@ -1641,56 +1630,59 @@ def _command_lint_suite(args: argparse.Namespace) -> int:
                     distribution=distribution,
                     claimed_cost=result.expected_cost,
                     check_compiled=True,
+                    certificate=result.certificate,
                     subject=f"{dataset_name}/{planner_name}: {query.describe()}",
                 )
-                errors += len(report.errors)
-                warnings += len(report.warnings)
+                row["errors"] += len(report.errors)
+                row["warnings"] += len(report.warnings)
+                if result.certificate is not None and not report.has("DF101"):
+                    row["certified"] += 1
                 if report.diagnostics:
                     reports.append(report)
-            rows.append((dataset_name, planner_name, len(queries), errors, warnings))
-            total_errors += errors
-            total_warnings += warnings
+            if planner_name == "exhaustive" and row["certified"] != len(queries):
+                gate_failures.append(
+                    f"{dataset_name}/exhaustive: only {row['certified']}/"
+                    f"{len(queries)} plans certified DF101-clean"
+                )
+            rows.append(row)
+    corpus_failures = {family: run_corpus(family) for family in FAMILIES}
+    errors = sum(row["errors"] for row in rows)
+    warnings = sum(row["warnings"] for row in rows)
+    failed_cases = sum(len(failures) for failures in corpus_failures.values())
+    ok = not (errors or gate_failures or failed_cases)
+    payload = {
+        "ok": ok,
+        "errors": errors,
+        "warnings": warnings,
+        "results": rows,
+        "certificate_gate_failures": gate_failures,
+        "corpus_failures": corpus_failures,
+        "reports": [report.as_dict() for report in reports],
+    }
+    lines = [
+        f"{'dataset':<11} {'planner':<13} {'queries':>7} {'errors':>7} "
+        f"{'warnings':>9} {'certified':>9}"
+    ]
+    lines.extend(
+        f"{row['dataset']:<11} {row['planner']:<13} {row['queries']:>7} "
+        f"{row['errors']:>7} {row['warnings']:>9} {row['certified']:>9}"
+        for row in rows
+    )
+    lines.extend(f"\n{report.format()}" for report in reports)
+    lines.extend(f"\ncertificate gate FAILED: {message}" for message in gate_failures)
+    for family, failures in corpus_failures.items():
+        lines.extend(f"\n{family} corpus FAILED: {message}" for message in failures)
+    lines.append(
+        f"\n{args.command} suite {'clean' if ok else 'FAILED'}: "
+        f"{errors} error(s), {warnings} warning(s) across {len(rows)} "
+        f"planner/dataset runs; {failed_cases} corpus failure(s)"
+    )
+    return payload, "\n".join(lines), ok
 
-    if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "ok": total_errors == 0,
-                    "errors": total_errors,
-                    "warnings": total_warnings,
-                    "results": [
-                        {
-                            "dataset": dataset,
-                            "planner": planner,
-                            "queries": queries,
-                            "errors": errors,
-                            "warnings": warnings,
-                        }
-                        for dataset, planner, queries, errors, warnings in rows
-                    ],
-                    "reports": [report.as_dict() for report in reports],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"{'dataset':<11} {'planner':<13} {'queries':>7} {'errors':>7} {'warnings':>9}")
-        for dataset, planner, queries, errors, warnings in rows:
-            print(f"{dataset:<11} {planner:<13} {queries:>7} {errors:>7} {warnings:>9}")
-        for report in reports:
-            print()
-            print(report.format())
-        verdict = "clean" if total_errors == 0 else "FAILED"
-        print(
-            f"\nlint-plan suite {verdict}: {total_errors} error(s), "
-            f"{total_warnings} warning(s) across {len(rows)} planner/dataset runs"
-        )
-    return 0 if total_errors == 0 else 1
 
-
-def _command_lint_plan(args: argparse.Namespace) -> int:
+def _report_lint_plan(args: argparse.Namespace) -> Report:
     if args.suite:
-        return _command_lint_suite(args)
+        return _report_suite(args)
     if args.schema is None:
         raise ReproError("lint-plan needs --schema (or --suite)")
     if (args.plan is None) == (args.bytecode is None):
@@ -1702,7 +1694,7 @@ def _command_lint_plan(args: argparse.Namespace) -> int:
     if args.trace is not None:
         train = load_trace(args.trace, schema)
         distribution = EmpiricalDistribution(
-            schema, train, smoothing=args.smoothing
+            schema, train, smoothing=0.0 if args.smoothing is None else args.smoothing
         )
     query = None
     if args.query is not None:
@@ -1726,221 +1718,38 @@ def _command_lint_plan(args: argparse.Namespace) -> int:
             distribution=distribution,
             subject=str(args.bytecode),
         )
-    if args.as_json:
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(report.format())
-    return 0 if report.ok else 1
+    return report.as_dict(), report.format(), report.ok
 
 
-def _command_lint_code(args: argparse.Namespace) -> int:
+def _report_lint_code(args: argparse.Namespace) -> Report:
     """Static source analysis: file mode, or corpus self-test + repo scan."""
-    if args.suite:
-        if args.paths:
-            raise ReproError("lint-code --suite takes no positional files")
-        corpus_failures = run_corpus()
-        report = lint_repo(root=args.root)
-        payload = {
-            "ok": report.ok and not corpus_failures,
-            "corpus": {
-                "ok": not corpus_failures,
-                "failures": corpus_failures,
-            },
-            "report": report.as_dict(),
-        }
-        if args.out is not None:
-            args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        if args.as_json:
-            print(json.dumps(payload, indent=2))
-        else:
-            if corpus_failures:
-                print(f"corpus FAILED ({len(corpus_failures)} case(s)):")
-                for failure in corpus_failures:
-                    print(f"  - {failure}")
-            else:
-                print("corpus ok: every rule fires on its seeded violation")
-            print(report.format())
-        return 0 if report.ok and not corpus_failures else 1
-
-    if not args.paths:
-        raise ReproError("lint-code needs source files (or --suite)")
-    report = lint_paths(args.paths, root=args.root)
-    if args.out is not None:
-        args.out.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-    if args.as_json:
-        print(json.dumps(report.as_dict(), indent=2))
+    if not args.suite:
+        if not args.paths:
+            raise ReproError("lint-code needs source files (or --suite)")
+        report = lint_paths(args.paths, root=args.root)
+        return report.as_dict(), report.format(), report.ok
+    if args.paths:
+        raise ReproError("lint-code --suite takes no positional files")
+    corpus_failures = run_corpus("source")
+    report = lint_repo(root=args.root)
+    ok = report.ok and not corpus_failures
+    payload = {
+        "ok": ok,
+        "corpus": {"ok": not corpus_failures, "failures": corpus_failures},
+        "report": report.as_dict(),
+    }
+    if corpus_failures:
+        lines = [f"corpus FAILED ({len(corpus_failures)} case(s)):"]
+        lines.extend(f"  - {failure}" for failure in corpus_failures)
     else:
-        print(report.format())
-    return 0 if report.ok else 1
+        lines = ["corpus ok: every rule fires on its seeded violation"]
+    lines.append(report.format())
+    return payload, "\n".join(lines), ok
 
 
-def _analysis_self_test() -> list[str]:
-    """The DF rules' negative and positive controls; returns failures.
-
-    Every seeded mutation must fire its documented code, and the
-    canonical clean plans (plus an honest certificate) must stay silent
-    — a silently-dead DF rule fails the suite even when every planner
-    output happens to be clean.
-    """
-    schema = Schema(
-        (
-            Attribute(name="pressure", domain_size=8, cost=10.0),
-            Attribute(name="flow", domain_size=8, cost=4.0),
-        )
-    )
-    query = ConjunctiveQuery(
-        schema=schema,
-        predicates=(
-            RangePredicate(attribute="pressure", low=3, high=6),
-            RangePredicate(attribute="flow", low=2, high=7),
-        ),
-    )
-    rng = np.random.default_rng(29)
-    data = np.column_stack(
-        [rng.integers(1, 9, size=300), rng.integers(1, 9, size=300)]
-    )
-    distribution = EmpiricalDistribution(schema, data, smoothing=0.5)
-    failures: list[str] = []
-    for case in dataflow_mutations(query):
-        codes = {f.code for f in check_dataflow(case.plan, schema, query=query)}
-        if case.expected_code not in codes:
-            failures.append(
-                f"mutation {case.name!r} did not fire {case.expected_code} "
-                f"(got {sorted(codes)})"
-            )
-    for cert_case in certificate_mutations(query, distribution):
-        codes = {
-            f.code
-            for f in check_certificate(
-                cert_case.plan, cert_case.certificate, distribution, query=query
-            )
-        }
-        if cert_case.expected_code not in codes:
-            failures.append(
-                f"certificate mutation {cert_case.name!r} did not fire "
-                f"{cert_case.expected_code} (got {sorted(codes)})"
-            )
-    for name, plan in (
-        ("sequential", canonical_sequential_plan(query)),
-        ("conditional", canonical_conditional_plan(query)),
-    ):
-        findings = check_dataflow(plan, schema, query=query)
-        if findings:
-            failures.append(
-                f"clean {name} plan fired {sorted(f.code for f in findings)}"
-            )
-    clean_plan = canonical_conditional_plan(query)
-    honest = certify_plan(clean_plan, distribution)
-    stray = check_certificate(clean_plan, honest, distribution, query=query)
-    if stray:
-        failures.append(
-            f"honest certificate fired {sorted(f.code for f in stray)}"
-        )
-    return failures
-
-
-def _command_analyze_suite(args: argparse.Namespace) -> int:
-    total_errors = 0
-    total_warnings = 0
-    rows = []
-    reports = []
-    gate_failures: list[str] = []
-    for dataset_name, dataset, queries in _lint_suite_datasets():
-        schema = dataset.schema
-        distribution = EmpiricalDistribution(
-            schema, dataset.data, smoothing=args.smoothing or 0.5
-        )
-        for planner_name, planner in _lint_suite_planners(distribution).items():
-            errors = 0
-            warnings = 0
-            certified = 0
-            for query in queries:
-                result = planner.plan_timed(query)
-                report = verify_plan(
-                    result.plan,
-                    schema,
-                    query=query,
-                    distribution=distribution,
-                    claimed_cost=result.expected_cost,
-                    certificate=result.certificate,
-                    subject=f"{dataset_name}/{planner_name}: {query.describe()}",
-                )
-                errors += len(report.errors)
-                warnings += len(report.warnings)
-                if result.certificate is not None and not report.has("DF101"):
-                    certified += 1
-                if report.diagnostics:
-                    reports.append(report)
-            # CI gate: every exhaustive plan must ship a DP-cache
-            # certificate that survives independent re-derivation.
-            if planner_name == "exhaustive" and certified != len(queries):
-                gate_failures.append(
-                    f"{dataset_name}/exhaustive: only {certified}/{len(queries)}"
-                    " plans certified DF101-clean"
-                )
-            rows.append(
-                (dataset_name, planner_name, len(queries), errors, warnings, certified)
-            )
-            total_errors += errors
-            total_warnings += warnings
-
-    corpus_failures = _analysis_self_test()
-    failed = bool(total_errors or gate_failures or corpus_failures)
-    if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "ok": not failed,
-                    "errors": total_errors,
-                    "warnings": total_warnings,
-                    "results": [
-                        {
-                            "dataset": dataset,
-                            "planner": planner,
-                            "queries": queries,
-                            "errors": errors,
-                            "warnings": warnings,
-                            "certified": certified,
-                        }
-                        for dataset, planner, queries, errors, warnings, certified
-                        in rows
-                    ],
-                    "certificate_gate_failures": gate_failures,
-                    "mutation_corpus_failures": corpus_failures,
-                    "reports": [report.as_dict() for report in reports],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(
-            f"{'dataset':<11} {'planner':<13} {'queries':>7} {'errors':>7} "
-            f"{'warnings':>9} {'certified':>9}"
-        )
-        for dataset, planner, queries, errors, warnings, certified in rows:
-            print(
-                f"{dataset:<11} {planner:<13} {queries:>7} {errors:>7} "
-                f"{warnings:>9} {certified:>9}"
-            )
-        for report in reports:
-            print()
-            print(report.format())
-        for message in gate_failures:
-            print(f"\ncertificate gate FAILED: {message}")
-        for message in corpus_failures:
-            print(f"\nmutation corpus FAILED: {message}")
-        verdict = "FAILED" if failed else "clean"
-        print(
-            f"\nanalyze suite {verdict}: {total_errors} error(s), "
-            f"{total_warnings} warning(s) across {len(rows)} planner/dataset "
-            f"runs; {len(corpus_failures)} corpus failure(s)"
-        )
-    return 1 if failed else 0
-
-
-def _command_analyze(args: argparse.Namespace) -> int:
+def _report_analyze(args: argparse.Namespace) -> Report:
     if args.suite:
-        return _command_analyze_suite(args)
+        return _report_suite(args)
     if args.schema is None or args.plan is None:
         raise ReproError("analyze needs --schema and --plan (or --suite)")
     schema = load_schema(args.schema)
@@ -1951,43 +1760,29 @@ def _command_analyze(args: argparse.Namespace) -> int:
     analysis = analyze_plan(plan, schema, query=query)
     findings = check_dataflow(plan, schema, query=query, analysis=analysis)
     report = VerificationReport.from_findings(findings, subject=str(args.plan))
-    fix_summary = None
+    payload = {
+        "subject": str(args.plan),
+        "report": report.as_dict(),
+        "states": {facts.path: facts.state.describe(schema) for facts in analysis},
+    }
+    text = f"{render_analysis(analysis)}\n\n{report.format()}"
     if args.fix:
         optimized = optimize_plan(plan, schema, query=query)
-        nodes_before = sum(1 for _ in iter_plan_paths(plan))
-        nodes_after = sum(1 for _ in iter_plan_paths(optimized))
         destination = args.out if args.out is not None else args.plan
         save_plan(optimized, destination)
-        fix_summary = {
+        payload["fix"] = fix = {
             "out": str(destination),
-            "nodes_before": nodes_before,
-            "nodes_after": nodes_after,
+            "nodes_before": sum(1 for _ in iter_plan_paths(plan)),
+            "nodes_after": sum(1 for _ in iter_plan_paths(optimized)),
         }
-    if args.as_json:
-        payload = {
-            "subject": str(args.plan),
-            "report": report.as_dict(),
-            "states": {
-                facts.path: facts.state.describe(schema) for facts in analysis
-            },
-        }
-        if fix_summary is not None:
-            payload["fix"] = fix_summary
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_analysis(analysis))
-        print()
-        print(report.format())
-        if fix_summary is not None:
-            print(
-                f"\nfix: wrote optimized plan to {fix_summary['out']} "
-                f"({fix_summary['nodes_before']} -> "
-                f"{fix_summary['nodes_after']} nodes)"
-            )
-    return 0 if report.ok else 1
+        text += (
+            f"\n\nfix: wrote optimized plan to {fix['out']} "
+            f"({fix['nodes_before']} -> {fix['nodes_after']} nodes)"
+        )
+    return payload, text, report.ok
 
 
-def _command_learn_bench(args: argparse.Namespace) -> int:
+def _report_learn_bench(args: argparse.Namespace) -> Report:
     from repro.learn import run_learned_bench
 
     report = run_learned_bench(
@@ -2003,32 +1798,81 @@ def _command_learn_bench(args: argparse.Namespace) -> int:
         regret_budget=args.regret_budget,
     )
     payload = report.as_dict()
-    if args.out is not None:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        logger.info("learned benchmark report written to %s", args.out)
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"adversarial stream: {report.tuples} tuples, "
-            f"{report.segments} segments, seed {report.seed}"
-        )
-        print(f"{'strategy':<18} {'total':>12} {'mean':>9} {'replans':>8}")
-        for run in report.strategies:
-            print(
-                f"{run.name:<18} {run.total_cost:>12.0f} "
-                f"{run.mean_cost:>9.2f} {run.replans:>8}"
-            )
-        ledger = payload["ledger"]
-        print(
-            f"ledger: warmup {ledger['warmup_cost']:.0f} + conditioning "
-            f"{ledger['conditioning_cost']:.0f} + base "
-            f"{ledger['base_cost']:.0f} + exploration "
-            f"{ledger['exploration_cost']:.0f} (budget {ledger['budget']:.0f})"
-        )
-        for gate, passed in report.gates.items():
-            print(f"  gate {gate}: {'pass' if passed else 'FAIL'}")
-    return 0 if report.all_gates_pass else 1
+    ledger = payload["ledger"]
+    lines = [
+        f"adversarial stream: {report.tuples} tuples, "
+        f"{report.segments} segments, seed {report.seed}",
+        f"{'strategy':<18} {'total':>12} {'mean':>9} {'replans':>8}",
+    ]
+    lines.extend(
+        f"{run.name:<18} {run.total_cost:>12.0f} "
+        f"{run.mean_cost:>9.2f} {run.replans:>8}"
+        for run in report.strategies
+    )
+    lines.append(
+        f"ledger: warmup {ledger['warmup_cost']:.0f} + conditioning "
+        f"{ledger['conditioning_cost']:.0f} + base "
+        f"{ledger['base_cost']:.0f} + exploration "
+        f"{ledger['exploration_cost']:.0f} (budget {ledger['budget']:.0f})"
+    )
+    lines.extend(
+        f"  gate {gate}: {'pass' if passed else 'FAIL'}"
+        for gate, passed in report.gates.items()
+    )
+    return payload, "\n".join(lines), report.all_gates_pass
+
+
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2)
+
+
+def _emit(
+    args: argparse.Namespace,
+    payload: dict,
+    text: str,
+    ok: bool,
+    out: Path | None = None,
+) -> int:
+    """The one report emitter.
+
+    ``--out`` (when given) always receives the JSON payload, stdout gets
+    the same JSON under ``--json`` and the text rendering otherwise, and
+    the exit status is 0 when the report is ok, 1 when it is not.  Usage
+    and I/O errors never reach here: :func:`main` maps them to 2.
+    """
+    rendered = _json(payload)
+    if out is not None:
+        out.write_text(rendered + "\n")
+        logger.info("report written to %s", out)
+    print(rendered if getattr(args, "as_json", False) else text)
+    return 0 if ok else 1
+
+
+# Report verbs: verb -> (function returning (payload, text, ok), whether
+# --out receives the JSON report).  analyze's --out is where --fix writes
+# the optimized plan; lint-plan and chaos have no --out.
+REPORT_VERBS: dict[str, tuple[Callable[[argparse.Namespace], Report], bool]] = {
+    "lint-plan": (_report_lint_plan, False),
+    "analyze": (_report_analyze, False),
+    "lint-code": (_report_lint_code, True),
+    "chaos": (_report_chaos, False),
+    "obs-report": (_report_obs, True),
+    "profile": (_report_profile, True),
+    "learn-bench": (_report_learn_bench, True),
+}
+
+COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "generate": _command_generate,
+    "plan": _command_plan,
+    "explain": _command_explain,
+    "execute": _command_execute,
+    "compare": _command_compare,
+    "serve-bench": _command_serve_bench,
+    "cache-stats": _command_cache_stats,
+    "serve-sharded": _command_serve_sharded,
+    "shard-stats": _command_shard_stats,
+    "metrics": _command_metrics,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -2041,31 +1885,13 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
-    handlers = {
-        "generate": _command_generate,
-        "plan": _command_plan,
-        "explain": _command_explain,
-        "execute": _command_execute,
-        "compare": _command_compare,
-        "serve-bench": _command_serve_bench,
-        "cache-stats": _command_cache_stats,
-        "serve-sharded": _command_serve_sharded,
-        "shard-stats": _command_shard_stats,
-        "obs-report": _command_obs_report,
-        "lint-plan": _command_lint_plan,
-        "lint-code": _command_lint_code,
-        "analyze": _command_analyze,
-        "profile": _command_profile,
-        "metrics": _command_metrics,
-        "chaos": _command_chaos,
-        "learn-bench": _command_learn_bench,
-    }
     try:
-        return handlers[args.command](args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as error:
+        if args.command in REPORT_VERBS:
+            build, out_is_report = REPORT_VERBS[args.command]
+            payload, text, ok = build(args)
+            return _emit(args, payload, text, ok, args.out if out_is_report else None)
+        return COMMANDS[args.command](args)
+    except (ReproError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -6,45 +6,32 @@ Four rule families guard the invariants the serving stack's guarantees
 rest on — seeded randomness and injectable clocks (``DET``), locking
 discipline on shared state (``RC``), a non-blocking event loop
 (``ASY``), and ledger-mediated Eq. 3 cost accounting (``LED``) — with
-the same stable-error-code and corpus-self-test model the verifier
-established.  ``repro lint-code`` is the CLI entry; ``docs/LINTING.md``
-is the human-facing rule catalog.
+the verifier's diagnostics model (:mod:`repro.verify.diagnostics`: one
+finding record, one report, one code catalog) and self-tested by the
+one corpus runner (:mod:`repro.corpus`).  ``repro lint-code`` is the CLI
+entry; ``docs/LINTING.md`` is the human-facing rule catalog.
 """
 
 from repro.lint.base import DEFAULT_CONFIG, LintConfig, ModuleContext
-from repro.lint.corpus import (
-    LintCase,
-    clean_cases,
-    run_corpus,
-    violation_cases,
-)
-from repro.lint.diagnostics import (
-    LINT_CATALOG,
-    LintFinding,
-    LintReport,
-    make_finding,
-)
+from repro.lint.corpus import LintCase, clean_cases, violation_cases
 from repro.lint.engine import (
     ReproLinter,
     lint_paths,
     lint_repo,
     lint_source,
 )
+from repro.verify.diagnostics import LINT_CATALOG
 
 __all__ = [
     "DEFAULT_CONFIG",
     "LINT_CATALOG",
     "LintCase",
     "LintConfig",
-    "LintFinding",
-    "LintReport",
     "ModuleContext",
     "ReproLinter",
     "clean_cases",
     "lint_paths",
     "lint_repo",
     "lint_source",
-    "make_finding",
-    "run_corpus",
     "violation_cases",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.base import ModuleContext, iter_with_qualname
-from repro.lint.diagnostics import LintFinding, make_finding
+from repro.verify.diagnostics import Diagnostic
 
 __all__ = ["check_asynchrony"]
 
@@ -93,8 +93,8 @@ def _blocking_reason(
     return None
 
 
-def check_asynchrony(context: ModuleContext) -> list[LintFinding]:
-    findings: list[LintFinding] = []
+def check_asynchrony(context: ModuleContext) -> list[Diagnostic]:
+    findings: list[Diagnostic] = []
     config = context.config
     for node, _qualname, in_async in iter_with_qualname(context.tree):
         if not isinstance(node, ast.Call):
@@ -105,12 +105,9 @@ def check_asynchrony(context: ModuleContext) -> list[LintFinding]:
             and resolved == "asyncio.get_event_loop"
         ):
             findings.append(
-                make_finding(
+                context.finding(
                     "ASY003",
-                    context.module,
-                    context.path,
-                    node.lineno,
-                    node.col_offset,
+                    node,
                     "asyncio.get_event_loop() is deprecated and "
                     "thread-dependent",
                     hint="use asyncio.get_running_loop() inside "
@@ -124,24 +121,18 @@ def check_asynchrony(context: ModuleContext) -> list[LintFinding]:
             if blocking is not None:
                 message, hint = blocking
                 findings.append(
-                    make_finding(
+                    context.finding(
                         "ASY001",
-                        context.module,
-                        context.path,
-                        node.lineno,
-                        node.col_offset,
+                        node,
                         message,
                         hint=hint,
                     )
                 )
         if config.wants("ASY002") and resolved == "open":
             findings.append(
-                make_finding(
+                context.finding(
                     "ASY002",
-                    context.module,
-                    context.path,
-                    node.lineno,
-                    node.col_offset,
+                    node,
                     "synchronous open() inside an async function",
                     hint="offload file I/O with run_in_executor, or do "
                     "it before entering the async path",

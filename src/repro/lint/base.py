@@ -1,6 +1,6 @@
 """Shared AST infrastructure for the ``repro-lint`` checkers.
 
-A checker is a function ``(ModuleContext) -> list[LintFinding]`` (the
+A checker is a function ``(ModuleContext) -> list[Diagnostic]`` (the
 concurrency checker additionally returns cross-module lock facts).  The
 context carries the parsed tree plus the pieces every rule needs and no
 rule should rebuild:
@@ -20,6 +20,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.verify.diagnostics import Diagnostic, make_diagnostic
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -194,6 +196,20 @@ class ModuleContext:
         head, _, rest = spelled.partition(".")
         target = self.aliases.get(head, head)
         return f"{target}.{rest}" if rest else target
+
+    def finding(
+        self, code: str, node: ast.AST, message: str, hint: str = ""
+    ) -> Diagnostic:
+        """A diagnostic for ``code`` anchored at ``node`` in this module."""
+        return make_diagnostic(
+            code,
+            self.path,
+            message,
+            hint,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            module=self.module,
+        )
 
 
 def resolve_call(context: ModuleContext, call: ast.Call) -> str | None:

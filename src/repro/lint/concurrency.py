@@ -29,7 +29,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.lint.base import ModuleContext
-from repro.lint.diagnostics import LintFinding, make_finding
+from repro.verify.diagnostics import Diagnostic, make_diagnostic
 
 __all__ = [
     "LockClassFacts",
@@ -133,8 +133,8 @@ class _MethodSummary:
 
 def check_concurrency(
     context: ModuleContext,
-) -> tuple[list[LintFinding], list[LockClassFacts]]:
-    findings: list[LintFinding] = []
+) -> tuple[list[Diagnostic], list[LockClassFacts]]:
+    findings: list[Diagnostic] = []
     facts: list[LockClassFacts] = []
     for node in ast.walk(context.tree):
         if isinstance(node, ast.ClassDef):
@@ -178,7 +178,7 @@ def _init_inventory(
 
 def _check_class(
     context: ModuleContext, cls: ast.ClassDef
-) -> tuple[list[LintFinding], LockClassFacts | None]:
+) -> tuple[list[Diagnostic], LockClassFacts | None]:
     locks, owned = _init_inventory(context, cls)
     if not locks:
         return [], None
@@ -190,7 +190,7 @@ def _check_class(
         dotted=dotted,
         reentrant=dict(locks),
     )
-    findings: list[LintFinding] = []
+    findings: list[Diagnostic] = []
     summaries: dict[str, _MethodSummary] = {}
     # (caller-held-locks-nonempty, callee-name, site) for the exemption
     # pass and sibling-deadlock detection.
@@ -229,12 +229,9 @@ def _check_class(
             for lock in sorted(held & target.acquires):
                 if not locks[lock]:
                     findings.append(
-                        make_finding(
+                        context.finding(
                             "RC003",
-                            context.module,
-                            context.path,
-                            site.lineno,
-                            site.col_offset,
+                            site,
                             f"{cls.name}.{callee}() re-acquires "
                             f"non-reentrant self.{lock} already held by "
                             f"the caller",
@@ -257,17 +254,17 @@ def _check_class(
                 continue  # only ever called with the lock held
             for write in summary.unlocked_writes:
                 findings.append(
-                    make_finding(
+                    make_diagnostic(
                         "RC001",
-                        context.module,
                         context.path,
-                        write.line,
-                        write.col,
                         f"{cls.name}.{summary.name} writes self."
                         f"{write.attr} outside `with self."
                         f"{_lock_spelling(locks)}`",
                         hint="move the write under the lock, or make "
                         "every call site hold it",
+                        line=write.line,
+                        col=write.col,
+                        module=context.module,
                     )
                 )
     return findings, class_facts
@@ -285,7 +282,7 @@ def _walk_method(
     class_facts: LockClassFacts,
     summary: _MethodSummary,
     sibling_calls: list[tuple[frozenset[str], str, ast.Call]],
-    findings: list[LintFinding],
+    findings: list[Diagnostic],
     body: list[ast.stmt],
     held: frozenset[str],
 ) -> None:
@@ -312,7 +309,7 @@ def _walk_statement(
     class_facts: LockClassFacts,
     summary: _MethodSummary,
     sibling_calls: list[tuple[frozenset[str], str, ast.Call]],
-    findings: list[LintFinding],
+    findings: list[Diagnostic],
     stmt: ast.stmt,
     held: frozenset[str],
 ) -> None:
@@ -336,12 +333,9 @@ def _walk_statement(
                 summary.acquires.add(attr)
                 if attr in held and not locks[attr] and config.wants("RC003"):
                     findings.append(
-                        make_finding(
+                        context.finding(
                             "RC003",
-                            context.module,
-                            context.path,
-                            item.context_expr.lineno,
-                            item.context_expr.col_offset,
+                            item.context_expr,
                             f"nested `with self.{attr}` on a "
                             f"non-reentrant threading.Lock deadlocks",
                             hint="use threading.RLock or restructure so "
@@ -405,7 +399,7 @@ def _scan_expression(
     class_facts: LockClassFacts,
     summary: _MethodSummary,
     sibling_calls: list[tuple[frozenset[str], str, ast.Call]],
-    findings: list[LintFinding],
+    findings: list[Diagnostic],
     expr: ast.expr,
     held: frozenset[str],
 ) -> None:
@@ -453,7 +447,7 @@ def _scan_expression(
 
 def analyze_lock_graph(
     all_facts: list[LockClassFacts],
-) -> list[LintFinding]:
+) -> list[Diagnostic]:
     """RC002: find acquisition-order cycles across every scanned module.
 
     Nodes are lock-declaring classes; an edge A -> B means some locked
@@ -476,7 +470,7 @@ def analyze_lock_graph(
                 graph[fact.dotted].add(target.dotted)
                 edge_sites.setdefault((fact.dotted, target.dotted), edge)
 
-    findings: list[LintFinding] = []
+    findings: list[Diagnostic] = []
     reported: set[frozenset[str]] = set()
     for start in sorted(graph):
         cycle = _find_cycle(graph, start)
@@ -489,15 +483,15 @@ def analyze_lock_graph(
         site = edge_sites[(cycle[0], cycle[1])]
         chain = " -> ".join([*cycle, cycle[0]])
         findings.append(
-            make_finding(
+            make_diagnostic(
                 "RC002",
-                site.module,
                 site.path,
-                site.line,
-                site.col,
                 f"lock-acquisition-order cycle: {chain}",
                 hint="impose a global lock order, or move the call "
                 "outside the locked region (snapshot-then-call)",
+                line=site.line,
+                col=site.col,
+                module=site.module,
             )
         )
     return findings

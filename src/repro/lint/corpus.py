@@ -8,9 +8,10 @@ fire on it; the clean cases are the positive controls that must stay
 silent (seeded RNGs, locked writes, executor offloads, approved ledger
 modules, working suppressions).
 
-``run_corpus()`` is the self-test the ``lint-code --suite`` CLI verb
-and CI run before scanning the repo: a dead rule fails the suite even
-when the repo itself happens to be clean.
+The one corpus runner (:func:`repro.corpus.run_corpus`, family
+``source``) self-tests these cases before ``lint-code --suite`` scans
+the repo: a dead rule fails the suite even when the repo itself happens
+to be clean.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 import textwrap
 from dataclasses import dataclass
 
-from repro.lint.engine import lint_source
-
-__all__ = ["LintCase", "clean_cases", "run_corpus", "violation_cases"]
+__all__ = ["LintCase", "clean_cases", "violation_cases"]
 
 
 @dataclass(frozen=True)
@@ -480,33 +479,3 @@ def clean_cases() -> list[LintCase]:
             """,
         ),
     ]
-
-
-def run_corpus() -> list[str]:
-    """Run both corpora; returns human-readable failures (empty = ok).
-
-    Every violation case must fire exactly its documented code (other
-    codes may legitimately co-fire — a wall-clock read can also be a
-    ledger violation — but the named one must be present), and every
-    clean case must produce zero findings.
-    """
-    failures: list[str] = []
-    for case in violation_cases():
-        report = lint_source(
-            case.source, module=case.module, path=f"<{case.name}>"
-        )
-        if not report.has(case.expected_code):
-            failures.append(
-                f"violation {case.name!r} did not fire "
-                f"{case.expected_code} (got {sorted(report.codes())})"
-            )
-    for case in clean_cases():
-        report = lint_source(
-            case.source, module=case.module, path=f"<{case.name}>"
-        )
-        if report.findings:
-            failures.append(
-                f"clean case {case.name!r} fired "
-                f"{sorted(report.codes())}"
-            )
-    return failures

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.base import ModuleContext, iter_with_qualname
-from repro.lint.diagnostics import LintFinding, make_finding
+from repro.verify.diagnostics import Diagnostic
 
 __all__ = ["check_determinism"]
 
@@ -109,8 +109,8 @@ def _is_set_expression(node: ast.AST, context: ModuleContext) -> bool:
     return False
 
 
-def check_determinism(context: ModuleContext) -> list[LintFinding]:
-    findings: list[LintFinding] = []
+def check_determinism(context: ModuleContext) -> list[Diagnostic]:
+    findings: list[Diagnostic] = []
     config = context.config
     deterministic = config.is_deterministic_module(context.module)
 
@@ -120,12 +120,9 @@ def check_determinism(context: ModuleContext) -> list[LintFinding]:
             callee = context.resolve(node.func)
             if callee in _GLOBAL_RANDOM_CALLS:
                 findings.append(
-                    make_finding(
+                    context.finding(
                         "DET001",
-                        context.module,
-                        context.path,
-                        node.lineno,
-                        node.col_offset,
+                        node,
                         f"call to process-global RNG {callee}()",
                         hint="thread a seeded np.random.default_rng(seed) "
                         "or random.Random(seed) through instead",
@@ -137,12 +134,9 @@ def check_determinism(context: ModuleContext) -> list[LintFinding]:
                 and not node.keywords
             ):
                 findings.append(
-                    make_finding(
+                    context.finding(
                         "DET001",
-                        context.module,
-                        context.path,
-                        node.lineno,
-                        node.col_offset,
+                        node,
                         "np.random.default_rng() without a seed draws OS "
                         "entropy",
                         hint="pass an explicit seed (or a SeedSequence "
@@ -167,12 +161,9 @@ def check_determinism(context: ModuleContext) -> list[LintFinding]:
                 or callee in _RNG_STATE_CALLS
             ):
                 findings.append(
-                    make_finding(
+                    context.finding(
                         "DET004",
-                        context.module,
-                        context.path,
-                        node.lineno,
-                        node.col_offset,
+                        node,
                         f"module-level call to {callee}() creates RNG "
                         f"state at import time",
                         hint="construct generators inside the function "
@@ -199,12 +190,9 @@ def check_determinism(context: ModuleContext) -> list[LintFinding]:
                 context.module, qualname
             ):
                 findings.append(
-                    make_finding(
+                    context.finding(
                         "DET002",
-                        context.module,
-                        context.path,
-                        node.lineno,
-                        node.col_offset,
+                        node,
                         f"wall-clock read {resolved} in deterministic "
                         f"path {context.module}",
                         hint="inject a clock callable (see Tracer's clock "
@@ -226,12 +214,9 @@ def check_determinism(context: ModuleContext) -> list[LintFinding]:
             for iterable in iterables:
                 if _is_set_expression(iterable, context):
                     findings.append(
-                        make_finding(
+                        context.finding(
                             "DET003",
-                            context.module,
-                            context.path,
-                            iterable.lineno,
-                            iterable.col_offset,
+                            iterable,
                             "iteration over an unordered set: order varies "
                             "under hash randomization",
                             hint="wrap the set in sorted(...) before "

@@ -1,4 +1,4 @@
-"""The ``repro-lint`` driver: files in, one :class:`LintReport` out.
+"""The ``repro-lint`` engine: files in, one source report out.
 
 The engine parses each module once, runs every checker family over it,
 filters findings through the module's suppression comments, and — after
@@ -31,9 +31,9 @@ from repro.lint.concurrency import (
     check_concurrency,
 )
 from repro.lint.determinism import check_determinism
-from repro.lint.diagnostics import LintFinding, LintReport
 from repro.lint.ledger import check_ledger
 from repro.lint.suppressions import Suppressions, collect_suppressions
+from repro.verify.diagnostics import Diagnostic, VerificationReport
 
 __all__ = ["ReproLinter", "lint_paths", "lint_repo", "lint_source"]
 
@@ -60,7 +60,7 @@ class ReproLinter:
 
     def __init__(self, config: LintConfig | None = None) -> None:
         self._config = config or DEFAULT_CONFIG
-        self._findings: list[LintFinding] = []
+        self._findings: list[Diagnostic] = []
         self._lock_facts: list[LockClassFacts] = []
         self._suppressions: dict[str, Suppressions] = {}
         self._files = 0
@@ -101,7 +101,7 @@ class ReproLinter:
             path=str(path),
         )
 
-    def report(self, subject: str = "repro-lint") -> LintReport:
+    def report(self, subject: str = "repro-lint") -> VerificationReport:
         """Finish the run: resolve the lock graph, order the findings."""
         findings = list(self._findings)
         if self._config.wants("RC002"):
@@ -112,7 +112,7 @@ class ReproLinter:
                 ):
                     continue
                 findings.append(finding)
-        return LintReport.from_findings(
+        return VerificationReport.from_findings(
             findings, subject=subject, files=self._files
         )
 
@@ -122,7 +122,7 @@ def lint_source(
     module: str = "repro.example",
     path: str = "<memory>",
     config: LintConfig | None = None,
-) -> LintReport:
+) -> VerificationReport:
     """Lint one in-memory module (the corpus self-test's entry point)."""
     linter = ReproLinter(config)
     linter.add_source(source, module, path=path)
@@ -134,7 +134,7 @@ def lint_paths(
     config: LintConfig | None = None,
     root: Path | None = None,
     subject: str = "repro-lint",
-) -> LintReport:
+) -> VerificationReport:
     """Lint concrete files together (one shared lock graph)."""
     linter = ReproLinter(config)
     for path in paths:
@@ -150,7 +150,7 @@ def _discover(root: Path) -> Iterable[Path]:
 
 def lint_repo(
     root: Path | None = None, config: LintConfig | None = None
-) -> LintReport:
+) -> VerificationReport:
     """Discover and lint every module of the installed ``repro`` package.
 
     ``root`` defaults to the source directory this very module was

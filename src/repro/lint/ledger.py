@@ -26,7 +26,7 @@ import ast
 import re
 
 from repro.lint.base import ModuleContext
-from repro.lint.diagnostics import LintFinding, make_finding
+from repro.verify.diagnostics import Diagnostic
 
 __all__ = ["check_ledger", "is_ledger_name"]
 
@@ -65,11 +65,11 @@ def _contains_arithmetic(node: ast.AST) -> bool:
     )
 
 
-def check_ledger(context: ModuleContext) -> list[LintFinding]:
+def check_ledger(context: ModuleContext) -> list[Diagnostic]:
     config = context.config
     if config.is_ledger_module(context.module):
         return []
-    findings: list[LintFinding] = []
+    findings: list[Diagnostic] = []
     flagged_mutations: set[int] = set()
 
     for node in ast.walk(context.tree):
@@ -91,12 +91,9 @@ def check_ledger(context: ModuleContext) -> list[LintFinding]:
             ):
                 name = _terminal_name(target)
                 findings.append(
-                    make_finding(
+                    context.finding(
                         "LED001",
-                        context.module,
-                        context.path,
-                        node.lineno,
-                        node.col_offset,
+                        node,
                         f"ledger field {name!r} computed with raw "
                         f"arithmetic outside the ledger modules",
                         hint="route the charge through a ledger helper "
@@ -121,12 +118,9 @@ def check_ledger(context: ModuleContext) -> list[LintFinding]:
                 left = _terminal_name(node.left)
                 right = _terminal_name(node.right)
                 findings.append(
-                    make_finding(
+                    context.finding(
                         "LED002",
-                        context.module,
-                        context.path,
-                        node.lineno,
-                        node.col_offset,
+                        node,
                         f"ad-hoc arithmetic combines ledger quantities "
                         f"{left!r} and {right!r}",
                         hint="call (or add) a helper in a ledger module "

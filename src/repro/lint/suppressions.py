@@ -22,7 +22,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
-from repro.lint.diagnostics import LINT_CATALOG, LintFinding, make_finding
+from repro.verify.diagnostics import LINT_CATALOG, Diagnostic, make_diagnostic
 
 __all__ = ["Suppressions", "collect_suppressions"]
 
@@ -38,12 +38,12 @@ class Suppressions:
 
     by_line: dict[int, frozenset[str]] = field(default_factory=dict)
     file_wide: frozenset[str] = frozenset()
-    findings: tuple[LintFinding, ...] = ()
+    findings: tuple[Diagnostic, ...] = ()
 
-    def silences(self, code: str, line: int) -> bool:
+    def silences(self, code: str, line: int | None) -> bool:
         if code in self.file_wide:
             return True
-        return code in self.by_line.get(line, frozenset())
+        return line is not None and code in self.by_line.get(line, frozenset())
 
 
 def collect_suppressions(
@@ -52,7 +52,7 @@ def collect_suppressions(
     """Parse every ``repro-lint:`` directive comment in ``source``."""
     by_line: dict[int, set[str]] = {}
     file_wide: set[str] = set()
-    findings: list[LintFinding] = []
+    findings: list[Diagnostic] = []
     first_code_line = _first_statement_line(source)
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
@@ -74,14 +74,14 @@ def collect_suppressions(
         for code in sorted(codes):
             if code not in LINT_CATALOG:
                 findings.append(
-                    make_finding(
+                    make_diagnostic(
                         "LINT001",
-                        module,
                         path,
-                        line,
-                        token.start[1],
                         f"suppression names unknown code {code!r}",
                         hint="see LINT_CATALOG / docs/LINTING.md for valid codes",
+                        line=line,
+                        col=token.start[1],
+                        module=module,
                     )
                 )
         known = {code for code in codes if code in LINT_CATALOG}
@@ -90,16 +90,16 @@ def collect_suppressions(
                 file_wide.update(known)
             else:
                 findings.append(
-                    make_finding(
+                    make_diagnostic(
                         "LINT001",
-                        module,
                         path,
-                        line,
-                        token.start[1],
                         "disable-file directive must appear before the "
                         "first statement",
                         hint="move it into the file header, or use a "
                         "per-line disable",
+                        line=line,
+                        col=token.start[1],
+                        module=module,
                     )
                 )
         else:

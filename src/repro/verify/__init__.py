@@ -38,7 +38,8 @@ Six rule families:
 Entry points: :func:`verify_plan`, :func:`verify_bytecode`,
 :func:`assert_valid_plan`, and :class:`PlanVerifier` for callers that
 verify many plans against one schema/distribution.  A mutation corpus
-for self-testing the verifier lives in :mod:`repro.verify.mutations`.
+for self-testing the verifier lives in :mod:`repro.verify.mutations`;
+:mod:`repro.corpus` runs it alongside the dataflow and source corpora.
 """
 
 from repro.verify.diagnostics import (

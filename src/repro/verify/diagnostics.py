@@ -1,11 +1,26 @@
 """Diagnostic records and the stable error-code catalog.
 
-Every finding the verifier emits is a :class:`Diagnostic`: a stable
-code (``SEM001``, ``BC004``, ...), a severity, the path of the node it
-anchors to, a human-readable message, and a fix hint.  Codes are API —
-tests, CI gates, and the cache-admission filter match on them — so they
-are registered centrally in :data:`CODE_CATALOG` and never reused or
-renumbered.  ``docs/VERIFIER.md`` renders the same catalog for humans.
+Every finding the plan verifier, the dataflow analyzer and ``repro-lint``
+emit is a :class:`Diagnostic`: a stable code (``SEM001``, ``BC004``,
+``DET001``, ...), a severity, an anchor, a human-readable message, and a
+fix hint.  The anchor is either a plan-node path (plan findings) or a
+source ``path:line:col`` (lint findings).  Codes are API — tests, CI
+gates, suppression comments and the cache-admission filter match on
+them — so they are registered centrally in :data:`CATALOG` and never
+reused or renumbered.  ``docs/VERIFIER.md`` and ``docs/LINTING.md``
+render the same catalog for humans.
+
+Source rule families (``repro-lint``):
+
+- ``DET`` — determinism: unseeded RNG, wall-clock reads in
+  deterministic paths, unordered-set iteration;
+- ``RC``  — race conditions: unlocked writes to lock-guarded shared
+  state, lock-order cycles, non-reentrant self-deadlock;
+- ``ASY`` — asyncio discipline: blocking calls and sync I/O on the
+  event loop, deprecated loop acquisition;
+- ``LED`` — ledger discipline: raw Eq. 3 cost/energy arithmetic outside
+  the approved ledger helper modules;
+- ``LINT`` — meta findings about the lint run itself (bad suppressions).
 """
 
 from __future__ import annotations
@@ -18,7 +33,9 @@ __all__ = [
     "Severity",
     "Diagnostic",
     "VerificationReport",
+    "CATALOG",
     "CODE_CATALOG",
+    "LINT_CATALOG",
     "make_diagnostic",
 ]
 
@@ -39,9 +56,10 @@ class Severity(enum.Enum):
         return self.value
 
 
-# code -> (severity, title) for every rule the verifier implements.
-# Stable: codes are never renumbered or reused for a different rule.
-CODE_CATALOG: dict[str, tuple[Severity, str]] = {
+# code -> (severity, title) for every rule the verifier, the dataflow
+# analyzer and repro-lint implement.  Stable: codes are never renumbered
+# or reused for a different rule.
+CATALOG: dict[str, tuple[Severity, str]] = {
     # Structural soundness (plan tree vs schema)
     "STR001": (Severity.ERROR, "unknown plan node type"),
     "STR002": (Severity.ERROR, "attribute index out of schema range"),
@@ -89,16 +107,48 @@ CODE_CATALOG: dict[str, tuple[Severity, str]] = {
     "LRN003": (Severity.ERROR, "malformed arm posterior"),
     "LRN004": (Severity.ERROR, "served arm missing from the branch's arm set"),
     "LRN005": (Severity.ERROR, "emitted plan disagrees with the served arm's order"),
+    # Source determinism
+    "DET001": (Severity.ERROR, "unseeded random-number generation"),
+    "DET002": (Severity.ERROR, "wall-clock read in a deterministic path"),
+    "DET003": (Severity.WARNING, "order-sensitive iteration over an unordered set"),
+    "DET004": (Severity.ERROR, "module-level RNG state in a deterministic module"),
+    # Source race conditions / locking discipline
+    "RC001": (Severity.ERROR, "unlocked write to lock-guarded shared state"),
+    "RC002": (Severity.ERROR, "lock-acquisition-order cycle between classes"),
+    "RC003": (Severity.ERROR, "nested acquisition of a non-reentrant lock"),
+    # Source asyncio discipline
+    "ASY001": (Severity.ERROR, "blocking call inside an async function"),
+    "ASY002": (Severity.WARNING, "synchronous file I/O inside an async function"),
+    "ASY003": (Severity.ERROR, "asyncio.get_event_loop in library code"),
+    # Source ledger discipline (Equation 3 auditability)
+    "LED001": (Severity.ERROR, "ledger field mutated outside the approved ledger modules"),
+    "LED002": (Severity.WARNING, "ad-hoc arithmetic over ledger quantities outside the approved ledger modules"),
+    # Source meta
+    "LINT001": (Severity.WARNING, "suppression names an unknown lint code"),
+}
+
+_SOURCE_FAMILIES = ("DET", "RC", "ASY", "LED", "LINT")
+
+# The plan-anchored and the source-anchored codes of the one catalog.
+CODE_CATALOG = {
+    code: entry
+    for code, entry in CATALOG.items()
+    if code.rstrip("0123456789") not in _SOURCE_FAMILIES
+}
+LINT_CATALOG = {
+    code: entry for code, entry in CATALOG.items() if code not in CODE_CATALOG
 }
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding: stable code, severity, node path, message, fix hint.
+    """One finding: stable code, severity, anchor, message, fix hint.
 
-    ``path`` locates the node in the tree (``root``, ``root/below/above``,
-    ``root/steps[2]``) or, for bytecode rules, the byte offset
-    (``@0x001c``).
+    A plan finding has ``line=None`` and a ``path`` that locates the node
+    in the tree (``root``, ``root/below/above``, ``root/steps[2]``) or,
+    for bytecode rules, the byte offset (``@0x001c``).  A source finding
+    anchors to file ``path``, 1-based ``line`` and 0-based ``col`` (as in
+    the CPython ``ast`` module) inside the dotted ``module``.
     """
 
     code: str
@@ -106,41 +156,79 @@ class Diagnostic:
     path: str
     message: str
     hint: str = ""
+    line: int | None = None
+    col: int = 0
+    module: str = ""
 
     def format(self) -> str:
-        line = f"{self.severity.value.upper():<7} {self.code} {self.path}: {self.message}"
+        severity = self.severity.value.upper()
+        if self.line is None:
+            text = f"{severity:<7} {self.code} {self.path}: {self.message}"
+        else:
+            text = (
+                f"{self.path}:{self.line}:{self.col}: "
+                f"{severity} {self.code} {self.message}"
+            )
         if self.hint:
-            line += f" (hint: {self.hint})"
-        return line
+            text += f" (hint: {self.hint})"
+        return text
 
     def as_dict(self) -> dict[str, Any]:
+        if self.line is None:
+            anchor: dict[str, Any] = {"path": self.path}
+        else:
+            anchor = {
+                "module": self.module,
+                "path": self.path,
+                "line": self.line,
+                "col": self.col,
+            }
         return {
             "code": self.code,
             "severity": self.severity.value,
-            "path": self.path,
+            **anchor,
             "message": self.message,
             "hint": self.hint,
         }
 
 
-def make_diagnostic(code: str, path: str, message: str, hint: str = "") -> Diagnostic:
+def make_diagnostic(
+    code: str,
+    path: str,
+    message: str,
+    hint: str = "",
+    line: int | None = None,
+    col: int = 0,
+    module: str = "",
+) -> Diagnostic:
     """Build a diagnostic with the catalog's severity for ``code``."""
-    severity, _title = CODE_CATALOG[code]
-    return Diagnostic(code=code, severity=severity, path=path, message=message, hint=hint)
+    severity, _title = CATALOG[code]
+    return Diagnostic(code, severity, path, message, hint, line, col, module)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """The ordered findings of one verification run."""
+    """The ordered findings of one verification or lint run.
+
+    ``files`` is the number of source files a lint run scanned and is
+    ``None`` for plan reports; it decides the report's rendering and its
+    JSON shape (``findings`` + ``files`` vs ``diagnostics``).
+    """
 
     diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
     subject: str = "plan"
+    files: int | None = None
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
 
     def __len__(self) -> int:
         return len(self.diagnostics)
+
+    @property
+    def findings(self) -> tuple[Diagnostic, ...]:
+        """The source-report spelling of :attr:`diagnostics`."""
+        return self.diagnostics
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:
@@ -161,35 +249,51 @@ class VerificationReport:
     def has(self, code: str) -> bool:
         return any(d.code == code for d in self.diagnostics)
 
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(
-            diagnostics=self.diagnostics + other.diagnostics, subject=self.subject
-        )
-
     def format(self) -> str:
+        scope = "" if self.files is None else f" across {self.files} file(s)"
         if not self.diagnostics:
-            return f"{self.subject}: clean (no diagnostics)"
+            if self.files is None:
+                return f"{self.subject}: clean (no diagnostics)"
+            return f"{self.subject}: clean ({self.files} file(s), no findings)"
         lines = [
             f"{self.subject}: {len(self.errors)} error(s), "
-            f"{len(self.warnings)} warning(s)"
+            f"{len(self.warnings)} warning(s){scope}"
         ]
         lines.extend(d.format() for d in self.diagnostics)
         return "\n".join(lines)
 
     def as_dict(self) -> dict[str, Any]:
+        found = [d.as_dict() for d in self.diagnostics]
+        if self.files is None:
+            counts: dict[str, Any] = {}
+            listing: dict[str, Any] = {"diagnostics": found}
+        else:
+            counts = {"files": self.files}
+            listing = {"findings": found}
         return {
             "subject": self.subject,
             "ok": self.ok,
+            **counts,
             "errors": len(self.errors),
             "warnings": len(self.warnings),
-            "diagnostics": [d.as_dict() for d in self.diagnostics],
+            **listing,
         }
 
     @classmethod
     def from_findings(
-        cls, findings: Iterable[Diagnostic], subject: str = "plan"
+        cls,
+        findings: Iterable[Diagnostic],
+        subject: str = "plan",
+        files: int | None = None,
     ) -> "VerificationReport":
-        ordered = sorted(
-            findings, key=lambda d: (-d.severity.rank, d.code, d.path)
-        )
-        return cls(diagnostics=tuple(ordered), subject=subject)
+        """Order ``findings``: plan reports by severity, then code and
+        node path; source reports by file position."""
+        if files is None:
+            ordered = sorted(
+                findings, key=lambda d: (-d.severity.rank, d.code, d.path)
+            )
+        else:
+            ordered = sorted(
+                findings, key=lambda d: (d.path, d.line or 0, d.col, d.code)
+            )
+        return cls(diagnostics=tuple(ordered), subject=subject, files=files)

@@ -5,10 +5,12 @@ verifier ships with its own negative controls: each
 :class:`MutationCase` seeds one specific defect class into an otherwise
 correct plan — dropped conjunct, flipped verdict, overlapping split
 ranges, out-of-bounds bytecode offset, wrong ``size_bytes`` — and names
-the documented error code the verifier must report for it.  The
-mutation self-test (``tests/test_verifier_mutations.py``) asserts every
-case is caught with exactly that code, and the property tests reuse the
-canonical builders as known-clean baselines.
+the documented error code the verifier must report for it.  The one
+corpus runner (:func:`repro.corpus.run_corpus`, family ``plan``) and
+``tests/test_verifier_mutations.py`` assert every case is caught with
+that code.  The canonical plans and :func:`leaf_for` are shared with
+the dataflow corpus (:mod:`repro.analysis.mutations`) and reused by the
+property tests as known-clean baselines.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "bytecode_mutations",
     "canonical_sequential_plan",
     "canonical_conditional_plan",
+    "leaf_for",
+    "require_mutable_query",
 ]
 
 
@@ -49,7 +53,7 @@ class MutationCase:
     code: bytes | None = None
 
 
-def _require_mutable_query(query: ConjunctiveQuery) -> None:
+def require_mutable_query(query: ConjunctiveQuery) -> None:
     """The corpus needs room to mutate; reject degenerate queries early."""
     if len(query.predicates) < 2:
         raise QueryError("mutation corpus needs a query with >= 2 predicates")
@@ -63,7 +67,7 @@ def _require_mutable_query(query: ConjunctiveQuery) -> None:
         )
 
 
-def _leaf_for(query: ConjunctiveQuery, ranges: RangeVector) -> PlanNode:
+def leaf_for(query: ConjunctiveQuery, ranges: RangeVector) -> PlanNode:
     """The correct leaf for a context: verdict if decided, else the
     remaining conjuncts in predicate order."""
     truth = query.truth_under(ranges)
@@ -89,7 +93,7 @@ def canonical_sequential_plan(query: ConjunctiveQuery) -> SequentialNode:
 def canonical_conditional_plan(query: ConjunctiveQuery) -> ConditionNode:
     """A correct one-split plan: condition the first predicate's attribute
     at its lower bound, so the below branch proves the query FALSE."""
-    _require_mutable_query(query)
+    require_mutable_query(query)
     predicate = query.predicates[0]
     assert isinstance(predicate, RangePredicate)
     index = query.attribute_indices[0]
@@ -99,14 +103,14 @@ def canonical_conditional_plan(query: ConjunctiveQuery) -> ConditionNode:
         attribute=predicate.attribute,
         attribute_index=index,
         split_value=predicate.low,
-        below=_leaf_for(query, below_ranges),
-        above=_leaf_for(query, above_ranges),
+        below=leaf_for(query, below_ranges),
+        above=leaf_for(query, above_ranges),
     )
 
 
 def plan_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
     """Seeded plan-tree defects, one per semantic/range rule."""
-    _require_mutable_query(query)
+    require_mutable_query(query)
     schema = query.schema
     sequential = canonical_sequential_plan(query)
     steps = sequential.steps
@@ -132,8 +136,8 @@ def plan_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
         attribute=conditional.attribute,
         attribute_index=conditional.attribute_index,
         split_value=conditional.split_value,
-        below=_leaf_for(query, below_ranges),
-        above=_leaf_for(query, below_ranges),
+        below=leaf_for(query, below_ranges),
+        above=leaf_for(query, below_ranges),
     )
 
     return [

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import _analysis_self_test, build_parser, main
+from repro.cli import build_parser, main
+from repro.corpus import run_corpus
 from repro.core import (
     Attribute,
     ConditionNode,
@@ -213,4 +214,4 @@ class TestSuiteSelfTest:
         # The suite's DF corpus check: every seeded mutation fires, every
         # clean control stays silent.  Running it directly keeps the slow
         # planner sweep out of the unit-test tier.
-        assert _analysis_self_test() == []
+        assert run_corpus("dataflow") == []

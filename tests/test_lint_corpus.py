@@ -1,10 +1,10 @@
 """The repro-lint violation corpus: every rule must fire, cleanly."""
 
+from repro.corpus import run_corpus
 from repro.lint import (
     LINT_CATALOG,
     clean_cases,
     lint_source,
-    run_corpus,
     violation_cases,
 )
 
