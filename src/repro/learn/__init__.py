@@ -55,6 +55,8 @@ from repro.learn.pao import (
     confidence_radius,
     detection_threshold,
     paired_radius,
+    recertify_radius,
+    recertify_warranted,
     swap_warranted,
 )
 from repro.learn.planner import (
@@ -91,6 +93,8 @@ __all__ = [
     "confidence_radius",
     "detection_threshold",
     "paired_radius",
+    "recertify_radius",
+    "recertify_warranted",
     "swap_warranted",
     "commit_warranted",
     "BanditPlanner",

@@ -8,6 +8,11 @@ confidence intervals say the decision is statistically warranted.
   union bound over arms and rounds: with probability ``1 - delta`` every
   arm's true mean cost stays inside ``mean ± radius`` simultaneously,
   for all rounds.
+- :func:`recertify_radius` — how far a cached plan's Eq. 3 cost may
+  move between two statistics fits before the move is more than
+  sampling noise; :func:`recertify_warranted` — the serving layer keeps
+  a plan across a refit when its re-costed expectation lands inside
+  that radius.
 - :func:`paired_radius` is the half-width for *paired* challenger-minus
   -incumbent cost differences observed on the same tuples.  Per-tuple
   costs are noisy (a tuple either short-circuits or it doesn't) but the
@@ -43,10 +48,15 @@ __all__ = [
     "detection_threshold",
     "swap_warranted",
     "commit_warranted",
+    "recertify_radius",
+    "recertify_warranted",
 ]
 
 # A variance estimate needs at least two (effective) observations.
 _MIN_PAIRED_WEIGHT = 2.0
+
+# Failure probability of the two-sample re-certification bound.
+_RECERTIFY_DELTA = 0.05
 
 
 def confidence_radius(
@@ -71,6 +81,40 @@ def confidence_radius(
     horizon = max(rounds, 2)
     union = max(arm_count, 1) * horizon * horizon
     return span * math.sqrt(math.log(union / delta) / (2.0 * effective_pulls))
+
+
+def recertify_radius(span: float, rows_before: int, rows_after: int) -> float:
+    """Two-sample Hoeffding half-width for a plan's cost across a refit.
+
+    A plan's Eq. 3 cost is the mean, over the fitting history's rows, of
+    a per-tuple cost in ``[0, span]`` (``span`` is the summed cost of
+    every attribute the plan can acquire).  Two fits on ``rows_before``
+    and ``rows_after`` independent rows of the same distribution give
+    costs that differ by more than
+    ``span * sqrt(ln(2/delta) / 2 * (1/rows_before + 1/rows_after))``
+    with probability at most ``delta`` (0.05).  A move inside the radius
+    is sampling noise, not evidence that the plan went stale.  Both
+    histories are non-empty (a fit needs at least one row); a plan that
+    acquires nothing (``span <= 0``) has a zero radius.
+    """
+    if span <= 0.0:
+        return 0.0
+    return span * math.sqrt(
+        math.log(2.0 / _RECERTIFY_DELTA)
+        / 2.0
+        * (1.0 / rows_before + 1.0 / rows_after)
+    )
+
+
+def recertify_warranted(
+    cost_claimed: float, cost_new: float, radius: float
+) -> bool:
+    """May a cached plan keep serving under refitted statistics?
+
+    True when its re-costed Eq. 3 expectation moved by no more than the
+    :func:`recertify_radius` from the cost it was admitted with.
+    """
+    return abs(cost_new - cost_claimed) <= radius
 
 
 def paired_radius(
@@ -140,3 +184,4 @@ def commit_warranted(
     Vacuously true with no challengers (a one-arm branch).
     """
     return all(incumbent_ucb <= lcb for lcb in challenger_lcbs)
+

@@ -6,8 +6,11 @@ lookup under a newer version finds the entry *stale* — the plan was
 trained on statistics that no longer describe the data — and drops it on
 the spot (counted as an invalidation, returned as a miss).  Serving
 layers additionally call :meth:`invalidate_stale` eagerly when the
-version bumps, so a refit or an adaptive-stream replan empties the cache
-of old-generation plans immediately.
+version bumps.  A plain bump (an adaptive-stream replan, an outage)
+empties the cache of old-generation plans immediately.  A refit passes a
+per-entry re-certify callable instead: an entry it re-stamps goes back
+through the admission gate under the new version and keeps its LFU
+frequency, and every other stale entry is dropped.
 
 Two eviction policies cover the workloads we care about:
 
@@ -26,6 +29,10 @@ magnitude slower than a dict operation, and running it inside the
 critical section would serialize every concurrent miss behind it.  Two
 threads admitting the same key may therefore both verify, with the
 later insert winning — idempotent, since both verified the same plan.
+Re-certification follows the same discipline: the callable and the
+gate run outside the lock, and the re-stamp lands only if the stale
+entry is still in its slot (a concurrent lookup or insert owns it
+otherwise).
 In the sharded serving tier each shard worker additionally owns its
 cache exclusively (single-owner-per-shard), making the lock
 uncontended on that path.
@@ -166,9 +173,7 @@ class PlanCache(Generic[K, V]):
         refuses the entry.  The gate runs outside the lock (see the
         module docstring for why that race is benign).
         """
-        if self._admission is not None and not self._admission(key, value):
-            with self._lock:
-                self._rejections += 1
+        if not self._admit(key, value):
             return False
         with self._lock:
             existing = self._entries.pop(key, None)
@@ -180,18 +185,53 @@ class PlanCache(Generic[K, V]):
             self._entries[key] = entry
         return True
 
-    def invalidate_stale(self, version: int) -> int:
-        """Drop every entry not trained on ``version``; returns the count."""
+    def invalidate_stale(
+        self,
+        version: int,
+        recertify: Callable[[K, V], V | None] | None = None,
+    ) -> int:
+        """Retire every entry not trained on ``version``; returns the drop count.
+
+        Without ``recertify`` every stale entry is dropped.  With it, each
+        stale entry's value is offered to ``recertify(key, value)``: a
+        returned value that also passes the admission gate replaces the
+        entry under ``version``, keeping its LFU frequency and recency
+        slot; ``None`` or a gate rejection drops the entry.
+        """
         with self._lock:
             stale = [
-                key
+                (key, entry)
                 for key, entry in self._entries.items()
                 if entry.version != version
             ]
-            for key in stale:
-                del self._entries[key]
-            self._invalidations += len(stale)
-            return len(stale)
+            if recertify is None:
+                for key, _entry in stale:
+                    del self._entries[key]
+                self._invalidations += len(stale)
+                return len(stale)
+        dropped = 0
+        for key, entry in stale:
+            value = recertify(key, entry.value)
+            admitted = value is not None and self._admit(key, value)
+            with self._lock:
+                if self._entries.get(key) is not entry:
+                    continue
+                if admitted:
+                    entry.version = version
+                    entry.value = value
+                else:
+                    del self._entries[key]
+                    self._invalidations += 1
+                    dropped += 1
+        return dropped
+
+    def discard(self, key: K) -> bool:
+        """Drop one entry (counted as an invalidation); ``False`` if absent."""
+        with self._lock:
+            if self._entries.pop(key, None) is None:
+                return False
+            self._invalidations += 1
+            return True
 
     def clear(self) -> None:
         with self._lock:
@@ -209,6 +249,14 @@ class PlanCache(Generic[K, V]):
                 policy=self._policy,
                 rejections=self._rejections,
             )
+
+    def _admit(self, key: K, value: V) -> bool:
+        """Run the admission gate (outside the lock); count a refusal."""
+        if self._admission is None or self._admission(key, value):
+            return True
+        with self._lock:
+            self._rejections += 1
+        return False
 
     def _evict(self) -> None:
         if self._policy == "lru":

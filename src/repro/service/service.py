@@ -7,9 +7,13 @@ statements rather than one statement at a time:
 - statements are canonicalized and fingerprinted, so every spelling of
   the same query shares one plan-cache slot;
 - plans are cached in a bounded LRU/LFU :class:`~repro.service.cache.PlanCache`
-  keyed by (fingerprint, statistics version) — refitting the engine's
-  distribution or an adaptive-stream replan bumps the version and
-  invalidates every old-generation plan;
+  keyed by (fingerprint, statistics version) — every statistics change
+  bumps the version.  A :meth:`refit` re-certifies each cached plan: it
+  re-costs the plan under the new distribution and keeps it, re-stamped
+  with the new version, while the cost moved less than a PAO-style
+  confidence radius (:func:`~repro.learn.pao.recertify_radius`), and
+  drops it otherwise.  Any other bump (an adaptive-stream replan, an
+  outage, an explicit bump) invalidates every old-generation plan;
 - same-fingerprint requests can be admitted as a batch and pushed
   through the plan in one vectorized pass over the stacked live tuples;
 - counters and latency histograms are recorded throughout and exposed
@@ -22,22 +26,30 @@ profiled plan's observed behaviour against its Eq. 3 predictions and —
 when any plan has drifted — bumps the statistics version (or refits on
 supplied history), so the next request replans from fresh statistics.
 A :class:`~repro.obs.Tracer` (optional) receives structured span events
-for every phase: plan, verify, cache-hit, cache-miss, execute, replan.
+for every phase: plan, verify, cache-hit, cache-miss, execute, replan,
+recertify.
 
 The paper's architecture makes this cheap to get right: plans are
 trained *once* on historical statistics and reused per-tuple, so the
 only cache-coherence event is a statistics change — exactly what the
-version stamp tracks.
+version stamp tracks.  A plan's answers never depend on the statistics,
+only its Eq. 3 cost does, which is why a refit may keep a plan whose
+cost it has re-certified.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.analysis.certificates import certify_plan
+from repro.core.attributes import Schema
+from repro.core.plan import ConditionNode, PlanNode, SequentialNode
 from repro.engine.engine import (
     AcquisitionalEngine,
     PreparedQuery,
@@ -47,6 +59,7 @@ from repro.engine.engine import (
 from repro.engine.language import ParsedQuery, parse_query
 from repro.exceptions import PlanVerificationError, QueryError, ServiceError
 from repro.execution.streaming import AdaptiveStreamExecutor, ReplanEvent
+from repro.learn.pao import recertify_radius, recertify_warranted
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import (
     QueryFingerprint,
@@ -67,6 +80,21 @@ if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
 __all__ = ["AcquisitionalService"]
+
+
+def _acquisition_span(plan: PlanNode, schema: Schema) -> float:
+    """Summed cost of every attribute ``plan`` can acquire.
+
+    No tuple can cost more than this, so it is the span of the per-tuple
+    costs whose mean is the plan's Eq. 3 expectation.
+    """
+    indices: set[int] = set()
+    for node in plan.iter_nodes():
+        if isinstance(node, ConditionNode):
+            indices.add(node.attribute_index)
+        elif isinstance(node, SequentialNode):
+            indices.update(step.attribute_index for step in node.steps)
+    return float(sum(schema[index].cost for index in indices))
 
 
 class _PlanObservability:
@@ -124,7 +152,7 @@ class AcquisitionalService:
     tracer:
         Optional :class:`~repro.obs.Tracer` receiving one structured
         event per phase (plan / verify / cache-hit / cache-miss /
-        execute / replan) with span ids and timings.
+        execute / replan / recertify) with span ids and timings.
     drift_threshold:
         Normalized chi-square score above which :meth:`check_drift`
         declares a plan drifted.
@@ -170,6 +198,9 @@ class AcquisitionalService:
         self._active_span = ""
         self._served: dict[str, PreparedQuery] | None = None
         self._statements = StatementMemo(self._parse)
+        # Row count of the statistics a running refit replaces; set only
+        # while :meth:`refit` is inside the engine's version bump.
+        self._rows_before_refit: int | None = None
         engine.add_statistics_listener(self._on_statistics_version)
 
     def _timer(self) -> "Callable[[], float]":
@@ -546,8 +577,24 @@ class AcquisitionalService:
     def refit(
         self, history: np.ndarray, smoothing: float | None = None
     ) -> int:
-        """Refit engine statistics; every cached plan is invalidated."""
-        return self._engine.refit(history, smoothing=smoothing)
+        """Refit engine statistics and re-certify every cached plan.
+
+        Each cached plan is re-costed under the new distribution with
+        :func:`~repro.analysis.certify_plan`.  It is kept when
+        ``|cost_new - cost_claimed|`` is within
+        :func:`~repro.learn.pao.recertify_radius` of the plan's
+        acquisition span and the two histories' row counts: it is then
+        re-stamped with the new version and the new cost, and goes back
+        through the cache's admission gate.  Otherwise it is dropped and
+        the next request plans it again.  Each decision counts in
+        ``plans_recertified`` or ``plans_replanned`` and emits one
+        ``recertify`` trace event.  Returns the new version.
+        """
+        self._rows_before_refit = self._engine.distribution.row_total
+        try:
+            return self._engine.refit(history, smoothing=smoothing)
+        finally:
+            self._rows_before_refit = None
 
     def stream_executor(
         self, text: str, **kwargs: Any
@@ -693,13 +740,54 @@ class AcquisitionalService:
 
     def _on_statistics_version(self, version: int) -> None:
         self._metrics.counter("statistics_bumps").increment()
-        self._cache.invalidate_stale(version)
+        rows_before = self._rows_before_refit
+        if rows_before is None:
+            self._cache.invalidate_stale(version)
+        else:
+            self._cache.invalidate_stale(
+                version,
+                partial(self._recertify, rows_before=rows_before, version=version),
+            )
         # Profiles describe plans trained on the old statistics; their
         # monitors' predictions are stale too.  Start fresh ledgers.
         self._profiles.clear()
         # The bandit state store survives on purpose: learned posteriors
         # are evidence (adopted with a discount), not artifacts derived
         # from the outgoing statistics generation.
+
+    def _recertify(
+        self,
+        fingerprint: QueryFingerprint,
+        prepared: PreparedQuery,
+        rows_before: int,
+        version: int,
+    ) -> PreparedQuery | None:
+        """Re-stamp ``prepared`` for ``version`` if its cost moved only by noise."""
+        distribution = self._engine.distribution
+        cost = certify_plan(prepared.plan, distribution).bounds["root"]
+        radius = recertify_radius(
+            _acquisition_span(prepared.plan, self._engine.schema),
+            rows_before,
+            distribution.row_total,
+        )
+        kept = recertify_warranted(prepared.expected_where_cost, cost, radius)
+        self._metrics.counter(
+            "plans_recertified" if kept else "plans_replanned"
+        ).increment()
+        if self._tracer is not None:
+            self._tracer.emit(
+                "recertify",
+                fingerprint=str(fingerprint),
+                cost_before=prepared.expected_where_cost,
+                cost_after=cost,
+                radius=radius,
+                kept=kept,
+            )
+        if not kept:
+            return None
+        return dataclasses.replace(
+            prepared, expected_where_cost=cost, statistics_version=version
+        )
 
     # ------------------------------------------------------------------
     # Drift monitoring
@@ -737,12 +825,14 @@ class AcquisitionalService:
         """Assess drift and, if any plan drifted, invalidate stale plans.
 
         Counts each drifted plan in ``plans_drifted``; when at least one
-        plan drifted, counts one ``replans_triggered`` and either refits
-        the engine on ``refit_history`` (when given) or bumps the
-        statistics version — both invalidate every cached plan, so
-        subsequent requests replan against fresh statistics.  Returns
-        the per-plan reports (keyed by fingerprint digest) computed
-        *before* invalidation.
+        plan drifted, counts one ``replans_triggered``, drops every
+        drifted plan from the cache, and then either refits the engine
+        on ``refit_history`` (when given) or bumps the statistics
+        version.  A bump invalidates every cached plan.  A refit
+        re-certifies only the un-drifted ones (see :meth:`refit`): a
+        drifted plan was seen misbehaving live, so it is always planned
+        again.  Returns the per-plan reports (keyed by fingerprint
+        digest) computed *before* invalidation.
         """
         if not self._profiling:
             raise ServiceError(
@@ -767,6 +857,9 @@ class AcquisitionalService:
                 )
         if drifted:
             self._metrics.counter("replans_triggered").increment()
+            for fingerprint in self._profiles:
+                if str(fingerprint) in drifted:
+                    self._cache.discard(fingerprint)
             if refit_history is not None:
                 self.refit(refit_history)
             else:

@@ -7,6 +7,8 @@ from repro.learn.pao import (
     confidence_radius,
     detection_threshold,
     paired_radius,
+    recertify_radius,
+    recertify_warranted,
     swap_warranted,
 )
 
@@ -50,6 +52,34 @@ class TestPairedRadius:
         base = paired_radius(4.0, 10.0, 0.05, 3)
         assert paired_radius(4.0, 40.0, 0.05, 3) == base / 2.0
         assert paired_radius(16.0, 10.0, 0.05, 3) == base * 2.0
+
+
+class TestRecertifyRadius:
+    def test_two_sample_hoeffding_half_width(self):
+        value = recertify_radius(201.0, 4000, 4000)
+        expected = 201.0 * math.sqrt(math.log(2.0 / 0.05) / 2.0 * (2.0 / 4000))
+        assert value == expected
+        assert round(value, 1) == 6.1
+
+    def test_shrinks_with_either_history(self):
+        base = recertify_radius(100.0, 1000, 1000)
+        assert recertify_radius(100.0, 4000, 1000) < base
+        assert recertify_radius(100.0, 1000, 4000) < base
+        assert recertify_radius(100.0, 4000, 1000) == recertify_radius(
+            100.0, 1000, 4000
+        )
+
+    def test_scales_linearly_with_span(self):
+        assert recertify_radius(0.0, 100, 100) == 0.0
+        one = recertify_radius(1.0, 500, 800)
+        assert recertify_radius(50.0, 500, 800) == 50.0 * one
+
+    def test_warranted_inside_the_radius_either_way(self):
+        assert recertify_warranted(100.0, 106.0, 6.1)
+        assert recertify_warranted(100.0, 94.0, 6.1)
+        assert recertify_warranted(100.0, 100.0, 0.0)
+        assert not recertify_warranted(150.725, 200.0, 6.1)
+        assert not recertify_warranted(100.0, 93.8, 6.1)
 
 
 class TestDetectionThreshold:

@@ -8,6 +8,7 @@ assert nothing is lost or torn.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -124,6 +125,53 @@ class TestCacheUnderThreads:
         # Every surviving entry must carry the final version.
         final = 1 + (ROUNDS - 1) // 100
         assert cache.invalidate_stale(final) == 0
+
+    def test_recertifying_invalidation_never_serves_a_wrong_generation(
+        self,
+    ) -> None:
+        # Values carry the generation they were stamped for; a re-stamp
+        # that landed in a slot a concurrent put had replaced, or a torn
+        # (version, value) update, would serve a mismatched pair.
+        cache: PlanCache[str, tuple[int, int]] = PlanCache(
+            capacity=32, policy="lfu"
+        )
+        errors: list[Exception] = []
+
+        def hammer(worker: int) -> None:
+            try:
+                for i in range(ROUNDS):
+                    version = 1 + i // 100
+                    key = f"shape-{(worker + i) % 24}"
+                    value = cache.get(key, version)
+                    if value is None:
+                        cache.put(key, version, (version, worker))
+                    else:
+                        assert value[0] == version
+                    if i % 50 == 49:
+                        cache.invalidate_stale(
+                            version,
+                            lambda _key, value, target=version: (
+                                (target, value[1]) if value[1] % 2 else None
+                            ),
+                        )
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        workers = [
+            threading.Thread(target=hammer, args=(worker,))
+            for worker in range(THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not errors
 
 
 class TestMergeSnapshots:
