@@ -80,7 +80,6 @@ from repro.learn import (
     BanditPlanner,
     BanditStateStore,
     LearnedStreamExecutor,
-    LearnedStreamReport,
     OrderBanditEnsemble,
     RegretLedger,
 )
@@ -95,6 +94,7 @@ from repro.faults import (
 )
 from repro.execution import (
     AdaptiveStreamExecutor,
+    ReplanEvent,
     ByteCodeInterpreter,
     compile_plan,
     decompile_plan,
@@ -102,6 +102,7 @@ from repro.execution import (
     PlanExecutor,
     SensorBoardSource,
     SensorNetworkSimulator,
+    StreamReport,
     TupleSource,
 )
 from repro.planning import (
@@ -200,6 +201,8 @@ __all__ = [
     "Mote",
     "SensorNetworkSimulator",
     "AdaptiveStreamExecutor",
+    "ReplanEvent",
+    "StreamReport",
     # faults
     "AttributeFaults",
     "FaultSchedule",
@@ -220,7 +223,6 @@ __all__ = [
     "BanditPlanner",
     "BanditStateStore",
     "LearnedStreamExecutor",
-    "LearnedStreamReport",
     "OrderBanditEnsemble",
     "RegretLedger",
     # observability

@@ -33,8 +33,8 @@ plan-action-optimization (Trummer & Koch, arXiv:1511.01782) and ADOPT
 
 Entry points: :class:`~repro.learn.planner.BanditPlanner` (one-shot
 planning with honest Eq. 3 costs), and
-:class:`~repro.learn.stream.LearnedStreamExecutor` (the full learning
-loop over a tuple stream, with optional fault injection).
+:class:`~repro.learn.stream.LearnedStreamExecutor` (the bandit ordering
+policy over the one stream loop, with optional fault injection).
 """
 
 from repro.learn.arms import DEFAULT_MAX_ARM_PREDICATES, Arm, ArmSpace
@@ -65,11 +65,7 @@ from repro.learn.planner import (
     default_regret_budget,
 )
 from repro.learn.state import BanditStateStore
-from repro.learn.stream import (
-    LearnedReplanEvent,
-    LearnedStreamExecutor,
-    LearnedStreamReport,
-)
+from repro.learn.stream import LearnedStreamExecutor
 from repro.learn.workloads import (
     DriftingWorkload,
     adversarial_stream,
@@ -102,8 +98,6 @@ __all__ = [
     "default_regret_budget",
     "BanditStateStore",
     "LearnedStreamExecutor",
-    "LearnedStreamReport",
-    "LearnedReplanEvent",
     "DriftingWorkload",
     "adversarial_stream",
     "drifting_stream",

@@ -1,7 +1,10 @@
-"""`LearnedStreamExecutor`: the bandit fused with the drift loop.
+"""`LearnedStreamExecutor`: the bandit ordering policy over the stream loop.
 
 This is the replacement for the adaptive executor's "chi-square fired →
-refit → replan from scratch" reflex.  The stream drives an
+refit → replan from scratch" reflex.  The stream runs through the one
+:class:`~repro.execution.streaming.StreamLoop` (warm-up read, sliding
+window refits, fault composition, outage trigger, report assembly); this
+module only decides what runs next, driving an
 :class:`~repro.learn.bandit.OrderBanditEnsemble`:
 
 - every post-warmup tuple routes through the conditioning skeleton to a
@@ -9,13 +12,9 @@ refit → replan from scratch" reflex.  The stream drives an
   leaf cost feeds straight back as the arm's reward (and into the
   branch's change detector);
 - when the detector flags the incumbent's cost drifting, the branch
-  opens an exploration *burst*: tuples become value-blind
-  full-information pulls — every branch attribute is acquired, then
-  every arm is replayed on the complete row (``_full_pull``).  The
-  sliding statistics window already retains complete rows for refits,
-  so this is the same information contract the chi-square baseline
-  uses; the difference is the bandit pays for it explicitly, per pull,
-  through the regret ledger's exploration side;
+  opens an exploration *burst* of value-blind full-information pulls
+  (``_full_pull``), each paid for explicitly through the regret
+  ledger's exploration side;
 - plan changes are *incremental order swaps*, taken only when the PAO
   confidence bounds on the burst's paired differences warrant them, and
   each branch *commits* and stops exploring once no order can beat its
@@ -30,127 +29,49 @@ refit → replan from scratch" reflex.  The stream drives an
   :class:`~repro.learn.ledger.RegretLedger`, whose exploration side is
   hard-capped by the regret budget.
 
-Fault-injected runs share the adaptive executor's machinery (one fault
-state carried through the whole stream, windowed fault-tolerant
-execution, outage-triggered refits) with the arm reward being the
-*faulted* realized cost — retries included — so the ledger's
-conservation invariant holds under storms too.  Arm decisions stay per
-tuple; only the execution is windowed.  Branch routing needs the
-metered scalar walker, so fault-injected learning runs flat (no
-conditioning skeleton), mirroring the adaptive executor's
-profile-drift restriction.
+Arm decisions are per tuple.  Fault-free, each tuple is the policy's row
+step: route through the skeleton, then a metered scalar walk.  Under
+fault injection the loop runs the current decision speculatively over a
+window and the policy cuts it where a decision changes; the reward is
+the *faulted* realized cost, retries included, so the ledger conserves
+under storms too.  Faulted learning runs flat and without the chi-square
+monitor: routing and the monitor both need the scalar walker.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.core.attributes import Schema
-from repro.core.plan import PlanNode, SequentialNode, VerdictLeaf
+from repro.core.plan import SequentialNode, VerdictLeaf
 from repro.core.query import ConjunctiveQuery
-from repro.exceptions import FaultConfigError, LearningError, PlanningError
-from repro.execution.streaming import StreamFaultStats
-from repro.learn.arms import DEFAULT_MAX_ARM_PREDICATES
-from repro.learn.bandit import (
-    BranchBandit,
-    LearnedProvenance,
-    OrderBanditEnsemble,
+from repro.exceptions import FaultConfigError, LearningError
+from repro.execution.streaming import (
+    OUTAGE,
+    OrderingPolicy,
+    ReplanEvent,
+    StreamLoop,
+    StreamReport,
+    WindowCut,
+    WindowRun,
+    WindowStep,
 )
-from repro.learn.ledger import LedgerSnapshot, RegretLedger
+from repro.learn.arms import DEFAULT_MAX_ARM_PREDICATES
+from repro.learn.bandit import BranchBandit, OrderBanditEnsemble
+from repro.learn.ledger import RegretLedger
 from repro.learn.planner import SkeletonFactory, default_regret_budget
 from repro.learn.state import BanditStateStore
-from repro.obs.drift import DEFAULT_DRIFT_THRESHOLD
+from repro.obs.drift import DEFAULT_DRIFT_THRESHOLD, DriftMonitor
+from repro.obs.profile import PlanProfile
 from repro.probability.empirical import EmpiricalDistribution
 
 if TYPE_CHECKING:
     from repro.faults.model import FaultSchedule
     from repro.faults.policy import FaultPolicy
-    from repro.obs.drift import DriftMonitor
-    from repro.obs.profile import PlanProfile
 
-__all__ = [
-    "LearnedReplanEvent",
-    "LearnedStreamReport",
-    "LearnedStreamExecutor",
-]
-
-
-@dataclass(frozen=True)
-class LearnedReplanEvent:
-    """One plan-affecting decision: what, where, and what it promised.
-
-    ``reason`` is ``"warmup"`` (first statistics fit), ``"order-swap"``
-    (a branch's incumbent was dethroned), ``"commit"`` (a branch froze
-    its incumbent), ``"drift-refit"`` (chi-square fired; warm-started
-    refit), or ``"outage"`` (sustained acquisition failures; refit).
-    ``warm`` says whether learned posteriors survived into the new
-    ensemble (False when the refitted skeleton changed shape).
-    """
-
-    position: int
-    reason: str
-    branch: str
-    arm: int
-    expected_cost: float
-    drift_score: float | None = None
-    warm: bool = True
-    budget_remaining: float = 0.0
-
-
-@dataclass(frozen=True)
-class LearnedStreamReport:
-    """Outcome of a learned streaming run.
-
-    ``pulls[i]`` is the arm id pulled for tuple ``i`` within its branch
-    (-1 during warmup) — together with ``replans`` it is the full,
-    byte-comparable decision trace the replay tests pin down.  ``plan``
-    is the final served composite plan; with ``provenance`` it is the
-    pair the verifier's ``LRN`` rules audit.
-    """
-
-    costs: np.ndarray
-    verdicts: np.ndarray
-    pulls: np.ndarray
-    replans: tuple[LearnedReplanEvent, ...]
-    ledger: LedgerSnapshot
-    provenance: LearnedProvenance
-    plan: PlanNode
-    committed: bool
-    abstained: np.ndarray | None = None
-    faults: StreamFaultStats | None = None
-
-    @property
-    def mean_cost(self) -> float:
-        return float(self.costs.mean()) if self.costs.size else 0.0
-
-    @property
-    def total_cost(self) -> float:
-        return float(self.costs.sum())
-
-    def ledger_gap(self) -> float:
-        """Absolute mismatch between metered costs and the ledger sides."""
-        return self.ledger.gap(self.total_cost)
-
-    def ledger_conserved(self, tolerance: float = 1e-6) -> bool:
-        return self.ledger.conserved(self.total_cost, tolerance)
-
-    def exploration_within_budget(self) -> bool:
-        return self.ledger.exploration_cost <= self.ledger.budget
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "tuples": int(self.costs.size),
-            "total_cost": round(self.total_cost, 6),
-            "mean_cost": round(self.mean_cost, 6),
-            "selected": int(self.verdicts.sum()),
-            "replans": len(self.replans),
-            "committed": self.committed,
-            "ledger": self.ledger.as_dict(),
-        }
+__all__ = ["LearnedStreamExecutor"]
 
 
 class LearnedStreamExecutor:
@@ -170,7 +91,11 @@ class LearnedStreamExecutor:
         track non-stationary streams between refits.
     drift_threshold:
         Normalized chi-square trigger for warm-started refits (``None``
-        disables the monitor entirely).
+        disables the monitor entirely).  The monitor scores the walker's
+        per-node observer events, which fault-injected runs do not emit:
+        with ``fault_schedule`` set, ``drift_threshold``,
+        ``drift_check_every`` and ``drift_min_tuples`` have no effect
+        (refits then come from the outage trigger only).
     warm_discount:
         Weight surviving posteriors keep across a refit or adoption.
     state_store / state_key / version_provider:
@@ -179,6 +104,11 @@ class LearnedStreamExecutor:
         ``(state_key, version)`` and the warmup fit adopts the latest
         stored state — this is how bandit evidence survives the serving
         layer's statistics-version cache bumps.
+    fault_schedule / fault_policy / fault_rng:
+        As for the adaptive executor: windows run through the
+        fault-tolerant executor and sustained outages trigger
+        warm-started ``"outage"`` refits.  Fault-injected learning runs
+        flat (no ``skeleton_planner``).
     """
 
     def __init__(
@@ -200,7 +130,7 @@ class LearnedStreamExecutor:
         drift_min_tuples: int = 128,
         warm_discount: float = 0.25,
         prior_weight: float = 1.0,
-        on_replan: Callable[[LearnedReplanEvent], None] | None = None,
+        on_replan: Callable[[ReplanEvent], None] | None = None,
         state_store: BanditStateStore | None = None,
         state_key: str | None = None,
         version_provider: Callable[[], int] | None = None,
@@ -215,22 +145,21 @@ class LearnedStreamExecutor:
         if smoothing < 0.0:
             raise LearningError(f"smoothing must be >= 0: {smoothing}")
         if regret_budget is not None and regret_budget < 0.0:
-            raise LearningError(
-                f"regret_budget must be non-negative: {regret_budget}"
-            )
+            raise LearningError(f"regret_budget must be non-negative: {regret_budget}")
         if drift_check_every < 1 or drift_min_tuples < 1:
-            raise LearningError(
-                "drift_check_every and drift_min_tuples must be >= 1"
-            )
+            raise LearningError("drift_check_every and drift_min_tuples must be >= 1")
         if not 0.0 < warm_discount <= 1.0:
-            raise LearningError(
-                f"warm_discount must be in (0, 1]: {warm_discount}"
-            )
-        if fault_schedule is not None and fault_rng is None:
-            raise FaultConfigError(
-                "fault_schedule requires fault_rng: pass the run's single "
-                "seeded generator"
-            )
+            raise LearningError(f"warm_discount must be in (0, 1]: {warm_discount}")
+        self._loop = StreamLoop(
+            schema,
+            query,
+            window=window,
+            smoothing=smoothing,
+            on_replan=on_replan,
+            fault_schedule=fault_schedule,
+            fault_policy=fault_policy,
+            fault_rng=fault_rng,
+        )
         if fault_schedule is not None and skeleton_planner is not None:
             raise FaultConfigError(
                 "fault-injected learning runs flat: branch routing needs "
@@ -242,9 +171,7 @@ class LearnedStreamExecutor:
         self._schema = schema
         self._query = query
         self._regret_budget = regret_budget
-        self._window = window
         self._warmup = warmup
-        self._smoothing = smoothing
         self._delta = delta
         self._burst_pulls = burst_pulls
         self._posterior_decay = posterior_decay
@@ -255,43 +182,26 @@ class LearnedStreamExecutor:
         self._drift_min_tuples = drift_min_tuples
         self._warm_discount = warm_discount
         self._prior_weight = prior_weight
-        self._on_replan = on_replan
         self._state_store = state_store
         self._state_key = state_key
         self._version_provider = version_provider
         self._refit_count = 0
-        self._fault_schedule = fault_schedule
-        self._fault_policy = fault_policy
-        self._fault_rng = fault_rng
-        self._warmup_charges = tuple(
-            (index, float(schema[index].cost))
-            for index in query.attribute_indices
-        )
 
-    # ------------------------------------------------------------------
-    # Shared plumbing
-    # ------------------------------------------------------------------
+    def process(self, stream: np.ndarray) -> StreamReport:
+        """Run the query over ``stream`` (rows in arrival order)."""
+        return self._loop.run(stream, _BanditPolicy(self))
 
     def _budget(self) -> float:
         if self._regret_budget is not None:
             return self._regret_budget
         return default_regret_budget(self._schema, self._query)
 
-    def _version(self) -> int:
-        if self._version_provider is not None:
-            return self._version_provider()
-        return self._refit_count
-
     def _store_state(self, ensemble: OrderBanditEnsemble) -> None:
-        if self._state_store is not None and self._state_key is not None:
-            self._state_store.put(
-                self._state_key, self._version(), ensemble.export_state()
-            )
-
-    def _fit_distribution(self, window: deque) -> EmpiricalDistribution:
-        return EmpiricalDistribution(
-            self._schema, np.asarray(window), smoothing=self._smoothing
-        )
+        if self._state_store is None or self._state_key is None:
+            return
+        provider = self._version_provider
+        version = provider() if provider is not None else self._refit_count
+        self._state_store.put(self._state_key, version, ensemble.export_state())
 
     def _build_ensemble(
         self,
@@ -319,205 +229,261 @@ class LearnedStreamExecutor:
             ledger=ledger,
         )
 
-    def _emit(
-        self, replans: list[LearnedReplanEvent], event: LearnedReplanEvent
-    ) -> None:
-        replans.append(event)
-        if self._on_replan is not None:
-            self._on_replan(event)
 
-    def _monitoring(self) -> bool:
-        return self._drift_threshold is not None
+def _replay_costs(
+    ensemble: OrderBanditEnsemble,
+    branch: BranchBandit,
+    values: dict[int, int],
+    routed: frozenset[int],
+) -> list[float]:
+    """Counterfactual clean cost of every arm on one complete row.
 
-    def _fresh_monitor(
-        self,
-        ensemble: OrderBanditEnsemble,
-        distribution: EmpiricalDistribution,
-    ) -> "tuple[PlanProfile, DriftMonitor] | tuple[None, None]":
-        if not self._monitoring():
-            return None, None
-        from repro.obs.drift import DriftMonitor
-        from repro.obs.profile import PlanProfile
+    Replays start from the routed (conditioning) read set — those reads
+    are shared context, not part of any arm's cost — and short-circuit
+    exactly as a real walk would.
+    """
+    costs: list[float] = []
+    for arm in branch.arm_space.arms:
+        replay_acquired = set(routed)
+        cost = 0.0
+        for step in arm.plan.steps:
+            index = step.attribute_index
+            if index not in replay_acquired:
+                replay_acquired.add(index)
+                cost += ensemble.attribute_cost(index, replay_acquired)
+            if not step.predicate.satisfied_by(values[index]):
+                break
+        costs.append(cost)
+    return costs
 
-        assert self._drift_threshold is not None
-        return (
-            PlanProfile(self._schema),
-            DriftMonitor(
-                ensemble.composite_plan(),
-                distribution,
-                threshold=self._drift_threshold,
-            ),
-        )
 
-    # ------------------------------------------------------------------
-    # The plain (fault-free) loop
-    # ------------------------------------------------------------------
+class _BanditPolicy(OrderingPolicy):
+    """The bandit's side of one run: per-tuple arm decisions and rewards."""
 
-    def process(self, stream: np.ndarray) -> LearnedStreamReport:
-        """Run the query over ``stream`` (rows in arrival order)."""
-        matrix = np.asarray(stream)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self._schema):
-            raise PlanningError(
-                f"stream shape {matrix.shape} incompatible with schema of "
-                f"{len(self._schema)} attributes"
-            )
-        if matrix.shape[0] == 0:
+    warmup_reason = "warmup"
+
+    def __init__(self, owner: LearnedStreamExecutor) -> None:
+        self._owner = owner
+        self._ledger = RegretLedger(owner._budget())
+        # Per-node monitors need the walker's observer events (see
+        # StreamLoop.observed): fault-injected runs build none.
+        self._faulted = not owner._loop.observed
+        self._drift_threshold = None if self._faulted else owner._drift_threshold
+        self._span_inflation = 1.0
+        fault_policy = owner._loop.fault_policy
+        if fault_policy is not None:
+            # One acquire may charge the base read plus max_retries
+            # backoffs, and a degraded tuple may re-attempt the attribute
+            # once more on the skip/confirm path: bound a pull by twice
+            # the retry blow-up.
+            retry = fault_policy.retry
+            blowup = sum(retry.backoff_base**k for k in range(retry.max_retries))
+            self._span_inflation = 2.0 * (1.0 + blowup)
+        self._emit: Callable[[ReplanEvent], None] = lambda event: None
+        self._pulls = np.zeros(0, dtype=np.int64)
+        self._ensemble: OrderBanditEnsemble | None = None
+        self._distribution: EmpiricalDistribution | None = None
+        self._profile: PlanProfile | None = None
+        self._monitor: DriftMonitor | None = None
+        self._since_check = 0
+        # The faulted window's speculative decision: (full pull?, arm id).
+        self._decision: tuple[bool, int] | None = None
+        # The row step's routed branch and pulled arm, for its scan.
+        self._branch: BranchBandit | None = None
+        self._arm = -1
+
+    def start(self, total: int, emit: Callable[[ReplanEvent], None]) -> int:
+        if total == 0:
             raise LearningError("cannot learn over an empty stream")
-        if self._fault_schedule is not None:
-            return self._process_faulted(matrix)
+        self._pulls = np.full(total, -1, dtype=np.int64)
+        self._emit = emit
+        return min(self._owner._warmup, total)
 
-        total = matrix.shape[0]
-        costs = np.zeros(total, dtype=np.float64)
-        verdicts = np.zeros(total, dtype=bool)
-        pulls = np.full(total, -1, dtype=np.int64)
-        replans: list[LearnedReplanEvent] = []
-        window: deque = deque(maxlen=self._window)
-        ledger = RegretLedger(self._budget())
-        warmup_cost = sum(cost for _, cost in self._warmup_charges)
+    def warmed(self, costs: np.ndarray) -> None:
+        for cost in costs.tolist():
+            self._ledger.charge_warmup(cost)
 
-        ensemble: OrderBanditEnsemble | None = None
-        distribution: EmpiricalDistribution | None = None
-        profile: "PlanProfile | None" = None
-        monitor: "DriftMonitor | None" = None
-        since_drift_check = 0
-
-        warmup = min(self._warmup, total)
-        for position in range(total):
-            row = matrix[position]
-            if ensemble is None:
-                ledger.charge_warmup(warmup_cost)
-                costs[position] = warmup_cost
-                verdicts[position] = self._query.evaluate(row)
-                window.append(row)
-                if position + 1 >= warmup:
-                    distribution = self._fit_distribution(window)
-                    ensemble = self._build_ensemble(distribution, ledger, 1.0)
-                    warm = self._adopt_stored(ensemble)
-                    profile, monitor = self._fresh_monitor(
-                        ensemble, distribution
-                    )
-                    self._store_state(ensemble)
-                    self._emit(
-                        replans,
-                        LearnedReplanEvent(
-                            position=position + 1,
-                            reason="warmup",
-                            branch="root",
-                            arm=-1,
-                            expected_cost=ensemble.expected_cost(distribution),
-                            warm=warm,
-                            budget_remaining=ledger.budget_remaining,
-                        ),
-                    )
-                continue
-
-            assert distribution is not None
-            cost, verdict, branch, arm_id, exploring = self._execute_tuple(
-                row, ensemble, ledger, profile
-            )
-            costs[position] = cost
-            verdicts[position] = verdict
-            pulls[position] = arm_id
-            window.append(row)
-
-            changed = self._post_pull(
-                position, branch, ensemble, distribution, ledger, replans
-            )
-            if changed and self._monitoring():
-                profile, monitor = self._fresh_monitor(ensemble, distribution)
-                since_drift_check = 0
-
-            if monitor is not None and profile is not None:
-                since_drift_check += 1
-                if (
-                    since_drift_check >= self._drift_check_every
-                    and profile.tuples >= self._drift_min_tuples
-                ):
-                    since_drift_check = 0
-                    report = monitor.assess(profile)
-                    if report.drifted:
-                        distribution = self._fit_distribution(window)
-                        ensemble, warm = self._refit(ensemble, distribution, ledger, 1.0)
-                        profile, monitor = self._fresh_monitor(
-                            ensemble, distribution
-                        )
-                        self._store_state(ensemble)
-                        self._emit(
-                            replans,
-                            LearnedReplanEvent(
-                                position=position + 1,
-                                reason="drift-refit",
-                                branch="root",
-                                arm=-1,
-                                expected_cost=ensemble.expected_cost(
-                                    distribution
-                                ),
-                                drift_score=report.normalized,
-                                warm=warm,
-                                budget_remaining=ledger.budget_remaining,
-                            ),
-                        )
-
-        assert ensemble is not None
-        self._store_state(ensemble)
-        return LearnedStreamReport(
-            costs=costs,
-            verdicts=verdicts,
-            pulls=pulls,
-            replans=tuple(replans),
-            ledger=ledger.snapshot(),
-            provenance=ensemble.provenance(float(costs.sum())),
-            plan=ensemble.composite_plan(),
-            committed=ensemble.committed,
-        )
-
-    def _adopt_stored(self, ensemble: OrderBanditEnsemble) -> bool:
-        if self._state_store is None or self._state_key is None:
-            return False
-        stored = self._state_store.latest(self._state_key)
-        if stored is None:
-            return False
-        return ensemble.adopt(stored[1], self._warm_discount)
-
-    def _refit(
+    def refit(
         self,
-        old: OrderBanditEnsemble,
+        position: int,
+        reason: str,
         distribution: EmpiricalDistribution,
-        ledger: RegretLedger,
-        span_inflation: float,
-    ) -> tuple[OrderBanditEnsemble, bool]:
+        drift_score: float | None,
+    ) -> ReplanEvent:
         """New ensemble on fresh statistics, warm-started when shapes match."""
-        self._refit_count += 1
-        ensemble = self._build_ensemble(distribution, ledger, span_inflation)
-        warm = ensemble.adopt(old.export_state(), self._warm_discount)
-        return ensemble, warm
+        owner = self._owner
+        old = self._ensemble
+        inflation = self._span_inflation
+        ensemble = owner._build_ensemble(distribution, self._ledger, inflation)
+        discount = owner._warm_discount
+        if old is None:  # adopt the latest stored evidence, if any
+            store, key = owner._state_store, owner._state_key
+            stored = None
+            if store is not None and key is not None:
+                stored = store.latest(key)
+            warm = stored is not None and ensemble.adopt(stored[1], discount)
+        else:
+            owner._refit_count += 1
+            warm = ensemble.adopt(old.export_state(), discount)
+        self._ensemble, self._distribution = ensemble, distribution
+        self._fresh_monitor()
+        owner._store_state(ensemble)
+        return self._event(position, reason, "root", -1, drift_score, warm)
 
-    def _execute_tuple(
+    def next_window(self, position: int, total: int) -> WindowStep:
+        if not self._faulted:
+            return WindowStep(end=position + 1)
+        assert self._ensemble is not None
+        branch = self._ensemble.branches[0]
+        if self._decision is None:
+            full = branch.wants_full_pull()
+            self._decision = (full, branch.served if full else branch.select())
+        full, arm_id = self._decision
+        # A burst's pulls change the incumbent's evidence every tuple; a
+        # served run usually lasts to the end of the stream.
+        burst = max(1, self._owner._burst_pulls)
+        end = min(total, position + burst) if full else total
+        return WindowStep(end=end, plan=branch.arm_space[arm_id].plan, read_all=full)
+
+    def scan(self, run: WindowRun) -> WindowCut:
+        if self._faulted:
+            return self._scan_faulted(run)
+        assert self._branch is not None
+        self._pulls[run.start] = self._arm
+        self._after_pull(run.start, self._branch)
+        score = self._drift_check()
+        return 1, None if score is None else "drift-refit", score
+
+    def report_fields(self, costs: np.ndarray) -> dict[str, Any]:
+        ensemble = self._ensemble
+        assert ensemble is not None
+        self._owner._store_state(ensemble)
+        return {
+            "pulls": self._pulls,
+            "ledger": self._ledger.snapshot(),
+            "provenance": ensemble.provenance(float(costs.sum())),
+            "plan": ensemble.composite_plan(),
+            "committed": ensemble.committed,
+        }
+
+    def _event(
         self,
-        row: np.ndarray,
-        ensemble: OrderBanditEnsemble,
-        ledger: RegretLedger,
-        profile: "PlanProfile | None",
-    ) -> tuple[float, bool, BranchBandit, int, bool]:
+        position: int,
+        reason: str,
+        branch: str,
+        arm: int,
+        drift_score: float | None = None,
+        warm: bool = True,
+    ) -> ReplanEvent:
+        assert self._ensemble is not None and self._distribution is not None
+        cost = self._ensemble.expected_cost(self._distribution)
+        left = self._ledger.budget_remaining
+        return ReplanEvent(position, cost, reason, drift_score, branch, arm, warm, left)
+
+    def _fresh_monitor(self) -> None:
+        if self._drift_threshold is None:
+            return
+        assert self._ensemble is not None and self._distribution is not None
+        self._profile = PlanProfile(self._owner._schema)
+        self._monitor = DriftMonitor(
+            self._ensemble.composite_plan(),
+            self._distribution,
+            threshold=self._drift_threshold,
+        )
+        self._since_check = 0
+
+    def _after_pull(self, position: int, branch: BranchBandit) -> bool:
+        """PAO swap/commit checks after a pull; True if either fired."""
+        swapped = branch.maybe_swap()
+        if swapped is not None:
+            self._emit(self._event(position + 1, "order-swap", branch.path, swapped))
+            self._fresh_monitor()
+            return True
+        if branch.check_commit():
+            self._emit(self._event(position + 1, "commit", branch.path, branch.served))
+            return True
+        return False
+
+    def _drift_check(self) -> float | None:
+        """The chi-square score, when a due assessment finds drift."""
+        if self._monitor is None or self._profile is None:
+            return None
+        self._since_check += 1
+        owner = self._owner
+        if (
+            self._since_check >= owner._drift_check_every
+            and self._profile.tuples >= owner._drift_min_tuples
+        ):
+            self._since_check = 0
+            assessment = self._monitor.assess(self._profile)
+            if assessment.drifted:
+                return assessment.normalized
+        return None
+
+    def _scan_faulted(self, run: WindowRun) -> WindowCut:
+        """Replay the window's decisions tuple by tuple; cut where one changes.
+
+        The window ran one decision speculatively: it is cut at the first
+        tuple whose decision differs, or after a tuple that swaps,
+        commits or trips the outage trigger.  The rows after the cut run
+        again under the next decision on the same row-keyed dice.
+        """
+        assert self._ensemble is not None and self._decision is not None
+        assert run.failed is not None and run.observed is not None
+        ensemble = self._ensemble
+        branch = ensemble.branches[0]
+        full, arm_id = self._decision
+        plan = branch.arm_space[arm_id].plan
+        kept = 0
+        for offset, cost in enumerate(run.costs.tolist()):
+            here = run.start + offset
+            if offset:
+                wants = branch.wants_full_pull()
+                decision = (wants, branch.served if wants else branch.select())
+                if decision != (full, arm_id):
+                    self._decision = decision
+                    break
+            if not full:
+                branch.record(arm_id, cost)
+                self._pulls[here] = arm_id
+            elif run.failed[offset]:
+                branch.record_full_failure(cost)
+                self._pulls[here] = branch.served
+            else:
+                seen = run.observed[offset]
+                values = {
+                    step.attribute_index: int(seen[step.attribute_index])
+                    for step in plan.steps
+                }
+                replayed = _replay_costs(ensemble, branch, values, frozenset())
+                branch.record_full(cost, replayed)
+                self._pulls[here] = branch.served
+            kept = offset + 1
+            self._decision = None
+            changed = self._after_pull(here, branch)
+            if run.outage is not None and run.outage[offset]:
+                return kept, OUTAGE, None
+            if changed:
+                break
+        return kept, None, None
+
+    def row_step(self, row: np.ndarray) -> tuple[float, bool]:
         """Route, pull, meter, and (for served tuples) profile one row."""
+        ensemble = self._ensemble
+        assert ensemble is not None
         acquired: set[int] = set()
         branch, visits, conditioning_cost = ensemble.route(row, acquired)
         routed = frozenset(acquired)
-        ledger.charge_conditioning(conditioning_cost)
+        self._ledger.charge_conditioning(conditioning_cost)
+        self._branch = branch
 
         if branch.wants_full_pull():
-            leaf_cost, verdict = self._full_pull(
-                row, ensemble, branch, acquired, routed
-            )
-            return (
-                conditioning_cost + leaf_cost,
-                verdict,
-                branch,
-                branch.served,
-                True,
-            )
+            leaf_cost, verdict = self._full_pull(row, branch, acquired, routed)
+            self._arm = branch.served
+            return conditioning_cost + leaf_cost, verdict
 
         arm_id = branch.select()
+        self._arm = arm_id
         plan = branch.arm_space[arm_id].plan
 
         leaf_cost = 0.0
@@ -540,41 +506,27 @@ class LearnedStreamExecutor:
         else:  # pragma: no cover - arm plans are sequential or verdict
             raise LearningError(f"unexpected arm plan {type(plan).__name__}")
 
-        branch.record(
-            arm_id,
-            leaf_cost,
-            tuple(passed for _, passed, _ in step_trace),
-        )
+        branch.record(arm_id, leaf_cost, tuple(passed for _, passed, _ in step_trace))
 
+        profile = self._profile
         if profile is not None:
             for visit in visits:
                 profile.on_condition(
-                    visit.path,
-                    visit.node,
-                    1,
-                    1 if visit.below else 0,
-                    visit.acquired,
+                    visit.path, visit.node, 1, int(visit.below), visit.acquired
                 )
             if isinstance(plan, SequentialNode):
                 profile.on_sequential(branch.path, plan, 1)
                 for step_index, passed, newly in step_trace:
-                    profile.on_step(
-                        branch.path,
-                        plan,
-                        step_index,
-                        1,
-                        1 if passed else 0,
-                        newly,
-                    )
+                    passes = int(passed)
+                    profile.on_step(branch.path, plan, step_index, 1, passes, newly)
             else:
                 profile.on_verdict(branch.path, plan, 1)
 
-        return conditioning_cost + leaf_cost, verdict, branch, arm_id, False
+        return conditioning_cost + leaf_cost, verdict
 
     def _full_pull(
         self,
         row: np.ndarray,
-        ensemble: OrderBanditEnsemble,
         branch: BranchBandit,
         acquired: set[int],
         routed: frozenset[int],
@@ -593,11 +545,11 @@ class LearnedStreamExecutor:
         exploration spend, booked by
         :meth:`~repro.learn.bandit.BranchBandit.record_full`.
         """
+        ensemble = self._ensemble
+        assert ensemble is not None
         plan = branch.served_arm.plan
         if not isinstance(plan, SequentialNode):  # pragma: no cover
-            raise LearningError(
-                f"full pull on non-sequential arm {type(plan).__name__}"
-            )
+            raise LearningError(f"full pull on a {type(plan).__name__} arm")
         values: dict[int, int] = {}
         verdict = True
         leaf_cost = 0.0
@@ -610,285 +562,5 @@ class LearnedStreamExecutor:
             values[index] = value
             if not step.predicate.satisfied_by(value):
                 verdict = False
-        branch.record_full(
-            leaf_cost, self._replay_costs(ensemble, branch, values, routed)
-        )
+        branch.record_full(leaf_cost, _replay_costs(ensemble, branch, values, routed))
         return leaf_cost, verdict
-
-    def _replay_costs(
-        self,
-        ensemble: OrderBanditEnsemble,
-        branch: BranchBandit,
-        values: dict[int, int],
-        routed: frozenset[int],
-    ) -> list[float]:
-        """Counterfactual clean cost of every arm on one complete row.
-
-        Replays start from the routed (conditioning) read set — those
-        reads are shared context, not part of any arm's cost — and
-        short-circuit exactly as a real walk would.
-        """
-        costs: list[float] = []
-        for arm in branch.arm_space.arms:
-            replay_acquired = set(routed)
-            cost = 0.0
-            for step in arm.plan.steps:
-                index = step.attribute_index
-                if index not in replay_acquired:
-                    replay_acquired.add(index)
-                    cost += ensemble.attribute_cost(index, replay_acquired)
-                if not step.predicate.satisfied_by(values[index]):
-                    break
-            costs.append(cost)
-        return costs
-
-    def _post_pull(
-        self,
-        position: int,
-        branch: BranchBandit,
-        ensemble: OrderBanditEnsemble,
-        distribution: EmpiricalDistribution,
-        ledger: RegretLedger,
-        replans: list[LearnedReplanEvent],
-    ) -> bool:
-        """PAO swap/commit checks after a pull; True if the plan changed."""
-        swapped = branch.maybe_swap()
-        if swapped is not None:
-            self._emit(
-                replans,
-                LearnedReplanEvent(
-                    position=position + 1,
-                    reason="order-swap",
-                    branch=branch.path,
-                    arm=swapped,
-                    expected_cost=ensemble.expected_cost(distribution),
-                    budget_remaining=ledger.budget_remaining,
-                ),
-            )
-            return True
-        if branch.check_commit():
-            self._emit(
-                replans,
-                LearnedReplanEvent(
-                    position=position + 1,
-                    reason="commit",
-                    branch=branch.path,
-                    arm=branch.served,
-                    expected_cost=ensemble.expected_cost(distribution),
-                    budget_remaining=ledger.budget_remaining,
-                ),
-            )
-        return False
-
-    # ------------------------------------------------------------------
-    # The fault-injected twin
-    # ------------------------------------------------------------------
-
-    def _process_faulted(self, matrix: np.ndarray) -> LearnedStreamReport:
-        """Flat bandit learning over windowed fault-tolerant execution.
-
-        One :class:`~repro.faults.state.FaultState` carries through the
-        whole stream; rewards are the *faulted* realized costs (retries
-        included), and the explore gate's span is inflated by the
-        worst-case retry blow-up so the regret budget stays sound under
-        storms.  Sustained outages trigger warm-started refits, mirroring
-        the adaptive executor.
-
-        Arm decisions stay per tuple: ``wants_full_pull``/``select``,
-        ``record`` and the swap/commit checks run for every tuple in
-        order.  Only the execution is windowed: the current decision (a
-        served pull of the incumbent, or a full-information pull) runs
-        speculatively over a window, and the window is cut at the first
-        tuple whose decision differs, or after a tuple that swaps,
-        commits or trips the outage trigger.  The kept prefix is re-run
-        from the window's starting state; the rows after the cut run
-        again under the next decision on the same row-keyed dice.
-        """
-        from repro.faults.executor import FaultTolerantExecutor, query_read_plan
-        from repro.faults.policy import FaultPolicy
-        from repro.faults.state import FaultState
-
-        assert self._fault_schedule is not None
-        assert self._fault_rng is not None
-        policy = (
-            self._fault_policy if self._fault_policy is not None else FaultPolicy()
-        )
-        retry = policy.retry
-        # One acquire may charge the base read plus max_retries backoffs,
-        # and a degraded tuple may re-attempt the attribute once more on
-        # the skip/confirm path: bound a pull by twice the retry blow-up.
-        retry_factor = 1.0 + sum(
-            retry.backoff_base**exponent for exponent in range(retry.max_retries)
-        )
-        span_inflation = 2.0 * retry_factor
-
-        total = matrix.shape[0]
-        costs = np.zeros(total, dtype=np.float64)
-        verdicts = np.zeros(total, dtype=bool)
-        abstained = np.zeros(total, dtype=bool)
-        fails = [False] * total  # tuples with a read that stayed unavailable
-        pulls = np.full(total, -1, dtype=np.int64)
-        replans: list[LearnedReplanEvent] = []
-        ledger = RegretLedger(self._budget())
-        state = FaultState.fresh(self._fault_schedule, self._fault_rng)
-        tuples_degraded = 0
-
-        def refit(
-            position: int, reason: str, old: OrderBanditEnsemble | None
-        ) -> tuple[
-            OrderBanditEnsemble, EmpiricalDistribution, FaultTolerantExecutor
-        ]:
-            rows = matrix[max(0, position - self._window) : position]
-            distribution = self._fit_distribution(rows)
-            if old is None:
-                ensemble = self._build_ensemble(distribution, ledger, span_inflation)
-                warm = self._adopt_stored(ensemble)
-            else:
-                ensemble, warm = self._refit(
-                    old, distribution, ledger, span_inflation
-                )
-            executor = FaultTolerantExecutor(
-                self._schema, policy, query=self._query, distribution=distribution
-            )
-            self._store_state(ensemble)
-            self._emit(
-                replans,
-                LearnedReplanEvent(
-                    position=position,
-                    reason=reason,
-                    branch="root",
-                    arm=-1,
-                    expected_cost=ensemble.expected_cost(distribution),
-                    warm=warm,
-                    budget_remaining=ledger.budget_remaining,
-                ),
-            )
-            return ensemble, distribution, executor
-
-        # Warm-up: the plan-less read of every query attribute.
-        warmup = min(self._warmup, total)
-        executor = FaultTolerantExecutor(self._schema, policy, query=self._query)
-        window = executor.run(
-            query_read_plan(self._query), matrix[:warmup], state=state, read_all=True
-        )
-        state = window.state
-        for cost in window.costs.tolist():
-            ledger.charge_warmup(cost)
-        costs[:warmup] = window.costs
-        verdicts[:warmup] = window.verdicts
-        abstained[:warmup] = window.abstains
-        fails[:warmup] = window.failed.any(axis=1).tolist()
-        tuples_degraded += int(np.count_nonzero(window.degraded))
-        ensemble, distribution, executor = refit(warmup, "warmup", None)
-
-        threshold = policy.outage_replan_threshold
-        outage_window = policy.outage_window
-        outage_start = 0  # the outage window forgets tuples before this
-        failing = sum(fails[max(0, warmup - outage_window) : warmup])
-        position = warmup
-        decision: tuple[bool, int] | None = None
-        while position < total:
-            branch = ensemble.branches[0]
-            if decision is None:
-                full = branch.wants_full_pull()
-                decision = (full, branch.served if full else branch.select())
-            full, arm_id = decision
-            plan = branch.arm_space[arm_id].plan
-            # A burst's pulls change the incumbent's evidence every tuple;
-            # a served run usually lasts to the end of the stream.
-            end = min(total, position + max(1, self._burst_pulls)) if full else total
-            runner = executor
-            window = runner.run(
-                plan,
-                matrix[position:end],
-                state=state,
-                first_row=position,
-                read_all=full,
-            )
-            fails[position:end] = window.failed.any(axis=1).tolist()
-            window_costs = window.costs.tolist()
-            kept = 0
-            for offset, cost in enumerate(window_costs):
-                here = position + offset
-                if offset:
-                    wants = branch.wants_full_pull()
-                    decision = (wants, branch.served if wants else branch.select())
-                    if decision != (full, arm_id):
-                        break
-                if not full:
-                    branch.record(arm_id, cost)
-                    pulls[here] = arm_id
-                elif fails[here]:
-                    branch.record_full_failure(cost)
-                    pulls[here] = branch.served
-                else:
-                    values = {
-                        step.attribute_index: int(
-                            window.observed[offset, step.attribute_index]
-                        )
-                        for step in plan.steps
-                    }
-                    branch.record_full(
-                        cost,
-                        self._replay_costs(ensemble, branch, values, frozenset()),
-                    )
-                    pulls[here] = branch.served
-                kept = offset + 1
-                decision = None
-
-                events = len(replans)
-                self._post_pull(
-                    here, branch, ensemble, distribution, ledger, replans
-                )
-                failing += fails[here]
-                if here - outage_window >= outage_start:
-                    failing -= fails[here - outage_window]
-                if (
-                    threshold is not None
-                    and here + 1 - outage_start >= outage_window
-                    and failing / outage_window >= threshold
-                ):
-                    ensemble, distribution, executor = refit(
-                        here + 1, "outage", ensemble
-                    )
-                    outage_start = here + 1
-                    failing = 0
-                if len(replans) != events:
-                    break
-            if kept < window.rows:
-                window = runner.run(
-                    plan,
-                    matrix[position : position + kept],
-                    state=state,
-                    first_row=position,
-                    read_all=full,
-                )
-            state = window.state
-            stop = position + kept
-            costs[position:stop] = window.costs
-            verdicts[position:stop] = window.verdicts
-            abstained[position:stop] = window.abstains
-            tuples_degraded += int(np.count_nonzero(window.degraded))
-            position = stop
-
-        self._store_state(ensemble)
-        stats = StreamFaultStats(
-            acquisitions_failed=state.acquisitions_failed,
-            retries_total=state.retries_total,
-            tuples_degraded=tuples_degraded,
-            tuples_abstained=int(abstained.sum()),
-            corruptions=state.corrupted,
-            retry_cost=state.retry_cost,
-        )
-        return LearnedStreamReport(
-            costs=costs,
-            verdicts=verdicts,
-            pulls=pulls,
-            replans=tuple(replans),
-            ledger=ledger.snapshot(),
-            provenance=ensemble.provenance(float(costs.sum())),
-            plan=ensemble.composite_plan(),
-            committed=ensemble.committed,
-            abstained=abstained,
-            faults=stats,
-        )

@@ -39,7 +39,6 @@ from repro.obs.profile import (
     NodeCounters,
     PlanProfile,
     StepCounters,
-    TeeSink,
     profiled_evaluate,
 )
 from repro.obs.report import profile_report_dict, render_profile_report
@@ -76,7 +75,6 @@ __all__ = [
     "NodeCounters",
     "PlanProfile",
     "StepCounters",
-    "TeeSink",
     "profiled_evaluate",
     "profile_report_dict",
     "render_profile_report",

@@ -35,7 +35,6 @@ __all__ = [
     "StepCounters",
     "NodeCounters",
     "PlanProfile",
-    "TeeSink",
     "profiled_evaluate",
 ]
 
@@ -281,49 +280,6 @@ class PlanProfile:
                 for path, record in sorted(self._nodes.items())
             },
         }
-
-
-class TeeSink:
-    """Forward every observer event to several sinks (e.g. a per-plan
-    ledger plus a caller-supplied aggregate sink)."""
-
-    __slots__ = ("_sinks",)
-
-    def __init__(self, *sinks: ExecutionObserver) -> None:
-        self._sinks = tuple(sinks)
-
-    def on_condition(
-        self,
-        path: str,
-        node: ConditionNode,
-        visits: int,
-        below: int,
-        acquired: bool,
-    ) -> None:
-        for sink in self._sinks:
-            sink.on_condition(path, node, visits, below, acquired)
-
-    def on_sequential(
-        self, path: str, node: SequentialNode, visits: int
-    ) -> None:
-        for sink in self._sinks:
-            sink.on_sequential(path, node, visits)
-
-    def on_step(
-        self,
-        path: str,
-        node: SequentialNode,
-        step_index: int,
-        evaluated: int,
-        passed: int,
-        acquired: bool,
-    ) -> None:
-        for sink in self._sinks:
-            sink.on_step(path, node, step_index, evaluated, passed, acquired)
-
-    def on_verdict(self, path: str, node: VerdictLeaf, visits: int) -> None:
-        for sink in self._sinks:
-            sink.on_verdict(path, node, visits)
 
 
 def profiled_evaluate(

@@ -81,6 +81,27 @@ if TYPE_CHECKING:
 
 __all__ = ["AcquisitionalService"]
 
+# Stream-executor arguments each factory wires itself.
+_OWNED_KWARGS = {
+    "adaptive": ("on_replan",),
+    "learned": ("on_replan", "state_store", "state_key", "version_provider"),
+}
+# The trace phase and event fields each factory's replans are traced with.
+_STREAM_TRACE = {
+    "adaptive": ("replan", ("reason", "position", "expected_cost", "drift_score")),
+    "learned": (
+        "learn",
+        ("reason", "position", "branch", "arm", "expected_cost", "budget_remaining"),
+    ),
+}
+# The counter each learned replan reason increments.
+_LEARNED_COUNTERS = {
+    "order-swap": "learned_order_swaps",
+    "commit": "learned_commits",
+    "drift-refit": "learned_drift_refits",
+    "outage": "learned_drift_refits",
+}
+
 
 def _acquisition_span(plan: PlanNode, schema: Schema) -> float:
     """Summed cost of every attribute ``plan`` can acquire.
@@ -596,45 +617,19 @@ class AcquisitionalService:
         finally:
             self._rows_before_refit = None
 
-    def stream_executor(
-        self, text: str, **kwargs: Any
-    ) -> AdaptiveStreamExecutor:
+    def stream_executor(self, text: str, **kwargs: Any) -> AdaptiveStreamExecutor:
         """An adaptive stream executor wired into cache invalidation.
 
-        The executor replans on drift (Section 7); each
-        :class:`~repro.execution.streaming.ReplanEvent` is proof that the
-        live statistics have moved away from what the engine's cached
-        plans were trained on, so the service bumps the statistics
-        version — invalidating the plan cache — on every swap.
-        ``kwargs`` pass through to
-        :class:`~repro.execution.streaming.AdaptiveStreamExecutor`
-        (including the profile-drift knobs).
+        Each :class:`~repro.execution.streaming.ReplanEvent` of its Sec. 7
+        policy is proof that the live statistics have moved away from what
+        the engine's cached plans were trained on, so the service bumps the
+        statistics version — invalidating the plan cache — on every swap,
+        counts ``stream_replans`` (and ``outage_replans``) and traces a
+        ``replan`` event.  ``kwargs`` pass through to
+        :class:`~repro.execution.streaming.AdaptiveStreamExecutor`; the
+        service owns ``on_replan``.
         """
-        parsed = self._statements.lookup(text)[0]
-        if not parsed.is_conjunctive:
-            raise QueryError(
-                "adaptive streaming requires a conjunctive WHERE clause"
-            )
-        if "on_replan" in kwargs:
-            raise ServiceError(
-                "on_replan is owned by the service; use engine callbacks "
-                "for additional replan handling"
-            )
-
-        def on_replan(event: ReplanEvent) -> None:
-            self._metrics.counter("stream_replans").increment()
-            if event.reason == "outage":
-                self._metrics.counter("outage_replans").increment()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "replan",
-                    reason=event.reason,
-                    position=event.position,
-                    expected_cost=event.expected_cost,
-                    drift_score=event.drift_score,
-                )
-            self._engine.bump_statistics_version()
-
+        parsed, _key, on_replan = self._stream_wiring(text, kwargs, learned=False)
         return AdaptiveStreamExecutor(
             self._engine.schema,
             parsed.query,
@@ -648,86 +643,74 @@ class AcquisitionalService:
     ) -> "LearnedStreamExecutor":
         """A bandit-learning stream executor wired into the service.
 
-        The learned twin of :meth:`stream_executor`: instead of replan-
-        from-scratch on drift, the returned executor runs the
-        :class:`~repro.learn.LearnedStreamExecutor` loop — incremental
-        PAO order swaps, warm-started chi-square refits, and a regret
-        ledger — while the service supplies the glue:
-
-        - plan-affecting events land in the metrics registry
-          (``learned_order_swaps`` / ``learned_drift_refits`` /
-          ``learned_commits``) and, when a tracer is attached, as
-          ``learn`` trace events; the ``learned_regret_remaining`` gauge
-          tracks the unspent exploration budget;
-        - a drift refit is the same staleness signal the adaptive path
-          treats as a cache-invalidation event, so it bumps the
-          statistics version;
-        - bandit state is stored in the service-owned
-          :class:`~repro.learn.BanditStateStore` keyed by the
-          statement's fingerprint digest and the engine's statistics
-          version.  The store is deliberately *not* cleared on version
-          bumps: posteriors are evidence, not derived artifacts, and a
-          new executor for the same statement warm-starts (discounted)
-          from the latest stored generation.
-
-        ``kwargs`` pass through to
+        Its order swaps, commits and refits count in
+        ``learned_order_swaps`` / ``learned_commits`` /
+        ``learned_drift_refits``, the ``learned_regret_remaining`` gauge
+        tracks the unspent budget, and each event is traced as ``learn``.
+        A drift or outage refit bumps the statistics version, like an
+        adaptive replan.  Bandit state goes to the service-owned
+        :class:`~repro.learn.BanditStateStore` under the statement's
+        fingerprint digest and the statistics version; the store survives
+        version bumps (posteriors are evidence, not derived artifacts), so
+        a new executor for the statement warm-starts from the latest
+        generation.  ``kwargs`` pass through to
         :class:`~repro.learn.LearnedStreamExecutor`; the service owns
-        ``on_replan``, ``state_store``, ``state_key``, and
+        ``on_replan``, ``state_store``, ``state_key`` and
         ``version_provider``.
         """
         from repro.learn import LearnedStreamExecutor
-        from repro.learn.stream import LearnedReplanEvent
 
-        parsed, fingerprint = self._statements.lookup(text)
-        if not parsed.is_conjunctive:
-            raise QueryError(
-                "learned streaming requires a conjunctive WHERE clause"
-            )
-        for owned in (
-            "on_replan",
-            "state_store",
-            "state_key",
-            "version_provider",
-        ):
-            if owned in kwargs:
-                raise ServiceError(
-                    f"{owned} is owned by the service's learned-stream "
-                    "integration; it wires metrics, tracing, and the "
-                    "fingerprint-keyed bandit state store itself"
-                )
-
-        def on_replan(event: LearnedReplanEvent) -> None:
-            if event.reason == "order-swap":
-                self._metrics.counter("learned_order_swaps").increment()
-            elif event.reason == "commit":
-                self._metrics.counter("learned_commits").increment()
-            elif event.reason in ("drift-refit", "outage"):
-                self._metrics.counter("learned_drift_refits").increment()
-                self._engine.bump_statistics_version()
-            self._metrics.gauge("learned_regret_remaining").set(
-                event.budget_remaining
-            )
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "learn",
-                    fingerprint=str(fingerprint),
-                    reason=event.reason,
-                    position=event.position,
-                    branch=event.branch,
-                    arm=event.arm,
-                    expected_cost=event.expected_cost,
-                    budget_remaining=event.budget_remaining,
-                )
-
+        parsed, key, on_replan = self._stream_wiring(text, kwargs, learned=True)
         return LearnedStreamExecutor(
             self._engine.schema,
             parsed.query,
             on_replan=on_replan,
             state_store=self.bandit_store,
-            state_key=str(fingerprint),
+            state_key=key,
             version_provider=lambda: self._engine.statistics_version,
             **kwargs,
         )
+
+    def _stream_wiring(
+        self, text: str, kwargs: dict[str, Any], *, learned: bool
+    ) -> tuple[ParsedQuery, str, Callable[[ReplanEvent], None]]:
+        """Both stream factories' conjunctive check, owned-kwarg rejection
+        and ``on_replan``, plus the statement's fingerprint digest."""
+        parsed, fingerprint = self._statements.lookup(text)
+        key = str(fingerprint)
+        kind = "learned" if learned else "adaptive"
+        if not parsed.is_conjunctive:
+            raise QueryError(f"{kind} streaming requires a conjunctive WHERE clause")
+        for owned in _OWNED_KWARGS[kind]:
+            if owned in kwargs:
+                raise ServiceError(
+                    f"{owned} is owned by the service's {kind}-stream "
+                    "integration; it wires metrics, tracing and cache "
+                    "invalidation itself"
+                )
+
+        phase, traced = _STREAM_TRACE[kind]
+
+        def on_replan(event: ReplanEvent) -> None:
+            if learned:
+                counter = _LEARNED_COUNTERS.get(event.reason)
+                if counter is not None:
+                    self._metrics.counter(counter).increment()
+                gauge = self._metrics.gauge("learned_regret_remaining")
+                gauge.set(event.budget_remaining)
+            else:
+                self._metrics.counter("stream_replans").increment()
+                if event.reason == "outage":
+                    self._metrics.counter("outage_replans").increment()
+            if self._tracer is not None:
+                fields = {name: getattr(event, name) for name in traced}
+                self._tracer.emit(phase, fingerprint=key if learned else "", **fields)
+            # Every adaptive swap, and every learned refit, is proof the
+            # live statistics moved: invalidate the plan cache.
+            if not learned or event.reason in ("drift-refit", "outage"):
+                self._engine.bump_statistics_version()
+
+        return parsed, key, on_replan
 
     @property
     def bandit_store(self) -> "BanditStateStore":

@@ -1,11 +1,16 @@
-"""The per-tuple fault-tolerant walk: the reference arm for the windowed executor.
+"""Per-tuple reference arms for the windowed executors.
 
-This is the row-at-a-time executor the windowed
+:class:`ReferenceExecutor` is the row-at-a-time executor the windowed
 :class:`~repro.faults.FaultTolerantExecutor` replaced: one
 :class:`~repro.faults.FaultInjector` serves every row (``rebind`` moves to
 the next row id), each read is retried inside ``acquire``, and the plan
 walk degrades per the policy once a read stays unavailable.  Both arms
 roll the same row-keyed dice, so on any input they must agree exactly.
+
+``reference_adaptive``, ``reference_learned`` and
+``reference_adaptive_plain`` are the per-tuple stream loops the windowed
+stream loop replaced: every tuple runs on its own and every trigger is
+checked after every tuple.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.faults import (
     FaultSchedule,
     FaultTolerantExecutor,
 )
+from repro.probability.empirical import EmpiricalDistribution
 
 
 class ReferenceExecutor:
@@ -171,15 +177,32 @@ class ReferenceExecutor:
         return None if any_failed else True
 
 
+def _record(stream, replans, event):
+    replans.append(event)
+    if stream._loop._on_replan is not None:
+        stream._loop._on_replan(event)
+
+
+def _fit(stream, window):
+    return EmpiricalDistribution(
+        stream._schema, np.asarray(window, dtype=np.int64), smoothing=stream._loop._smoothing
+    )
+
+
+def _replan(stream, window):
+    distribution = _fit(stream, window)
+    result = stream._factory(distribution).plan(stream._query)
+    return result.plan, result.expected_cost, distribution
+
+
 def reference_adaptive(stream, matrix):
-    """Row-at-a-time twin of ``AdaptiveStreamExecutor._process_faulted``."""
+    """Row-at-a-time twin of the adaptive executor's fault-injected stream."""
     from collections import deque
 
     from repro.execution.streaming import ReplanEvent, StreamFaultStats, StreamReport
-    from repro.faults import FaultPolicy
     from repro.faults.executor import query_read_plan
 
-    policy = stream._fault_policy if stream._fault_policy is not None else FaultPolicy()
+    policy = stream._loop.fault_policy
     schema, query = stream._schema, stream._query
     total = matrix.shape[0]
     costs = np.zeros(total)
@@ -199,7 +222,7 @@ def reference_adaptive(stream, matrix):
 
     def swap():
         nonlocal plan, predicted, executor
-        plan, predicted, distribution = stream._replan(window)
+        plan, predicted, distribution = _replan(stream, window)
         executor = ReferenceExecutor(
             FaultTolerantExecutor(schema, policy, query=query, distribution=distribution)
         )
@@ -210,7 +233,10 @@ def reference_adaptive(stream, matrix):
         source = TupleSource(schema, row)
         if injector is None:
             injector = FaultInjector(
-                source, stream._fault_schedule, stream._fault_rng, retry_policy=policy.retry
+                source,
+                stream._loop._fault_schedule,
+                stream._loop._fault_rng,
+                retry_policy=policy.retry,
             )
         else:
             injector.rebind(source)
@@ -227,7 +253,7 @@ def reference_adaptive(stream, matrix):
         if plan is None:
             if position + 1 >= warmup:
                 swap()
-                stream._record(replans, ReplanEvent(position + 1, predicted, "interval"))
+                _record(stream, replans, ReplanEvent(position + 1, predicted, "interval"))
                 since, cost_since = 0, 0.0
             continue
         since += 1
@@ -246,7 +272,7 @@ def reference_adaptive(stream, matrix):
         if since >= stream._replan_interval or drifted or outage:
             reason = "outage" if outage else "drift" if drifted else "interval"
             swap()
-            stream._record(replans, ReplanEvent(position + 1, predicted, reason))
+            _record(stream, replans, ReplanEvent(position + 1, predicted, reason))
             since, cost_since = 0, 0.0
             if outage:
                 fail_window.clear()
@@ -263,16 +289,15 @@ def reference_adaptive(stream, matrix):
 
 
 def reference_learned(stream, matrix):
-    """Row-at-a-time twin of ``LearnedStreamExecutor._process_faulted``."""
+    """Row-at-a-time twin of the learned executor's fault-injected stream."""
     from collections import deque
 
-    from repro.execution.streaming import StreamFaultStats
-    from repro.faults import FaultPolicy
+    from repro.execution.streaming import ReplanEvent, StreamFaultStats, StreamReport
     from repro.faults.executor import query_read_plan
     from repro.learn.ledger import RegretLedger
-    from repro.learn.stream import LearnedReplanEvent, LearnedStreamReport
+    from repro.learn.stream import _replay_costs
 
-    policy = stream._fault_policy if stream._fault_policy is not None else FaultPolicy()
+    policy = stream._loop.fault_policy
     schema, query = stream._schema, stream._query
     retry = policy.retry
     span_inflation = 2.0 * (
@@ -284,7 +309,7 @@ def reference_learned(stream, matrix):
     abstained = np.zeros(total, dtype=bool)
     pulls = np.full(total, -1, dtype=np.int64)
     replans = []
-    window = deque(maxlen=stream._window)
+    window = deque(maxlen=stream._loop._window)
     fail_window = deque(maxlen=policy.outage_window)
     ledger = RegretLedger(stream._budget())
     degraded = 0
@@ -294,16 +319,29 @@ def reference_learned(stream, matrix):
     warm_steps = query_read_plan(query).steps
     injector = None
 
-    def event(position, reason, warm, ensemble, distribution):
-        return LearnedReplanEvent(
+    def event(position, reason, warm, ensemble, distribution, branch="root", arm=-1):
+        return ReplanEvent(
             position=position,
             reason=reason,
-            branch="root",
-            arm=-1,
+            branch=branch,
+            arm=arm,
             expected_cost=ensemble.expected_cost(distribution),
             warm=warm,
             budget_remaining=ledger.budget_remaining,
         )
+
+    def post_pull(position, branch):
+        swapped = branch.maybe_swap()
+        if swapped is not None:
+            _record(stream, replans, event(
+                position + 1, "order-swap", True, ensemble, distribution,
+                branch.path, swapped,
+            ))
+        elif branch.check_commit():
+            _record(stream, replans, event(
+                position + 1, "commit", True, ensemble, distribution,
+                branch.path, branch.served,
+            ))
 
     warmup = min(stream._warmup, total)
     for position in range(total):
@@ -311,7 +349,10 @@ def reference_learned(stream, matrix):
         source = TupleSource(schema, row)
         if injector is None:
             injector = FaultInjector(
-                source, stream._fault_schedule, stream._fault_rng, retry_policy=retry
+                source,
+                stream._loop._fault_schedule,
+                stream._loop._fault_rng,
+                retry_policy=retry,
             )
         else:
             injector.rebind(source)
@@ -325,17 +366,21 @@ def reference_learned(stream, matrix):
             degraded += result.degraded
             window.append(row)
             if position + 1 >= warmup:
-                distribution = stream._fit_distribution(window)
+                distribution = _fit(stream, window)
                 ensemble = stream._build_ensemble(distribution, ledger, span_inflation)
-                warm = stream._adopt_stored(ensemble)
+                store, key = stream._state_store, stream._state_key
+                stored = store.latest(key) if store is not None and key is not None else None
+                warm = stored is not None and ensemble.adopt(stored[1], stream._warm_discount)
                 executor = ReferenceExecutor(
                     FaultTolerantExecutor(
                         schema, policy, query=query, distribution=distribution
                     )
                 )
                 stream._store_state(ensemble)
-                stream._emit(
-                    replans, event(position + 1, "warmup", warm, ensemble, distribution)
+                _record(
+                    stream,
+                    replans,
+                    event(position + 1, "warmup", warm, ensemble, distribution),
                 )
             continue
         branch = ensemble.branches[0]
@@ -347,9 +392,7 @@ def reference_learned(stream, matrix):
             else:
                 branch.record_full(
                     float(result.cost),
-                    stream._replay_costs(
-                        ensemble, branch, dict(result.observed), frozenset()
-                    ),
+                    _replay_costs(ensemble, branch, dict(result.observed), frozenset()),
                 )
             pulls[position] = branch.served
         else:
@@ -363,20 +406,25 @@ def reference_learned(stream, matrix):
         fail_window.append(bool(result.failed))
         degraded += result.degraded
         window.append(row)
-        stream._post_pull(position, branch, ensemble, distribution, ledger, replans)
+        post_pull(position, branch)
         if (
             policy.outage_replan_threshold is not None
             and len(fail_window) >= policy.outage_window
             and sum(fail_window) / len(fail_window) >= policy.outage_replan_threshold
         ):
-            distribution = stream._fit_distribution(window)
-            ensemble, warm = stream._refit(ensemble, distribution, ledger, span_inflation)
+            old = ensemble
+            distribution = _fit(stream, window)
+            stream._refit_count += 1
+            ensemble = stream._build_ensemble(distribution, ledger, span_inflation)
+            warm = ensemble.adopt(old.export_state(), stream._warm_discount)
             executor = ReferenceExecutor(
                 FaultTolerantExecutor(schema, policy, query=query, distribution=distribution)
             )
             fail_window.clear()
             stream._store_state(ensemble)
-            stream._emit(replans, event(position + 1, "outage", warm, ensemble, distribution))
+            _record(
+                stream, replans, event(position + 1, "outage", warm, ensemble, distribution)
+            )
     stream._store_state(ensemble)
     state = injector.state
     stats = StreamFaultStats(
@@ -387,7 +435,7 @@ def reference_learned(stream, matrix):
         corruptions=state.corrupted,
         retry_cost=state.retry_cost,
     )
-    return LearnedStreamReport(
+    return StreamReport(
         costs=costs,
         verdicts=verdicts,
         pulls=pulls,
@@ -399,3 +447,102 @@ def reference_learned(stream, matrix):
         abstained=abstained,
         faults=stats,
     )
+
+
+def reference_adaptive_plain(stream, matrix):
+    """Row-at-a-time twin of the adaptive executor's fault-free stream.
+
+    Every post-warm-up tuple runs as a one-row batch of the vectorized
+    walker, and every trigger is checked after every tuple.
+    """
+    from collections import deque
+
+    from repro.core.cost import dataset_execution
+    from repro.execution.streaming import ReplanEvent, StreamReport
+
+    schema, query = stream._schema, stream._query
+    total = matrix.shape[0]
+    costs = np.zeros(total, dtype=np.float64)
+    verdicts = np.zeros(total, dtype=bool)
+    replans = []
+
+    window = deque(maxlen=stream._window)
+    plan = None
+    predicted = 0.0
+    since_replan = 0
+    cost_since_replan = 0.0
+    profile = None
+    monitor = None
+
+    def swap_plan():
+        nonlocal plan, predicted, profile, monitor
+        plan, predicted, distribution = _replan(stream, window)
+        if stream._profile_drift_threshold is not None:
+            from repro.obs.drift import DriftMonitor
+            from repro.obs.profile import PlanProfile
+
+            profile = PlanProfile(schema)
+            monitor = DriftMonitor(
+                plan,
+                distribution,
+                expected=predicted,
+                threshold=stream._profile_drift_threshold,
+            )
+
+    # Bootstrap: collect an initial window before the first plan.
+    warmup = min(stream._window, stream._replan_interval, total)
+    for position in range(total):
+        row = matrix[position]
+        if plan is None:
+            # During warm-up, acquire every query attribute (the
+            # plan-less baseline) and record statistics.
+            costs[position] = sum(schema[index].cost for index in query.attribute_indices)
+            verdicts[position] = query.evaluate(row)
+            window.append(row)
+            if position + 1 >= warmup:
+                swap_plan()
+                _record(stream, replans, ReplanEvent(position + 1, predicted, "interval"))
+                since_replan = 0
+                cost_since_replan = 0.0
+            continue
+
+        outcome = dataset_execution(plan, row[None, :], schema, observer=profile)
+        costs[position] = outcome.costs[0]
+        verdicts[position] = outcome.verdicts[0]
+        window.append(row)
+        since_replan += 1
+        cost_since_replan += float(outcome.costs[0])
+
+        drifted = (
+            stream._drift_threshold is not None
+            and since_replan >= 50  # need a stable estimate first
+            and predicted > 0.0
+            and cost_since_replan / since_replan > stream._drift_threshold * predicted
+        )
+        profile_score = None
+        if (
+            not drifted
+            and monitor is not None
+            and since_replan % stream._profile_check_every == 0
+            and profile.tuples >= stream._profile_min_tuples
+        ):
+            assessment = monitor.assess(profile)
+            if assessment.drifted:
+                profile_score = assessment.normalized
+        if since_replan >= stream._replan_interval or drifted or profile_score is not None:
+            if drifted:
+                reason = "drift"
+            elif profile_score is not None:
+                reason = "profile-drift"
+            else:
+                reason = "interval"
+            swap_plan()
+            _record(
+                stream,
+                replans,
+                ReplanEvent(position + 1, predicted, reason, drift_score=profile_score),
+            )
+            since_replan = 0
+            cost_since_replan = 0.0
+
+    return StreamReport(costs=costs, verdicts=verdicts, replans=tuple(replans))

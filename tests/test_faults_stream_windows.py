@@ -84,7 +84,7 @@ def assert_same_report(windowed, reference):
     assert windowed.abstained.tobytes() == reference.abstained.tobytes()
     assert windowed.replans == reference.replans
     assert windowed.faults == reference.faults
-    if hasattr(windowed, "pulls"):
+    if windowed.pulls is not None or reference.pulls is not None:
         assert windowed.pulls.tobytes() == reference.pulls.tobytes()
         assert windowed.ledger == reference.ledger
         assert windowed.plan == reference.plan

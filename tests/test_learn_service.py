@@ -39,6 +39,19 @@ def run(service, workload, **kwargs):
     return executor.process(workload.data)
 
 
+@pytest.mark.parametrize(
+    "factory, owned",
+    [("stream_executor", "on_replan")]
+    + [
+        ("learned_stream_executor", owned)
+        for owned in ("on_replan", "state_store", "state_key", "version_provider")
+    ],
+)
+def test_each_factory_rejects_every_kwarg_it_owns(service, factory, owned):
+    with pytest.raises(ServiceError, match=owned):
+        getattr(service, factory)(TEXT, **{owned: None})
+
+
 class TestWiring:
     def test_returns_a_learned_executor(self, service):
         executor = service.learned_stream_executor(TEXT)

@@ -199,3 +199,51 @@ class TestFaultedRun:
 
     def test_provenance_still_verifies(self, faulted):
         assert check_learned(faulted.plan, faulted.provenance) == []
+
+
+class TestFaultModeDriftRule:
+    """The chi-square monitor needs the walker's observer events.
+
+    Fault-injected windows run through the fault-tolerant executor, which
+    emits none, so the drift options have no effect under faults; they
+    are accepted (not rejected) because callers share one option set
+    across fault-free and faulted runs.
+    """
+
+    @staticmethod
+    def run(drift_threshold, faulted):
+        workload = adversarial_stream(n_segments=3, segment_length=150, seed=3)
+        faults = {}
+        if faulted:
+            faults = dict(
+                fault_schedule=FaultSchedule(
+                    profiles={1: AttributeFaults(drop_rate=0.05, outage_rate=0.02)}
+                ),
+                fault_rng=np.random.default_rng(5),
+            )
+        executor = make_executor(
+            workload,
+            drift_threshold=drift_threshold,
+            drift_check_every=1,
+            drift_min_tuples=1,
+            **faults,
+        )
+        return executor.process(workload.data)
+
+    def test_faulted_run_ignores_the_drift_threshold(self):
+        hair_trigger = self.run(1e-9, faulted=True)
+        disabled = self.run(None, faulted=True)
+        assert hair_trigger.costs.tobytes() == disabled.costs.tobytes()
+        assert hair_trigger.verdicts.tobytes() == disabled.verdicts.tobytes()
+        assert hair_trigger.abstained.tobytes() == disabled.abstained.tobytes()
+        assert hair_trigger.pulls.tobytes() == disabled.pulls.tobytes()
+        assert hair_trigger.replans == disabled.replans
+        assert hair_trigger.ledger == disabled.ledger
+        assert hair_trigger.plan == disabled.plan
+        assert hair_trigger.committed == disabled.committed
+        assert hair_trigger.faults == disabled.faults
+        assert "drift-refit" not in {e.reason for e in hair_trigger.replans}
+
+    def test_fault_free_run_honours_it(self):
+        reasons = [e.reason for e in self.run(1e-9, faulted=False).replans]
+        assert "drift-refit" in reasons

@@ -10,7 +10,7 @@ from repro.core import (
     Schema,
     dataset_execution,
 )
-from repro.obs import PlanProfile, TeeSink, profiled_evaluate
+from repro.obs import PlanProfile, profiled_evaluate
 from repro.planning import CorrSeqPlanner, GreedyConditionalPlanner
 from repro.probability import EmpiricalDistribution
 from repro.verify import ROOT_PATH
@@ -141,12 +141,3 @@ class TestProfiledEvaluate:
         profile = PlanProfile(schema)
         for row in train[:200]:
             assert profiled_evaluate(plan, row, profile) == plan.evaluate(row)
-
-
-class TestTeeSink:
-    def test_forwards_to_every_sink(self, schema, plan, train):
-        first, second = PlanProfile(schema), PlanProfile(schema)
-        tee = TeeSink(first, second)
-        dataset_execution(plan, train[:300], schema, observer=tee)
-        assert first.as_dict() == second.as_dict()
-        assert first.tuples == 300

@@ -12,7 +12,6 @@ import pytest
 from repro.core import Attribute, ConjunctiveQuery, RangePredicate, Schema
 from repro.exceptions import PlanningError
 from repro.execution import AdaptiveStreamExecutor, ReplanEvent
-from repro.obs import PlanProfile
 from repro.planning import CorrSeqPlanner, GreedyConditionalPlanner
 
 
@@ -167,20 +166,3 @@ class TestProfileDriftReplanning:
         report = executor.process(regime_stream(5000, flipped=False, seed=7))
         reasons = {event.reason for event in report.replans}
         assert "profile-drift" not in reasons
-
-    def test_external_profile_sink_sees_all_plans(self, schema, query):
-        sink = PlanProfile(schema)
-        executor = AdaptiveStreamExecutor(
-            schema,
-            query,
-            factory,
-            window=800,
-            replan_interval=500,
-            drift_threshold=None,
-            profile_drift_threshold=25.0,
-            profile_sink=sink,
-        )
-        stream = regime_stream(2000, flipped=False, seed=8)
-        executor.process(stream)
-        warmup = min(800, 500)
-        assert sink.tuples == len(stream) - warmup
