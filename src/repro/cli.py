@@ -112,12 +112,8 @@ from repro.obs import (
     render_prometheus,
     trace_summary,
 )
-from repro.planning.corrseq import CorrSeqPlanner
 from repro.planning.exhaustive import ExhaustivePlanner
-from repro.planning.greedy_conditional import GreedyConditionalPlanner
-from repro.planning.greedy_sequential import GreedySequentialPlanner
-from repro.planning.naive import NaivePlanner
-from repro.planning.optimal_sequential import OptimalSequentialPlanner
+from repro.planning.registry import PLANNER_NAMES, planner_by_name
 from repro.planning.split_points import SplitPointPolicy
 from repro.probability.empirical import EmpiricalDistribution
 from repro.service.service import AcquisitionalService
@@ -132,7 +128,6 @@ __all__ = ["main", "build_parser"]
 
 logger = logging.getLogger("repro.cli")
 
-PLANNER_CHOICES = ("naive", "greedy-seq", "opt-seq", "corr-seq", "heuristic", "exhaustive")
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 # What a report verb builds: the JSON payload, its text rendering, and
@@ -182,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = commands.add_parser("plan", help="plan a query and save the plan")
     add_common(plan)
     plan.add_argument("--query", required=True, help="SELECT ... WHERE ...")
-    plan.add_argument("--planner", choices=PLANNER_CHOICES, default="heuristic")
+    plan.add_argument("--planner", choices=PLANNER_NAMES, default="heuristic")
     plan.add_argument("--max-splits", type=int, default=5)
     plan.add_argument("--spsf", type=float, default=None)
     plan.add_argument("--smoothing", type=float, default=0.0)
@@ -193,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(explain)
     explain.add_argument("--query", required=True)
-    explain.add_argument("--planner", choices=PLANNER_CHOICES, default="heuristic")
+    explain.add_argument("--planner", choices=PLANNER_NAMES, default="heuristic")
     explain.add_argument("--max-splits", type=int, default=5)
     explain.add_argument("--spsf", type=float, default=None)
     explain.add_argument("--smoothing", type=float, default=0.0)
@@ -573,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--test", type=Path, default=None, help="execution trace CSV (default: --trace)"
     )
     profile.add_argument("--query", required=True, help="SELECT ... WHERE ...")
-    profile.add_argument("--planner", choices=PLANNER_CHOICES, default="heuristic")
+    profile.add_argument("--planner", choices=PLANNER_NAMES, default="heuristic")
     profile.add_argument("--max-splits", type=int, default=5)
     profile.add_argument("--spsf", type=float, default=None)
     profile.add_argument("--smoothing", type=float, default=0.0)
@@ -746,48 +741,18 @@ def _planner_for(
     Boolean (OR-containing) WHERE clauses only run through the exhaustive
     planner; sequential/heuristic planning is conjunctive-only.
     """
-    if not parsed.is_conjunctive:
-        schema = distribution.schema
-        if spsf is not None:
-            policy = SplitPointPolicy.from_spsf(schema, spsf)
-        else:
-            # Coarse default: two candidates per attribute plus the always-
-            # included predicate boundaries keeps the exponential search
-            # tractable on full-size schemas.
-            policy = SplitPointPolicy.equal_width(schema, [2] * len(schema))
-        return ExhaustivePlanner(
-            distribution, split_policy=policy, max_subproblems=500_000
-        )
-    return _build_planner(name, distribution, max_splits, spsf)
-
-
-def _build_planner(
-    name: str,
-    distribution: EmpiricalDistribution,
-    max_splits: int,
-    spsf: float | None,
-):
-    policy = None
-    if spsf is not None:
-        policy = SplitPointPolicy.from_spsf(distribution.schema, spsf)
-    if name == "naive":
-        return NaivePlanner(distribution)
-    if name == "greedy-seq":
-        return GreedySequentialPlanner(distribution)
-    if name == "opt-seq":
-        return OptimalSequentialPlanner(distribution)
-    if name == "corr-seq":
-        return CorrSeqPlanner(distribution)
-    if name == "heuristic":
-        return GreedyConditionalPlanner(
-            distribution,
-            CorrSeqPlanner(distribution),
-            max_splits=max_splits,
-            split_policy=policy,
-        )
-    if name == "exhaustive":
-        return ExhaustivePlanner(distribution, split_policy=policy)
-    raise ReproError(f"unknown planner {name!r}")
+    schema = distribution.schema
+    policy = None if spsf is None else SplitPointPolicy.from_spsf(schema, spsf)
+    if parsed.is_conjunctive:
+        return planner_by_name(name, distribution, max_splits, policy)
+    if policy is None:
+        # Coarse default: two candidates per attribute plus the always-
+        # included predicate boundaries keeps the exponential search
+        # tractable on full-size schemas.
+        policy = SplitPointPolicy.equal_width(schema, [2] * len(schema))
+    return ExhaustivePlanner(
+        distribution, split_policy=policy, max_subproblems=500_000
+    )
 
 
 def _command_generate(args: argparse.Namespace) -> int:
@@ -1581,17 +1546,15 @@ def _suite_planners(distribution: EmpiricalDistribution) -> dict:
     """The five planners the verifier gates, smallest-config exhaustive."""
     schema = distribution.schema
     policy = SplitPointPolicy.equal_width(schema, [1] * len(schema))
-    return {
-        "naive": NaivePlanner(distribution),
-        "opt-seq": OptimalSequentialPlanner(distribution),
-        "greedy-seq": GreedySequentialPlanner(distribution),
-        "greedy-split": GreedyConditionalPlanner(
-            distribution, CorrSeqPlanner(distribution), max_splits=5
-        ),
-        "exhaustive": ExhaustivePlanner(
-            distribution, split_policy=policy, max_subproblems=300_000
-        ),
+    planners = {
+        name: planner_by_name(name, distribution)
+        for name in ("naive", "opt-seq", "greedy-seq")
     }
+    planners["greedy-split"] = planner_by_name("heuristic", distribution)
+    planners["exhaustive"] = ExhaustivePlanner(
+        distribution, split_policy=policy, max_subproblems=300_000
+    )
+    return planners
 
 
 def _report_suite(args: argparse.Namespace) -> Report:

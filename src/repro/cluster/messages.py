@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.attributes import Schema
 from repro.exceptions import ClusterError
 from repro.obs.trace import TraceContext
+from repro.planning.registry import PLANNER_NAMES
 
 __all__ = [
     "ShardConfig",
@@ -43,7 +44,8 @@ __all__ = [
     "CONTROL_KINDS",
 ]
 
-_PLANNERS = ("naive", "greedy-seq", "opt-seq", "corr-seq", "heuristic")
+# Every named planner but the exhaustive one, whose search is exponential.
+_PLANNERS = tuple(name for name in PLANNER_NAMES if name != "exhaustive")
 CONTROL_KINDS = ("ping", "stats", "sync_version", "shutdown")
 
 
@@ -143,7 +145,6 @@ class ExecuteReply:
     statistics_version: int = 1
     group_size: int = 1
     expected_where_cost: float = 0.0
-    elapsed_seconds: float = 0.0
     trace_id: str = ""
     spans: tuple[str, ...] = ()
 

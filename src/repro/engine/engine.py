@@ -16,7 +16,7 @@ have touched — and can EXPLAIN its plans with branch probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -94,6 +94,15 @@ class QueryResult:
             return 0.0
         return self.total_cost / self.tuples_scanned
 
+    def trace_fields(self) -> dict[str, Any]:
+        """The result's span annotation: row and tuple counts, Eq. 3 costs."""
+        return {
+            "rows": len(self.rows),
+            "tuples": self.tuples_scanned,
+            "where_cost": self.where_cost,
+            "projection_cost": self.projection_cost,
+        }
+
 
 @dataclass(frozen=True)
 class ResilientQueryResult:
@@ -116,6 +125,21 @@ class ResilientQueryResult:
     @property
     def tuples_abstained(self) -> int:
         return len(self.abstained_rows)
+
+    def trace_fields(self) -> dict[str, Any]:
+        """:meth:`QueryResult.trace_fields` plus the fault accounting.
+
+        ``retry_cost`` is an annotation only: it is already a slice of
+        ``where_cost``, so an audit sums ``where_cost + projection_cost``.
+        """
+        return {
+            **self.result.trace_fields(),
+            "retry_cost": self.retry_cost,
+            "failed": self.acquisitions_failed,
+            "retries": self.retries_total,
+            "degraded": self.tuples_degraded,
+            "abstained": self.tuples_abstained,
+        }
 
 
 class AcquisitionalEngine:
@@ -300,7 +324,7 @@ class AcquisitionalEngine:
         acquisitions are accounted in ``projection_cost`` but are not
         node events, so they stay outside the profile.
         """
-        matrix = self._validated(readings)
+        matrix = self.validate_readings(readings)
         outcome = dataset_execution(
             prepared.plan, matrix, self._schema, observer=observer
         )
@@ -332,7 +356,7 @@ class AcquisitionalEngine:
         from repro.faults.executor import FaultTolerantExecutor
         from repro.faults.policy import DegradationMode, FaultPolicy
 
-        matrix = self._validated(readings)
+        matrix = self.validate_readings(readings)
         effective = policy if policy is not None else FaultPolicy()
         query = prepared.parsed.query if prepared.parsed.is_conjunctive else None
         if (
@@ -377,14 +401,18 @@ class AcquisitionalEngine:
         serving layer's same-fingerprint admission path.  ``observer``
         meters the WHERE plan exactly as in :meth:`execute_prepared`.
         """
-        matrices = [self._validated(readings) for readings in readings_list]
+        matrices = [self.validate_readings(readings) for readings in readings_list]
         if not matrices:
             return []
-        stacked = np.vstack(matrices)
+        # One batch runs in place: no stacking copy and no slicing.
+        stacked = matrices[0] if len(matrices) == 1 else np.vstack(matrices)
         outcome = dataset_execution(
             prepared.plan, stacked, self._schema, observer=observer
         )
         extra = self._projection_extra(prepared, stacked, outcome.verdicts)
+        if len(matrices) == 1:
+            costs, verdicts = outcome.costs, outcome.verdicts
+            return [self._build_result(prepared, stacked, costs, verdicts, extra)]
         results: list[QueryResult] = []
         start = 0
         for matrix in matrices:
@@ -401,7 +429,8 @@ class AcquisitionalEngine:
             start = end
         return results
 
-    def _validated(self, readings: np.ndarray) -> np.ndarray:
+    def validate_readings(self, readings: np.ndarray) -> np.ndarray:
+        """``readings`` as a matrix with one column per attribute, else QueryError."""
         matrix = np.asarray(readings)
         if matrix.ndim != 2 or matrix.shape[1] != len(self._schema):
             raise QueryError(

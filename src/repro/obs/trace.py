@@ -31,11 +31,11 @@ tests replay traces byte-identically by injecting a fake clock.  The
 default parameter below is the one allowlisted wall-clock site the
 ``DET002`` lint rule permits (``docs/LINTING.md``).
 
-Concurrency note: the context stack behind :meth:`Tracer.span` assumes
-single-owner synchronous use (one shard server, one service call at a
-time).  Code that interleaves on an event loop — the front door — must
-use :meth:`Tracer.start_span` / :meth:`Span.end` with explicit parents
-instead of the context manager.
+Spans carry explicit parents: :meth:`Tracer.start_span` takes the trace
+and parent span it hangs under and :meth:`Span.end` closes it, so code
+that interleaves on an event loop (the front door) and code that serves
+many requests in one call (a shard's batch) both parent their events
+correctly.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ TRACE_PHASES = (
     "execute",
     "execute-resilient",
     "replan",
+    "recertify",
+    "learn",
     # distributed span taxonomy (sharded tier); routing and coalesce
     # bookkeeping ride as *fields* on the request root span (shard,
     # inflight, coalesced) rather than as zero-duration child events —
@@ -293,9 +295,6 @@ class Tracer:
         self._clock = clock
         self._name = str(name)
         self._prefix = f"{self._name}-" if self._name else ""
-        # (trace_id, span_id) stack behind the span() context manager;
-        # synchronous single-owner use only (see module docstring).
-        self._context: list[tuple[str, str]] = []
         self._collectors: list[list[TraceEvent]] = []
 
     @property
@@ -325,16 +324,7 @@ class Tracer:
         parent: str = "",
         **fields: Any,
     ) -> TraceEvent:
-        """Record one event.
-
-        When neither ``trace`` nor ``parent`` is given and a
-        :meth:`span` context is active, the event inherits the innermost
-        open span's coordinates — this is how service-layer events nest
-        under the shard's ``shard-execute`` span without the service
-        knowing it runs inside a cluster.
-        """
-        if not trace and not parent and self._context:
-            trace, parent = self._context[-1]
+        """Record one event; ``trace``/``parent`` place it in a span tree."""
         event = TraceEvent(
             ts=self._clock(),
             span=span,
@@ -357,14 +347,11 @@ class Tracer:
         fingerprint: str = "",
         **fields: Any,
     ) -> Span:
-        """Open a span (no context binding); close it with ``Span.end``.
+        """Open a span; close it with ``Span.end``.
 
-        Without an explicit ``trace`` (or an active :meth:`span`
-        context) a fresh trace id is minted — this is how the front door
-        roots one trace per request.
+        Without an explicit ``trace`` a fresh trace id is minted — this is
+        how the front door roots one trace per request.
         """
-        if not trace and not parent and self._context:
-            trace, parent = self._context[-1]
         if not trace:
             trace = self.new_trace()
         # ``fields`` is this call's own kwargs dict — safe to hand to the
@@ -381,38 +368,13 @@ class Tracer:
         )
 
     @contextmanager
-    def span(
-        self,
-        phase: str,
-        *,
-        trace: str = "",
-        parent: str = "",
-        fingerprint: str = "",
-        **fields: Any,
-    ) -> Iterator[Span]:
-        """Open a span and bind it as the parent of nested emits.
-
-        Synchronous code only: the binding is a plain stack, so
-        interleaving open spans across event-loop tasks would corrupt
-        parentage (use :meth:`start_span` there).
-        """
-        handle = self.start_span(
-            phase, trace=trace, parent=parent, fingerprint=fingerprint, **fields
-        )
-        self._context.append((handle.trace_id, handle.span_id))
-        try:
-            yield handle
-        finally:
-            self._context.pop()
-            handle.end()
-
-    @contextmanager
     def collect(self) -> Iterator[list[TraceEvent]]:
         """Capture every event emitted while the context is open.
 
-        The shard server wraps each traced execution in a collector and
-        piggybacks the captured events on the reply — span export
-        without sharing the tracer across the process boundary.
+        The shard server wraps each traced batch in a collector and
+        piggybacks each group's captured events on its leader's reply —
+        span export without sharing the tracer across the process
+        boundary.
         """
         bucket: list[TraceEvent] = []
         self._collectors.append(bucket)

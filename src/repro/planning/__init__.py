@@ -15,6 +15,7 @@ from repro.planning.greedy_sequential import GreedySequentialPlanner
 from repro.planning.greedy_split import SplitChoice, greedy_split
 from repro.planning.naive import NaivePlanner
 from repro.planning.optimal_sequential import OptimalSequentialPlanner
+from repro.planning.registry import PLANNER_NAMES, planner_by_name
 from repro.planning.split_points import SplitPointPolicy
 
 __all__ = [
@@ -33,4 +34,6 @@ __all__ = [
     "SplitChoice",
     "greedy_split",
     "SplitPointPolicy",
+    "PLANNER_NAMES",
+    "planner_by_name",
 ]

@@ -4,9 +4,10 @@ The paper's engine plans a statement from historical statistics and then
 reuses the plan per-tuple; this package scales that amortization across
 a *workload*.  :class:`AcquisitionalService` canonicalizes statements to
 :class:`QueryFingerprint` slots, caches prepared plans in a
-statistics-versioned :class:`PlanCache`, batches same-shape requests
-into single vectorized passes, and meters everything through
-:class:`MetricsRegistry`.
+statistics-versioned :class:`PlanCache`, serves every :class:`Request`
+through one pipeline (:meth:`AcquisitionalService.serve`) that batches
+same-shape requests into single vectorized passes, and meters
+everything through :class:`MetricsRegistry`.
 """
 
 from repro.service.cache import CacheStats, PlanCache
@@ -23,10 +24,13 @@ from repro.service.metrics import (
     MetricsRegistry,
     merge_snapshots,
 )
-from repro.service.service import AcquisitionalService
+from repro.service.service import AcquisitionalService, FaultContext, Outcome, Request
 
 __all__ = [
     "AcquisitionalService",
+    "FaultContext",
+    "Outcome",
+    "Request",
     "PlanCache",
     "CacheStats",
     "QueryFingerprint",

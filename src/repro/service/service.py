@@ -14,8 +14,12 @@ statements rather than one statement at a time:
   confidence radius (:func:`~repro.learn.pao.recertify_radius`), and
   drops it otherwise.  Any other bump (an adaptive-stream replan, an
   outage, an explicit bump) invalidates every old-generation plan;
-- same-fingerprint requests can be admitted as a batch and pushed
-  through the plan in one vectorized pass over the stacked live tuples;
+- every request runs through one pipeline, :meth:`serve`: fingerprint →
+  cache → plan → admit → execute → account.  Same-fingerprint plain
+  requests share one vectorized pass over their stacked readings; a
+  faulted request runs alone through the fault-tolerant executor.
+  :meth:`execute`, :meth:`execute_batch` and :meth:`execute_resilient`
+  are thin front ends over it, and so is the sharded tier's shard;
 - counters and latency histograms are recorded throughout and exposed
   via :meth:`stats`.
 
@@ -26,8 +30,8 @@ profiled plan's observed behaviour against its Eq. 3 predictions and —
 when any plan has drifted — bumps the statistics version (or refits on
 supplied history), so the next request replans from fresh statistics.
 A :class:`~repro.obs.Tracer` (optional) receives structured span events
-for every phase: plan, verify, cache-hit, cache-miss, execute, replan,
-recertify.
+for every phase: plan, verify, cache-hit, cache-miss, cache-reject,
+execute, execute-resilient, replan, recertify, learn.
 
 The paper's architecture makes this cheap to get right: plans are
 trained *once* on historical statistics and reused per-tuple, so the
@@ -41,9 +45,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from contextlib import contextmanager
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -57,8 +60,9 @@ from repro.engine.engine import (
     ResilientQueryResult,
 )
 from repro.engine.language import ParsedQuery, parse_query
-from repro.exceptions import PlanVerificationError, QueryError, ServiceError
+from repro.exceptions import PlanVerificationError, QueryError, ReproError, ServiceError
 from repro.execution.streaming import AdaptiveStreamExecutor, ReplanEvent
+from repro.faults.policy import FaultPolicy
 from repro.learn.pao import recertify_radius, recertify_warranted
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import (
@@ -72,14 +76,17 @@ from repro.verify import verify_plan
 
 if TYPE_CHECKING:
     from repro.faults.model import FaultSchedule
-    from repro.faults.policy import FaultPolicy
     from repro.learn.state import BanditStateStore
     from repro.learn.stream import LearnedStreamExecutor
     from repro.obs.drift import DriftMonitor, DriftReport
     from repro.obs.profile import PlanProfile
-    from repro.obs.trace import Tracer
+    from repro.obs.trace import TraceContext, Tracer
 
-__all__ = ["AcquisitionalService"]
+__all__ = ["AcquisitionalService", "FaultContext", "Outcome", "Request"]
+
+# Where a pipeline event goes: the service span, then the request's remote
+# trace id and parent span (empty for a request with no trace parent).
+_Where = tuple[str, str, str]
 
 # Stream-executor arguments each factory wires itself.
 _OWNED_KWARGS = {
@@ -116,6 +123,49 @@ def _acquisition_span(plan: PlanNode, schema: Schema) -> float:
         elif isinstance(node, SequentialNode):
             indices.update(step.attribute_index for step in node.steps)
     return float(sum(schema[index].cost for index in indices))
+
+
+@dataclasses.dataclass(frozen=True)
+class FaultContext:
+    """Fault injection for one request: schedule, seeded RNG and policy."""
+
+    schedule: "FaultSchedule"
+    rng: np.random.Generator
+    policy: FaultPolicy = FaultPolicy()
+
+
+@dataclasses.dataclass(frozen=True)
+class Request:
+    """One statement to serve over live readings.
+
+    A request with ``faults`` runs alone through the fault-tolerant
+    executor instead of joining a stacked pass.  ``trace`` parents its
+    service events under a remote span (the shard's ``shard-execute``
+    span); without it they are flat events of the service's own span.
+    """
+
+    text: str
+    readings: np.ndarray
+    faults: FaultContext | None = None
+    trace: "TraceContext | None" = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Outcome:
+    """One served request: its result or its error, and the plan that served it."""
+
+    result: QueryResult | ResilientQueryResult | None = None
+    error: ReproError | None = None
+    prepared: PreparedQuery | None = None
+
+    def unwrap(self) -> Any:
+        """The result; raises the error of a failed request."""
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+_UNSERVED = Outcome()
 
 
 class _PlanObservability:
@@ -216,8 +266,9 @@ class AcquisitionalService:
         self._drift_min_tuples = int(drift_min_tuples)
         self._profiles: dict[QueryFingerprint, _PlanObservability] = {}
         self._bandit_store: "BanditStateStore | None" = None
-        self._active_span = ""
-        self._served: dict[str, PreparedQuery] | None = None
+        # Where the admission gate's events go: the span and remote trace
+        # parent of the request being planned (set around ``cache.put``).
+        self._admitting: _Where = ("", "", "")
         self._statements = StatementMemo(self._parse)
         # Row count of the statistics a running refit replaces; set only
         # while :meth:`refit` is inside the engine's version bump.
@@ -251,9 +302,9 @@ class AcquisitionalService:
             claimed_cost=prepared.expected_where_cost,
         )
         if self._tracer is not None:
-            self._tracer.emit(
+            self._emit(
                 "verify",
-                span=self._active_span,
+                self._admitting,
                 fingerprint=str(_fingerprint),
                 ms=(timer() - start) * 1e3,
                 ok=report.ok,
@@ -261,13 +312,18 @@ class AcquisitionalService:
         if not report.ok:
             self._metrics.counter("plans_rejected").increment()
             if self._tracer is not None:
-                self._tracer.emit(
+                self._emit(
                     "cache-reject",
-                    span=self._active_span,
+                    self._admitting,
                     fingerprint=str(_fingerprint),
                     errors=len(report.errors),
                 )
         return report.ok
+
+    def _emit(self, phase: str, where: _Where, **fields: Any) -> None:
+        assert self._tracer is not None
+        span, trace, parent = where
+        self._tracer.emit(phase, span=span, trace=trace, parent=parent, **fields)
 
     # ------------------------------------------------------------------
     # Planning path
@@ -297,34 +353,6 @@ class AcquisitionalService:
     def tracer(self) -> "Tracer | None":
         return self._tracer
 
-    @contextmanager
-    def quiet_tracing(self) -> Iterator[None]:
-        """Suppress the service's own trace events for the duration.
-
-        The sharded tier's batched execution path provides its own
-        span-level attribution (one ``shard-execute`` span per request
-        group, carrying the Eq. 3 result fields); the service's flat
-        per-group events would land in the shard-local buffer unseen —
-        never exported on replies, never streamed — so emitting them is
-        pure per-request overhead there.  Single-owner synchronous use
-        only, like the tracer itself.
-        """
-        tracer, self._tracer = self._tracer, None
-        try:
-            yield
-        finally:
-            self._tracer = tracer
-
-    @contextmanager
-    def _recording_served(self) -> Iterator[dict[str, PreparedQuery]]:
-        """Collect, by digest, the plans serving requests (for shard replies)."""
-        served: dict[str, PreparedQuery] = {}
-        self._served = served
-        try:
-            yield served
-        finally:
-            self._served = None
-
     def _parse(self, text: str) -> tuple[ParsedQuery, QueryFingerprint]:
         parsed = parse_query(text, self._engine.schema)
         return parsed, fingerprint_parsed(parsed, self._engine.schema)
@@ -336,39 +364,27 @@ class AcquisitionalService:
     def plan_for(self, text: str) -> PreparedQuery:
         """The (cached) prepared plan serving a statement."""
         parsed, fingerprint = self._statements.lookup(text)
-        return self._prepared_for(parsed, fingerprint, text, span="")
-
-    def _span(self) -> str:
-        return self._tracer.new_span() if self._tracer is not None else ""
+        return self._prepared_for(parsed, fingerprint, text, ("", "", ""))
 
     def _prepared_for(
         self,
         parsed: ParsedQuery,
         fingerprint: QueryFingerprint,
         text: str,
-        span: str,
+        where: _Where,
     ) -> PreparedQuery:
+        """The plan stage: cache lookup, else plan and verifier admission."""
         version = self._engine.statistics_version
         if self._cache_enabled:
             cached = self._cache.get(fingerprint, version)
-            if cached is not None:
-                self._metrics.labeled_counter("cache_events", "event").labels(
-                    event="hit"
-                ).increment()
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "cache-hit", span=span, fingerprint=str(fingerprint)
-                    )
-                if self._served is not None:
-                    self._served[str(fingerprint)] = cached
-                return cached
+            event = "miss" if cached is None else "hit"
             self._metrics.labeled_counter("cache_events", "event").labels(
-                event="miss"
+                event=event
             ).increment()
             if self._tracer is not None:
-                self._tracer.emit(
-                    "cache-miss", span=span, fingerprint=str(fingerprint)
-                )
+                self._emit(f"cache-{event}", where, fingerprint=str(fingerprint))
+            if cached is not None:
+                return cached
         timer = self._timer()
         build_start = timer()
         prepared = self._engine.prepare_parsed(parsed, text=text)
@@ -376,21 +392,19 @@ class AcquisitionalService:
         self._metrics.counter("plans_built").increment()
         self._metrics.histogram("planning").observe(prepared.planning_seconds)
         if self._tracer is not None:
-            self._tracer.emit(
+            self._emit(
                 "plan",
-                span=span,
+                where,
                 fingerprint=str(fingerprint),
                 ms=build_ms,
                 planner=prepared.planner,
             )
         if self._cache_enabled:
-            self._active_span = span
+            self._admitting = where
             try:
                 self._cache.put(fingerprint, version, prepared)
             finally:
-                self._active_span = ""
-        if self._served is not None:
-            self._served[str(fingerprint)] = prepared
+                self._admitting = ("", "", "")
         return prepared
 
     def _observer(
@@ -417,117 +431,129 @@ class AcquisitionalService:
         return entry.profile
 
     # ------------------------------------------------------------------
-    # Execution paths
+    # The request pipeline
     # ------------------------------------------------------------------
 
-    def execute(self, text: str, readings: np.ndarray) -> QueryResult:
-        """Serve one statement over live readings."""
-        self._metrics.counter("queries").increment()
-        span = self._span()
-        parsed, fingerprint = self._statements.lookup(text)
-        prepared = self._prepared_for(parsed, fingerprint, text, span)
-        observer = self._observer(fingerprint, prepared)
-        timer = self._timer()
-        start = time.perf_counter()
-        trace_start = timer()
-        result = self._engine.execute_prepared(
-            prepared, readings, observer=observer
-        )
-        elapsed = time.perf_counter() - start
-        self._metrics.histogram("execution").observe(elapsed)
-        if self._tracer is not None:
-            self._tracer.emit(
-                "execute",
-                span=span,
-                fingerprint=str(fingerprint),
-                ms=(timer() - trace_start) * 1e3,
-                rows=len(result.rows),
-                tuples=result.tuples_scanned,
-            )
-        return result
+    def serve(self, requests: Sequence[Request]) -> list[Outcome]:
+        """Serve requests through the one pipeline; one outcome per request.
 
-    def execute_resilient(
-        self,
-        text: str,
-        readings: np.ndarray,
-        schedule: "FaultSchedule",
-        rng: np.random.Generator,
-        policy: "FaultPolicy | None" = None,
-    ) -> ResilientQueryResult:
-        """Serve one statement with fault injection and degradation.
+        1. *fingerprint*: each statement goes through the statement memo
+           and its readings are checked against the schema.  Plain
+           requests group by fingerprint, a faulted request is a group of
+           its own, and groups run in order of first appearance;
+        2. *plan*: a cache lookup, else plan and verifier admission; a
+           faulted group's plan is then re-verified with its fault policy
+           (the ``FT*`` rules: degraded paths must stay sound);
+        3. *execute*: one stacked pass per plain group, one fault-tolerant
+           run per faulted request;
+        4. *account*: ``queries``, the ``execution`` histogram, the fault
+           counters and the outage check, and every result's Eq. 3 total
+           charged to ``acquisition_cost_total``.
 
-        The served plan is first re-verified *with* the fault policy (the
-        ``FT*`` rules: degraded paths must stay sound), and the execution
-        feeds the fault metrics — ``acquisitions_failed``,
-        ``retries_total``, ``tuples_degraded``, ``tuples_abstained``.
-        When the run's failure fraction reaches the policy's
-        ``outage_replan_threshold``, the service treats it as a sustained
-        outage: the statistics version is bumped, invalidating every
-        cached plan, and an ``outage_invalidations`` count is recorded.
+        A :class:`~repro.exceptions.ReproError` becomes the error outcome
+        of its request (stage 1) or of its whole group; the other groups
+        still run, and nothing runs twice.
         """
-        from repro.faults.policy import FaultPolicy
+        # 1. fingerprint, and group.
+        self._metrics.counter("queries").increment(len(requests))
+        span = self._tracer.new_span() if self._tracer is not None else ""
+        outcomes = [_UNSERVED] * len(requests)
+        groups: dict[Any, tuple[ParsedQuery, QueryFingerprint, list[int]]] = {}
+        for position, request in enumerate(requests):
+            try:
+                parsed, fingerprint = self._statements.lookup(request.text)
+                self._engine.validate_readings(request.readings)
+            except ReproError as error:
+                outcomes[position] = Outcome(error=error)
+                continue
+            key = fingerprint if request.faults is None else position
+            groups.setdefault(key, (parsed, fingerprint, []))[2].append(position)
 
-        effective = policy if policy is not None else FaultPolicy()
-        self._metrics.counter("queries").increment()
-        span = self._span()
-        parsed, fingerprint = self._statements.lookup(text)
-        prepared = self._prepared_for(parsed, fingerprint, text, span)
-        report = verify_plan(
-            prepared.plan,
-            self._engine.schema,
-            query=parsed.query,
-            fault_policy=effective,
-        )
-        if not report.ok:
-            self._metrics.counter("plans_rejected").increment()
-            raise PlanVerificationError(report.format(), report=report)
-        timer = self._timer()
-        start = time.perf_counter()
-        trace_start = timer()
-        outcome = self._engine.execute_prepared_resilient(
-            prepared, readings, schedule, rng, policy=effective
-        )
-        elapsed = time.perf_counter() - start
-        self._metrics.histogram("execution").observe(elapsed)
-        self._metrics.counter("acquisitions_failed").increment(
-            outcome.acquisitions_failed
-        )
-        self._metrics.counter("retries_total").increment(outcome.retries_total)
-        self._metrics.counter("tuples_degraded").increment(
-            outcome.tuples_degraded
-        )
-        self._metrics.counter("tuples_abstained").increment(
-            outcome.tuples_abstained
-        )
-        if self._tracer is not None:
-            self._tracer.emit(
-                "execute-resilient",
-                span=span,
-                fingerprint=str(fingerprint),
-                ms=(timer() - trace_start) * 1e3,
-                rows=len(outcome.result.rows),
-                tuples=outcome.result.tuples_scanned,
-                failed=outcome.acquisitions_failed,
-                retries=outcome.retries_total,
-                degraded=outcome.tuples_degraded,
-                abstained=outcome.tuples_abstained,
-            )
-        self._check_outage(outcome, fingerprint, effective)
-        return outcome
+        ledger = self._metrics.gauge("acquisition_cost_total")
+        for parsed, fingerprint, positions in groups.values():
+            lead = requests[positions[0]]
+            faults = lead.faults
+            where = (span, "", "")
+            if lead.trace is not None:
+                where = (span, lead.trace.trace_id, lead.trace.parent_span)
+            timer = self._timer()
+            try:
+                # 2. plan; 3. execute.
+                prepared = self._prepared_for(parsed, fingerprint, lead.text, where)
+                if faults is not None:
+                    # The FT rules: degraded paths must stay sound.
+                    report = verify_plan(
+                        prepared.plan,
+                        self._engine.schema,
+                        query=parsed.query,
+                        fault_policy=faults.policy,
+                    )
+                    if not report.ok:
+                        self._metrics.counter("plans_rejected").increment()
+                        raise PlanVerificationError(report.format(), report=report)
+                start = time.perf_counter()
+                trace_start = timer()
+                if faults is None:
+                    results: list[Any] = self._engine.execute_prepared_many(
+                        prepared,
+                        [requests[position].readings for position in positions],
+                        observer=self._observer(fingerprint, prepared),
+                    )
+                else:
+                    results = [
+                        self._engine.execute_prepared_resilient(
+                            prepared,
+                            lead.readings,
+                            faults.schedule,
+                            faults.rng,
+                            policy=faults.policy,
+                        )
+                    ]
+            except ReproError as error:
+                for position in positions:
+                    outcomes[position] = Outcome(error=error)
+                continue
+            # 4. account.
+            self._metrics.histogram("execution").observe(time.perf_counter() - start)
+            if self._tracer is not None:
+                if faults is None:
+                    phase, fields = "execute", {
+                        "requests": len(results),
+                        "rows": sum(len(result.rows) for result in results),
+                        "tuples": sum(result.tuples_scanned for result in results),
+                    }
+                else:
+                    phase, fields = "execute-resilient", results[0].trace_fields()
+                ms = (timer() - trace_start) * 1e3
+                self._emit(phase, where, fingerprint=str(fingerprint), ms=ms, **fields)
+            if faults is not None:
+                self._account_faults(results[0], fingerprint, faults.policy, where)
+            for position, result in zip(positions, results):
+                outcomes[position] = Outcome(result=result, prepared=prepared)
+                query_result = result if faults is None else result.result
+                ledger.increment(query_result.total_cost)
+        return outcomes
 
-    def _check_outage(
+    def _account_faults(
         self,
         outcome: ResilientQueryResult,
         fingerprint: QueryFingerprint,
-        policy: "FaultPolicy",
+        policy: FaultPolicy,
+        where: _Where,
     ) -> None:
-        """Treat a sustained-outage run as a statistics-invalidation event.
+        """Count a faulted run's faults and treat a sustained outage as a
+        statistics-invalidation event.
 
         A high fraction of degraded tuples means the live acquisition
         environment no longer matches what the cached plans were costed
         for — the same staleness signal as statistical drift, handled the
         same way: bump the version, drop every cached plan.
         """
+        counter = self._metrics.counter
+        counter("acquisitions_failed").increment(outcome.acquisitions_failed)
+        counter("retries_total").increment(outcome.retries_total)
+        counter("tuples_degraded").increment(outcome.tuples_degraded)
+        counter("tuples_abstained").increment(outcome.tuples_abstained)
         threshold = policy.outage_replan_threshold
         scanned = outcome.result.tuples_scanned
         if threshold is None or scanned == 0:
@@ -537,59 +563,57 @@ class AcquisitionalService:
             return
         self._metrics.counter("outage_invalidations").increment()
         if self._tracer is not None:
-            self._tracer.emit(
+            self._emit(
                 "replan",
+                ("", *where[1:]),
                 fingerprint=str(fingerprint),
                 reason="outage",
                 failure_fraction=fraction,
             )
         self._engine.bump_statistics_version()
 
+    def execute(self, text: str, readings: np.ndarray) -> QueryResult:
+        """Serve one statement over live readings: a one-request :meth:`serve`."""
+        (outcome,) = self.serve([Request(text, readings)])
+        return outcome.unwrap()
+
+    def execute_resilient(
+        self,
+        text: str,
+        readings: np.ndarray,
+        schedule: "FaultSchedule",
+        rng: np.random.Generator,
+        policy: FaultPolicy | None = None,
+    ) -> ResilientQueryResult:
+        """Serve one statement with fault injection and degradation: a
+        one-request :meth:`serve` with a :class:`FaultContext`.
+
+        The plan is re-verified with ``policy`` (default
+        :class:`~repro.faults.FaultPolicy`), and a run whose degraded
+        fraction reaches its ``outage_replan_threshold`` bumps the
+        statistics version (``outage_invalidations``)."""
+        faults = FaultContext(
+            schedule, rng, policy if policy is not None else FaultPolicy()
+        )
+        (outcome,) = self.serve([Request(text, readings, faults)])
+        return outcome.unwrap()
+
     def execute_batch(
         self, requests: Sequence[tuple[str, np.ndarray]]
     ) -> list[QueryResult]:
-        """Serve many requests, grouping same-fingerprint ones.
+        """Serve ``(statement text, readings)`` requests in one :meth:`serve`.
 
-        Each request is ``(statement text, readings matrix)``.  Requests
-        whose statements canonicalize to the same fingerprint are planned
-        once and executed in a single vectorized pass over their stacked
-        readings; results come back in request order.
+        Same-fingerprint requests are planned once and executed in one
+        stacked pass; results come back in request order.  Raises the
+        first failed request's error.  Counts ``batch_requests`` and, when
+        every request succeeded, ``batch_groups`` (one per fingerprint).
         """
-        self._metrics.counter("queries").increment(len(requests))
+        outcomes = self.serve([Request(text, readings) for text, readings in requests])
         self._metrics.counter("batch_requests").increment(len(requests))
-        span = self._span()
-        groups: dict[QueryFingerprint, list[int]] = {}
-        for position, (text, _readings) in enumerate(requests):
-            fingerprint = self._statements.lookup(text)[1]
-            groups.setdefault(fingerprint, []).append(position)
-
-        results: list[QueryResult | None] = [None] * len(requests)
-        for fingerprint, positions in groups.items():
-            text = requests[positions[0]][0]
-            parsed = self._statements.lookup(text)[0]
-            prepared = self._prepared_for(parsed, fingerprint, text, span)
-            observer = self._observer(fingerprint, prepared)
-            matrices = [requests[p][1] for p in positions]
-            timer = self._timer()
-            start = time.perf_counter()
-            trace_start = timer()
-            group_results = self._engine.execute_prepared_many(
-                prepared, matrices, observer=observer
-            )
-            elapsed = time.perf_counter() - start
-            self._metrics.histogram("execution").observe(elapsed)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "execute",
-                    span=span,
-                    fingerprint=str(fingerprint),
-                    ms=(timer() - trace_start) * 1e3,
-                    requests=len(positions),
-                )
-            for position, result in zip(positions, group_results):
-                results[position] = result
+        results = [outcome.unwrap() for outcome in outcomes]
+        groups = {self.fingerprint(text) for text, _readings in requests}
         self._metrics.counter("batch_groups").increment(len(groups))
-        return [result for result in results if result is not None]
+        return results
 
     # ------------------------------------------------------------------
     # Statistics lifecycle

@@ -155,23 +155,12 @@ class TestSpans:
         assert span.closed
         assert tracer.emitted == 1
 
-    def test_span_context_binds_children(self):
-        # Events emitted inside a span() block inherit its coordinates;
-        # explicit trace/parent still wins.
-        tracer = Tracer(name="sh", clock=lambda: 1.0)
-        with tracer.span("shard-execute", trace="fd-t1", parent="fd-s1"):
-            tracer.emit("plan", ms=1.0)
-        plan, execute = tracer.events
-        assert execute.phase == "shard-execute"
-        assert execute.trace == "fd-t1" and execute.parent == "fd-s1"
-        assert plan.trace == "fd-t1"
-        assert plan.parent == execute.span
-
     def test_collect_and_ingest_round_trip(self):
         source = Tracer(name="shard0", clock=lambda: 2.0)
         with source.collect() as exported:
-            with source.span("shard-execute", trace="fd-t1", parent="fd-s1"):
-                source.emit("plan", ms=0.5)
+            span = source.start_span("shard-execute", trace="fd-t1", parent="fd-s1")
+            source.emit("plan", ms=0.5, trace="fd-t1", parent=span.span_id)
+            span.end()
         records = [event.as_dict() for event in exported]
         sink = Tracer(clock=lambda: 9.0)
         assert sink.ingest(records) == 2
