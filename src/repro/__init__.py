@@ -127,7 +127,6 @@ from repro.probability import (
     ChowLiuDistribution,
     EmpiricalDistribution,
     IndependenceDistribution,
-    SlidingWindowDistribution,
 )
 from repro.obs import (
     DriftMonitor,
@@ -180,7 +179,6 @@ __all__ = [
     "EmpiricalDistribution",
     "ChowLiuDistribution",
     "IndependenceDistribution",
-    "SlidingWindowDistribution",
     # planning
     "NaivePlanner",
     "GreedySequentialPlanner",

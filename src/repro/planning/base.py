@@ -19,15 +19,17 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.cost_models import AcquisitionCostModel
 from repro.core.plan import PlanNode, SequentialNode, SequentialStep, VerdictLeaf
 from repro.core.predicates import Truth
 from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
 from repro.exceptions import PlanningError
-from repro.probability.base import Distribution, PredicateBinding
+from repro.probability.base import (
+    Distribution,
+    PredicateBinding,
+    probabilities_below,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.certificates import CostCertificate
@@ -157,7 +159,7 @@ class SequentialPlanner(Planner):
         GreedySplit (Figure 6) asks for ``SeqCost`` of every candidate
         side of one subproblem.  The default plans each side with
         :meth:`plan_sequence` when first asked; planners that can score
-        all sides of an attribute from one counting pass override this.
+        all sides of a subproblem from one counting pass override this.
         """
         return SplitScorer(self, query, ranges)
 
@@ -179,6 +181,10 @@ class SideScores(ABC):
     """
 
     @abstractmethod
+    def probability_below(self, position: int) -> float:
+        """``P(X_i < x | R)`` for the candidate split (Equation 7)."""
+
+    @abstractmethod
     def cost(self, position: int, above: bool) -> float:
         """Expected cost (Equation 3) of the side's sequential plan."""
 
@@ -192,7 +198,8 @@ class SplitScorer:
 
     This default plans a side with the planner's :meth:`plan_sequence`
     only when GreedySplit first asks for it, so Figure 6's pruning still
-    skips the sides it never needs.
+    skips the sides it never needs, and takes split probabilities from
+    the planner's distribution per attribute.
     """
 
     def __init__(
@@ -209,6 +216,17 @@ class SplitScorer:
         """Scores for splitting attribute ``attribute_index`` at ``candidates``."""
         return _PlannedSides(self, attribute_index, candidates)
 
+    def score_all(self, candidates: list[list[int]]) -> list[SideScores | None]:
+        """:meth:`score` of every attribute with candidates, by attribute index.
+
+        ``candidates[i]`` are attribute ``i``'s split values; an attribute
+        without any gets ``None``.
+        """
+        return [
+            self.score(index, values) if values else None
+            for index, values in enumerate(candidates)
+        ]
+
 
 class _PlannedSides(SideScores):
     """One :meth:`SequentialPlanner.plan_sequence` call per side, on demand."""
@@ -220,6 +238,18 @@ class _PlannedSides(SideScores):
         self._index = attribute_index
         self._candidates = candidates
         self._planned: dict[tuple[int, bool], tuple[float, PlanNode]] = {}
+        self._probabilities: list[float] | None = None
+
+    def probability_below(self, position: int) -> float:
+        if self._probabilities is None:
+            scorer = self._scorer
+            self._probabilities = split_probabilities(
+                scorer._planner.distribution,
+                self._index,
+                self._candidates,
+                scorer._ranges,
+            )
+        return self._probabilities[position]
 
     def _side(self, position: int, above: bool) -> tuple[float, PlanNode]:
         planned = self._planned.get((position, above))
@@ -304,14 +334,5 @@ def split_probabilities(
     """
     if not candidates:
         return []
-    interval = ranges[attribute_index]
     histogram = distribution.attribute_histogram(attribute_index, ranges)
-    total = float(histogram.sum())
-    if total <= 0.0:
-        # Unreachable subproblem: uniform fallback, matching
-        # Distribution.split_probability.
-        return [(value - interval.low) / len(interval) for value in candidates]
-    cumulative = np.cumsum(histogram)
-    return [
-        float(cumulative[value - interval.low - 1]) / total for value in candidates
-    ]
+    return probabilities_below(histogram, ranges[attribute_index], candidates)

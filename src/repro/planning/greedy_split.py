@@ -11,6 +11,12 @@ plan for each side (OptSeq in the paper's small-query experiments, GreedySeq
 for the larger ones).  The split is compared against simply running the
 sequential plan without splitting; GreedyPlan (Figure 7) uses the difference
 as its expansion priority.
+
+Every ``SeqCost`` and every ``P(X_i < x | R)`` of one subproblem comes from
+the base planner's split scorer in one call: over an empirical
+distribution that is one counting pass over the subproblem's count-table
+cells and one OptSeq subset DP (Section 5), however many attributes and
+candidates Figure 6 then scans.
 """
 
 from __future__ import annotations
@@ -20,12 +26,7 @@ from dataclasses import dataclass
 from repro.core.plan import PlanNode
 from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
-from repro.planning.base import (
-    PlannerStats,
-    SequentialPlanner,
-    effective_cost,
-    split_probabilities,
-)
+from repro.planning.base import PlannerStats, SequentialPlanner, effective_cost
 from repro.planning.split_points import SplitPointPolicy
 from repro.probability.base import Distribution
 
@@ -60,30 +61,27 @@ def greedy_split(
     Implements Figure 6 including its pruning: an attribute whose
     acquisition cost alone reaches the best total so far is skipped, and the
     second side of a split is only costed when the first side leaves room.
-    Side costs come from the base planner's :meth:`split_scorer`, which may
-    score all sides of an attribute in one pass; only the winning split's
-    side plans are built.
+    Side costs and split probabilities come from the base planner's
+    :meth:`split_scorer` (whose distribution must be ``distribution``),
+    asked once for every attribute with candidates: one pass over them
+    all costs less than a pass per attribute the scan reaches, even with
+    the attributes the pruning then skips.  The counters record the scan
+    as Figure 6 walks it, and only the winning split's side plans are
+    built.
     """
     schema = distribution.schema
-    scorer = base_planner.split_scorer(query, ranges)
+    candidates = [policy.candidates(index, ranges) for index in range(len(schema))]
+    scores = base_planner.split_scorer(query, ranges).score_all(candidates)
     # (total, attribute, split value, position, P(below), below cost,
     #  above cost, side scores) of the best split so far.
     best: tuple | None = None
 
-    for index in range(len(schema)):
+    for index, sides in enumerate(scores):
         acquisition = effective_cost(schema, ranges, index, cost_model)
-        if best is not None and acquisition >= best[0]:
+        if sides is None or (best is not None and acquisition >= best[0]):
             continue
-        candidates = policy.candidates(index, ranges)
-        if not candidates:
-            continue
-        below_probabilities = split_probabilities(
-            distribution, index, candidates, ranges
-        )
-        sides = scorer.score(index, candidates)
-        for position, (split_value, probability_below) in enumerate(
-            zip(candidates, below_probabilities)
-        ):
+        for position, split_value in enumerate(candidates[index]):
+            probability_below = sides.probability_below(position)
             if stats is not None:
                 stats.splits_considered += 1
                 stats.sequential_plans_built += 1

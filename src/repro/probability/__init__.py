@@ -8,7 +8,6 @@ from repro.probability.base import (
 from repro.probability.empirical import EmpiricalDistribution
 from repro.probability.graphical import ChowLiuDistribution
 from repro.probability.independence import IndependenceDistribution
-from repro.probability.sliding import SlidingWindowDistribution
 from repro.probability.joint import conditional_from_superset_sums, superset_sums
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "EmpiricalDistribution",
     "ChowLiuDistribution",
     "IndependenceDistribution",
-    "SlidingWindowDistribution",
     "superset_sums",
     "conditional_from_superset_sums",
 ]

@@ -25,16 +25,39 @@ import numpy as np
 
 from repro.core.attributes import Schema
 from repro.core.predicates import Predicate
-from repro.core.ranges import RangeVector
+from repro.core.ranges import Range, RangeVector
 
 if TYPE_CHECKING:
     from repro.probability.empirical import OutcomeCounter
 
-__all__ = ["Distribution", "PredicateBinding", "SequentialConditioner"]
+__all__ = [
+    "Distribution",
+    "PredicateBinding",
+    "SequentialConditioner",
+    "probabilities_below",
+]
 
 # A predicate paired with its attribute's schema index — the planners resolve
 # indices once via ConjunctiveQuery.attribute_indices and pass bindings down.
 PredicateBinding = tuple[Predicate, int]
+
+
+def probabilities_below(
+    histogram: np.ndarray, interval: Range, split_values: Sequence[int]
+) -> list[float]:
+    """``P(X < x)`` for each split value ``x`` of ``interval`` (Equation 7).
+
+    ``histogram`` is the pmf over ``interval``'s values; the masses below
+    every split accumulate in one cumulative sum.  An unreachable
+    subproblem (no mass) falls back to a uniform spread so the planners
+    still receive a usable (if uninformative) number.
+    """
+    total = float(histogram.sum())
+    if total <= 0.0:
+        return [(value - interval.low) / len(interval) for value in split_values]
+    cumulative = np.zeros(len(histogram) + 1)
+    np.cumsum(histogram, out=cumulative[1:])
+    return [float(cumulative[value - interval.low]) / total for value in split_values]
 
 
 class Distribution(ABC):
@@ -67,17 +90,11 @@ class Distribution(ABC):
         """``P(X_i < split_value | R_1 .. R_n)`` for an interior split point.
 
         The default implementation accumulates the attribute histogram,
-        which is exactly the incremental rule of Equation 7.
+        which is exactly the incremental rule of Equation 7
+        (:func:`probabilities_below`, as the planners compute it).
         """
-        interval = ranges[attribute_index]
         histogram = self.attribute_histogram(attribute_index, ranges)
-        total = float(histogram.sum())
-        if total <= 0.0:
-            # Unreachable subproblem: fall back to a uniform spread so the
-            # planners still receive a usable (if uninformative) number.
-            return (split_value - interval.low) / len(interval)
-        below = float(histogram[: split_value - interval.low].sum())
-        return below / total
+        return probabilities_below(histogram, ranges[attribute_index], [split_value])[0]
 
     @abstractmethod
     def conjunction_probability(

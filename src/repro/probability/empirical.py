@@ -4,14 +4,24 @@
 counting rows of a historical dataset, using the efficiency devices of
 Section 5:
 
-- subproblem row sets are materialized once per :class:`RangeVector` and
+- the history is held as a *count table*: its distinct rows (cells) and
+  how often each occurs, built once.  Every count is a weighted sum over
+  cells, so a 16,000-row lab history of about 2,000 distinct rows costs
+  about 2,000 additions per query, not 16,000;
+- subproblem cell sets are materialized once per :class:`RangeVector` and
   cached (the per-attribute *index* trick of Section 5.1);
-- per-attribute histograms within a subproblem are built with a single
-  ``bincount`` pass and range probabilities accumulate via their cumulative
+- per-attribute histograms within a subproblem are one weighted
+  ``bincount`` and range probabilities accumulate via their cumulative
   sums (Equation 7);
-- per-predicate satisfaction masks over the full dataset are computed once
-  and reused across every subproblem (the rediscretized attributes
-  ``X'_i`` of Section 4.1.2).
+- per-predicate satisfaction masks over the cells are computed once and
+  reused across every subproblem (the rediscretized attributes ``X'_i``
+  of Section 4.1.2);
+- :class:`OutcomeCounter` counts a subproblem's predicate outcomes per
+  value of every attribute in one ``bincount``, from which GreedySplit
+  reads all its side joints and split probabilities.
+
+Counts are integers whatever their order, so every probability equals the
+one row-by-row counting gives, bit for bit.
 
 Optional Laplace smoothing guards against the high-variance estimates the
 paper warns about once many conditioning predicates have shrunk the matching
@@ -33,13 +43,15 @@ from repro.probability.base import (
     PredicateBinding,
     SequentialConditioner,
 )
-from repro.probability.histograms import value_histogram
 
 __all__ = ["EmpiricalDistribution", "OutcomeCounter"]
 
 # Joint tables over predicate outcomes are 2**m entries; beyond this many
 # predicates callers should use GreedySeq, which never materializes the joint.
 _MAX_JOINT_PREDICATES = 20
+
+# Row codes stay below this so the mixed-radix arithmetic cannot overflow.
+_MAX_CODE = 1 << 62
 
 
 class EmpiricalDistribution(Distribution):
@@ -58,7 +70,7 @@ class EmpiricalDistribution(Distribution):
         small positive values stabilize estimates in data-starved
         subproblems.
     max_cached_subproblems:
-        Bound on the number of row-index sets kept; the cache is cleared
+        Bound on the number of cell-index sets kept; the cache is cleared
         wholesale when the bound is hit (exhaustive planning on small
         domains generates many subproblems, each cheap to recompute).
     """
@@ -99,14 +111,15 @@ class EmpiricalDistribution(Distribution):
         if smoothing < 0:
             raise DistributionError(f"smoothing must be >= 0, got {smoothing}")
         self._data = np.ascontiguousarray(matrix, dtype=np.int64)
+        self._cells, self._weights = _count_table(self._data, schema)
         self._smoothing = float(smoothing)
         self._max_cached = int(max_cached_subproblems)
         self._row_cache: dict[RangeVector, np.ndarray] = {}
         self._predicate_masks: dict[tuple, np.ndarray] = {}
-        self._full_rows = np.arange(self._data.shape[0])
+        self._all_cells = np.arange(len(self._weights))
 
     # ------------------------------------------------------------------
-    # Row-set management (Section 5.1 indices)
+    # Cell-set management (Section 5.1 indices)
     # ------------------------------------------------------------------
 
     @property
@@ -125,10 +138,10 @@ class EmpiricalDistribution(Distribution):
         return self._smoothing
 
     def rows_matching(self, ranges: RangeVector) -> np.ndarray:
-        """Indices of training rows consistent with every range.
+        """Indices of the count table's cells consistent with every range.
 
         Results are cached per subproblem; only narrowed attributes are
-        tested, so the match cost is ``O(d * #narrowed)``.
+        tested, so the match cost is ``O(cells * #narrowed)``.
         """
         cached = self._row_cache.get(ranges)
         if cached is not None:
@@ -138,18 +151,18 @@ class EmpiricalDistribution(Distribution):
             if not ranges.is_acquired(index):
                 continue
             interval = ranges[index]
-            column = self._data[:, index]
+            column = self._cells[:, index]
             column_mask = (column >= interval.low) & (column <= interval.high)
             mask = column_mask if mask is None else (mask & column_mask)
-        rows = self._full_rows if mask is None else np.flatnonzero(mask)
+        cells = self._all_cells if mask is None else np.flatnonzero(mask)
         if len(self._row_cache) >= self._max_cached:
             self._row_cache.clear()
-        self._row_cache[ranges] = rows
-        return rows
+        self._row_cache[ranges] = cells
+        return cells
 
     def row_count(self, ranges: RangeVector) -> int:
         """Number of training rows inside a subproblem."""
-        return int(self.rows_matching(ranges).size)
+        return int(self._weights[self.rows_matching(ranges)].sum())
 
     # ------------------------------------------------------------------
     # Distribution interface
@@ -161,24 +174,25 @@ class EmpiricalDistribution(Distribution):
     def attribute_histogram(
         self, attribute_index: int, ranges: RangeVector
     ) -> np.ndarray:
-        rows = self.rows_matching(ranges)
+        cells = self.rows_matching(ranges)
         interval = ranges[attribute_index]
-        counts = value_histogram(self._data[rows, attribute_index], interval)
-        smoothed = counts.astype(np.float64) + self._smoothing
-        total = smoothed.sum()
-        if total <= 0.0:
-            return np.zeros(len(interval), dtype=np.float64)
-        return smoothed / total
+        counts = np.bincount(
+            self._cells[cells, attribute_index] - interval.low,
+            weights=self._weights[cells],
+            minlength=len(interval),
+        )
+        return _normalised(counts, self._smoothing)
 
     def conjunction_probability(
         self, bindings: Sequence[PredicateBinding], ranges: RangeVector
     ) -> float:
-        rows = self.rows_matching(ranges)
-        denominator = rows.size + 2.0 * self._smoothing
+        cells = self.rows_matching(ranges)
+        weights = self._weights[cells]
+        denominator = int(weights.sum()) + 2.0 * self._smoothing
         if denominator <= 0.0:
             return 0.0
-        satisfied = self._conjunction_mask(bindings, rows)
-        return (float(satisfied.sum()) + self._smoothing) / denominator
+        satisfied = self._conjunction_mask(bindings, cells)
+        return (float(weights @ satisfied) + self._smoothing) / denominator
 
     def predicate_joint(
         self, bindings: Sequence[PredicateBinding], ranges: RangeVector
@@ -189,12 +203,12 @@ class EmpiricalDistribution(Distribution):
                 f"2**{len(bindings)} entries; use GreedySeq-style conditional "
                 "queries instead"
             )
-        rows = self.rows_matching(ranges)
+        cells = self.rows_matching(ranges)
         size = 1 << len(bindings)
-        if rows.size == 0:
+        if cells.size == 0:
             return np.zeros(size, dtype=np.float64)
-        codes = self._outcome_codes(bindings, rows)
-        counts = np.bincount(codes, minlength=size).astype(np.float64)
+        codes = self._outcome_codes(bindings, cells)
+        counts = np.bincount(codes, weights=self._weights[cells], minlength=size)
         if self._smoothing:
             counts += self._smoothing
         return counts / counts.sum()
@@ -210,15 +224,16 @@ class EmpiricalDistribution(Distribution):
         satisfied: Sequence[PredicateBinding],
         ranges: RangeVector,
     ) -> float:
-        rows = self.rows_matching(ranges)
-        condition = self._conjunction_mask(satisfied, rows)
-        denominator = float(condition.sum()) + 2.0 * self._smoothing
+        cells = self.rows_matching(ranges)
+        weights = self._weights[cells]
+        condition = self._conjunction_mask(satisfied, cells)
+        denominator = float(weights @ condition) + 2.0 * self._smoothing
         if denominator <= 0.0:
             # Conditioning event unseen in training data: fall back to the
             # target's marginal within the subproblem.
             return self.conjunction_probability([target], ranges)
-        hits = condition & self._satisfaction_mask(target)[rows]
-        return (float(hits.sum()) + self._smoothing) / denominator
+        hits = condition & self._satisfaction_mask(target)[cells]
+        return (float(weights @ hits) + self._smoothing) / denominator
 
     def sequential_conditioner(
         self, ranges: RangeVector
@@ -230,12 +245,12 @@ class EmpiricalDistribution(Distribution):
     # ------------------------------------------------------------------
 
     def _satisfaction_mask(self, binding: PredicateBinding) -> np.ndarray:
-        """Boolean mask over the full dataset: does the predicate hold?"""
+        """Boolean mask over the cells: does the predicate hold?"""
         predicate, index = binding
         key = self._mask_key(predicate, index)
         mask = self._predicate_masks.get(key)
         if mask is None:
-            column = self._data[:, index]
+            column = self._cells[:, index]
             low = getattr(predicate, "low", None)
             high = getattr(predicate, "high", None)
             if low is not None and high is not None:
@@ -254,21 +269,21 @@ class EmpiricalDistribution(Distribution):
         return mask
 
     def _outcome_codes(
-        self, bindings: Sequence[PredicateBinding], rows: np.ndarray
+        self, bindings: Sequence[PredicateBinding], cells: np.ndarray
     ) -> np.ndarray:
-        """Per-row outcome bitmask: bit ``j`` set when ``bindings[j]`` holds."""
-        codes = np.zeros(rows.size, dtype=np.int64)
+        """Per-cell outcome bitmask: bit ``j`` set when ``bindings[j]`` holds."""
+        codes = np.zeros(cells.size, dtype=np.int64)
         for bit, binding in enumerate(bindings):
-            codes |= self._satisfaction_mask(binding)[rows].astype(np.int64) << bit
+            codes |= self._satisfaction_mask(binding)[cells].astype(np.int64) << bit
         return codes
 
     def _conjunction_mask(
-        self, bindings: Sequence[PredicateBinding], rows: np.ndarray
+        self, bindings: Sequence[PredicateBinding], cells: np.ndarray
     ) -> np.ndarray:
-        """Mask over ``rows``: do all predicates hold simultaneously?"""
-        result = np.ones(rows.size, dtype=bool)
+        """Mask over ``cells``: do all predicates hold simultaneously?"""
+        result = np.ones(cells.size, dtype=bool)
         for binding in bindings:
-            result &= self._satisfaction_mask(binding)[rows]
+            result &= self._satisfaction_mask(binding)[cells]
         return result
 
     @staticmethod
@@ -292,26 +307,57 @@ class EmpiricalDistribution(Distribution):
         """
         mask = self._satisfaction_mask(binding)
         denominator = self.row_total + 2.0 * self._smoothing
-        return (float(mask.sum()) + self._smoothing) / denominator
+        return (float(self._weights @ mask) + self._smoothing) / denominator
 
     def clear_caches(self) -> None:
-        """Drop cached row sets and predicate masks (frees memory)."""
+        """Drop cached cell sets and predicate masks (frees memory)."""
         self._row_cache.clear()
         self._predicate_masks.clear()
 
 
-class OutcomeCounter:
-    """Outcome counts of one subproblem's rows, bucketed by attribute value.
+def _count_table(data: np.ndarray, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``data`` and how many times each occurs.
 
-    Each row of the subproblem is encoded once as its outcome bitmask over
+    Each row gets a mixed-radix code over the attribute domains; when the
+    next attribute would push codes past ``_MAX_CODE``, the codes so far
+    are renumbered densely first (at most ``d`` distinct prefixes).
+    """
+    codes = np.zeros(data.shape[0], dtype=np.int64)
+    span = 1
+    for column, attribute in enumerate(schema):
+        if span * attribute.domain_size > _MAX_CODE:
+            _, codes = np.unique(codes, return_inverse=True)
+            span = int(codes.max()) + 1
+        codes = codes * attribute.domain_size + (data[:, column] - 1)
+        span *= attribute.domain_size
+    _, first, weights = np.unique(codes, return_index=True, return_counts=True)
+    return data[first], weights
+
+
+def _normalised(counts: np.ndarray, smoothing: float) -> np.ndarray:
+    """A value histogram's smoothed pmf (zeros when it holds no mass)."""
+    smoothed = counts + smoothing
+    total = smoothed.sum()
+    if total <= 0.0:
+        return np.zeros(len(counts), dtype=np.float64)
+    return smoothed / total
+
+
+class OutcomeCounter:
+    """Outcome counts of one subproblem's cells, by attribute value.
+
+    Each cell of the subproblem is encoded once as its outcome bitmask over
     ``bindings`` (bit ``j`` set when ``bindings[j]`` holds, as in
-    :meth:`EmpiricalDistribution.predicate_joint`).  One ``bincount`` per
-    attribute then counts every candidate split: a side's outcome counts
-    are a prefix or suffix sum over value buckets (Equation 7 lifted to
-    the predicate lattice).  :meth:`joints` and :meth:`pass_probabilities`
-    turn side counts into exactly the floats that
+    :meth:`EmpiricalDistribution.predicate_joint`).  One weighted
+    ``bincount`` then counts the outcomes per value of every attribute
+    asked for (:meth:`value_counts`): a split side's outcome counts are a
+    prefix or suffix sum over an attribute's values (Equation 7 lifted to
+    the predicate lattice), and the attribute's histogram is their row
+    sums.  :meth:`histogram`, :meth:`joints` and :meth:`pass_probabilities`
+    turn those counts into exactly the floats that
+    :meth:`~EmpiricalDistribution.attribute_histogram`,
     :meth:`~EmpiricalDistribution.predicate_joint` and the sequential
-    conditioner report for that side's row set.
+    conditioner report.
     """
 
     def __init__(
@@ -320,33 +366,41 @@ class OutcomeCounter:
         bindings: Sequence[PredicateBinding],
         ranges: RangeVector,
     ) -> None:
-        self._data = distribution._data
+        cells = distribution.rows_matching(ranges)
+        self._cells = distribution._cells[cells]
+        self._weights = distribution._weights[cells]
+        self._codes = distribution._outcome_codes(bindings, cells)
         self._ranges = ranges
-        self._rows = distribution.rows_matching(ranges)
-        self._codes = distribution._outcome_codes(bindings, self._rows)
         self._size = 1 << len(bindings)
         self._smoothing = distribution.smoothing
 
-    def bucket_counts(
-        self, attribute_index: int, boundaries: Sequence[int]
-    ) -> np.ndarray:
-        """Outcome counts per value bucket of one attribute.
+    def value_counts(self, attribute_indices: Sequence[int]) -> np.ndarray:
+        """Outcome counts per value of each attribute's range.
 
-        ``boundaries`` are ascending values interior to the subproblem's
-        range; bucket ``k`` holds the rows with
-        ``boundaries[k-1] <= value < boundaries[k]`` (open at both ends).
-        Returns an int64 array of shape ``(len(boundaries) + 1, 2**m)``.
+        Rows run through the values of ``attribute_indices[0]``'s range
+        in ascending order, then those of the next attribute, and so on;
+        column ``s`` counts the rows with outcome bitmask ``s``.  Returns
+        a float64 array of integer counts, shape ``(sum of range lengths,
+        2**m)``.
         """
-        interval = self._ranges[attribute_index]
-        bucket_of = np.searchsorted(
-            boundaries, np.arange(interval.low, interval.high + 1), side="right"
-        )
-        buckets = bucket_of[self._data[self._rows, attribute_index] - interval.low]
-        size = self._size
+        intervals = [self._ranges[index] for index in attribute_indices]
+        lengths = [len(interval) for interval in intervals]
+        starts = np.cumsum([0] + lengths[:-1])
+        lows = np.array([interval.low for interval in intervals])
+        values = self._cells[:, attribute_indices] - lows + starts
         counts = np.bincount(
-            buckets * size + self._codes, minlength=(len(boundaries) + 1) * size
+            (values * self._size + self._codes[:, None]).ravel(),
+            weights=np.repeat(self._weights, len(intervals)),
+            minlength=sum(lengths) * self._size,
         )
-        return counts.reshape(len(boundaries) + 1, size)
+        return counts.reshape(-1, self._size)
+
+    def histogram(self, counts: np.ndarray) -> np.ndarray:
+        """:meth:`~EmpiricalDistribution.attribute_histogram` of one attribute.
+
+        ``counts`` are the attribute's rows of :meth:`value_counts`.
+        """
+        return _normalised(counts.sum(axis=1), self._smoothing)
 
     def joints(self, counts: np.ndarray) -> np.ndarray:
         """:meth:`~EmpiricalDistribution.predicate_joint` of each row set.
@@ -366,83 +420,102 @@ class OutcomeCounter:
     def pass_probabilities(
         self, sums: np.ndarray, satisfied: np.ndarray, bits: np.ndarray
     ) -> np.ndarray:
-        """The sequential conditioner's pass probability for each row set.
+        """The sequential conditioner's pass probabilities for each row set.
 
         ``sums[k]`` are row set ``k``'s superset sums of outcome counts:
-        ``sums[k, S]`` rows satisfy every predicate in ``S``.  Entry ``k``
-        is ``P(bits[k] holds | satisfied[k] all held)``, falling back to
-        the predicate's marginal when no row satisfies ``satisfied[k]``.
+        ``sums[k, S]`` rows satisfy every predicate in ``S``.  Entry
+        ``[k, t]`` is ``P(bits[k, t] holds | satisfied[k, t] all held)``,
+        falling back to the predicate's marginal when no row satisfies
+        ``satisfied[k, t]``.  The marginal is taken given
+        ``satisfied[k, 0]``, the predicates every row of set ``k`` holds.
         """
         smoothing = self._smoothing
-        sets = np.arange(len(sums))
+        sets = np.arange(len(sums))[:, None]
         held = sums[sets, satisfied] + 2.0 * smoothing
         hits = sums[sets, satisfied | bits] + smoothing
         if (held > 0.0).all():
             return hits / held
-        marginal_rows = sums[:, 0] + 2.0 * smoothing
+        base = satisfied[:, :1]
+        marginal_rows = sums[sets, base] + 2.0 * smoothing
         marginal = np.divide(
-            sums[sets, bits] + smoothing,
+            sums[sets, base | bits] + smoothing,
             marginal_rows,
-            out=np.zeros(len(sums)),
+            out=np.zeros(bits.shape),
             where=marginal_rows > 0.0,
         )
         return np.divide(hits, held, out=marginal, where=held > 0.0)
 
 
 class _RowSetConditioner(SequentialConditioner):
-    """Incremental conditioning by shrinking a row-index set.
+    """Incremental conditioning by shrinking a cell-index set.
 
-    Each :meth:`condition_on` filters the surviving rows through the new
-    predicate's satisfaction mask, so every probability query is one mask
-    gather plus a mean — O(rows) instead of re-ANDing the whole prefix.
-    This is the hot path of GreedySeq and of Equation 3 costing for
-    sequential plans.
+    Each :meth:`condition_on` filters the surviving cells (and their row
+    counts) through the new predicate's satisfaction mask, so every
+    probability query is one mask gather plus a weighted sum — O(cells)
+    instead of re-ANDing the whole prefix.  This is the hot path of
+    GreedySeq and of Equation 3 costing for sequential plans.
     """
 
     def __init__(self, distribution: EmpiricalDistribution, ranges: RangeVector):
         super().__init__(distribution, ranges)
         self._empirical = distribution
-        self._rows = distribution.rows_matching(ranges)
+        self._cells = distribution.rows_matching(ranges)
+        self._weights = distribution._weights[self._cells]
+        self._rows = int(self._weights.sum())
+        self._last: tuple[PredicateBinding, np.ndarray, int] | None = None
         # Lazily-built satisfaction matrix over the bindings seen so far:
-        # row k holds predicate k's outcomes on the *surviving* rows, so
+        # row k holds predicate k's outcomes on the *surviving* cells, so
         # condition_on only has to column-filter it.
         self._matrix: np.ndarray | None = None
         self._matrix_index: dict[tuple, int] = {}
 
     def pass_probability(self, binding: PredicateBinding) -> float:
         smoothing = self._empirical.smoothing
-        denominator = self._rows.size + 2.0 * smoothing
+        denominator = self._rows + 2.0 * smoothing
         if denominator <= 0.0:
             # Conditioning event unseen: fall back to the subproblem
             # marginal, matching satisfied_given_satisfied's behaviour.
             return self._empirical.conjunction_probability(
                 [binding], self._ranges
             )
-        hits = self._empirical._satisfaction_mask(binding)[self._rows]
-        return (float(hits.sum()) + smoothing) / denominator
+        _, count = self._hits(binding)
+        return (float(count) + smoothing) / denominator
 
     def pass_probabilities(self, bindings) -> np.ndarray:
         smoothing = self._empirical.smoothing
-        denominator = self._rows.size + 2.0 * smoothing
+        denominator = self._rows + 2.0 * smoothing
         if denominator <= 0.0:
             return super().pass_probabilities(bindings)
         matrix_rows = [self._matrix_row(binding) for binding in bindings]
-        sums = self._matrix[matrix_rows].sum(axis=1)
+        sums = self._matrix[matrix_rows] @ self._weights
         return (sums + smoothing) / denominator
 
     def condition_on(self, binding: PredicateBinding) -> None:
         super().condition_on(binding)
-        mask = self._empirical._satisfaction_mask(binding)[self._rows]
-        self._rows = self._rows[mask]
+        mask, self._rows = self._hits(binding)
+        self._cells = self._cells[mask]
+        self._weights = self._weights[mask]
+        self._last = None
         if self._matrix is not None:
             self._matrix = self._matrix[:, mask]
+
+    def _hits(self, binding: PredicateBinding) -> tuple[np.ndarray, int]:
+        """The surviving cells where ``binding`` holds, and their rows.
+
+        Remembered for the last binding asked: Equation 3's walk asks
+        for a step's pass probability, then conditions on that step.
+        """
+        if self._last is None or self._last[0] is not binding:
+            mask = self._empirical._satisfaction_mask(binding)[self._cells]
+            self._last = (binding, mask, int(self._weights @ mask))
+        return self._last[1], self._last[2]
 
     def _matrix_row(self, binding: PredicateBinding) -> int:
         """Index of the binding's outcome row, gathering it on first use."""
         key = self._empirical._mask_key(*binding)
         index = self._matrix_index.get(key)
         if index is None:
-            outcomes = self._empirical._satisfaction_mask(binding)[self._rows]
+            outcomes = self._empirical._satisfaction_mask(binding)[self._cells]
             if self._matrix is None:
                 self._matrix = outcomes[None, :]
             else:

@@ -60,7 +60,6 @@ from repro.probability import (
     ChowLiuDistribution,
     EmpiricalDistribution,
     IndependenceDistribution,
-    SlidingWindowDistribution,
 )
 from repro.probability.base import Distribution
 from repro.probability.joint import conditional_from_superset_sums, superset_sums
@@ -317,18 +316,11 @@ def _correlated_case():
 CASES = {"lab": _lab_case, "garden": _garden_case, "correlated": _correlated_case}
 
 
-def _sliding(schema: Schema, data: np.ndarray) -> Distribution:
-    window = SlidingWindowDistribution(schema, capacity=400)
-    window.extend(data[-400:])
-    return window
-
-
 DISTRIBUTIONS = {
     "empirical": lambda schema, data: EmpiricalDistribution(schema, data),
     "empirical-smoothed": lambda schema, data: EmpiricalDistribution(
         schema, data, smoothing=0.5
     ),
-    "sliding": _sliding,
     "chow-liu": lambda schema, data: ChowLiuDistribution(schema, data),
     "independence": lambda schema, data: IndependenceDistribution(schema, data),
 }
