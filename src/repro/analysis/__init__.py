@@ -7,14 +7,17 @@ feasible intervals from ancestor condition splits and passed sequential
 steps, plus the set of attributes already observed.  On top of that one
 pass sit:
 
+- the verifier's structural, semantic and range rules
+  (:func:`repro.verify.rules.check_facts`), which read each node's facts;
 - the ``DF001``–``DF004`` diagnostics (:mod:`~repro.analysis.checks`):
   dead branches, decided step predicates, redundant re-acquisitions, and
   infeasible split points — verifier-grade findings the plan verifier,
   lint gate, and cache admission pick up automatically;
 - cost-bound certificates (:mod:`~repro.analysis.certificates`): per
-  subtree Eq. 3 expected-cost claims that
-  :func:`~repro.analysis.certificates.check_certificate` re-derives
-  independently, emitting ``DF101`` on any lie;
+  subtree Eq. 3 expected-cost claims read off the one Eq. 3 walk
+  (:func:`repro.core.cost.cost_decomposition`), which
+  :func:`~repro.analysis.certificates.check_certificate` re-derives,
+  emitting ``DF101`` on any lie;
 - the rewriter (:mod:`~repro.analysis.rewrite`):
   :func:`~repro.analysis.rewrite.optimize_plan` eliminates dead branches
   and subsumed predicates while provably preserving every tuple's

@@ -8,15 +8,18 @@ reaching the node*).  Producers:
 - :meth:`repro.planning.ExhaustivePlanner` exports the bounds straight
   from its dynamic-programming cache — the claims really are the DP
   optima;
-- :func:`certify_plan` recomputes them from any plan and distribution
-  (the Eq. 3 fallback used by the heuristic planners and the CLI).
+- :func:`certify_plan` reads them off the one Eq. 3 walk,
+  :func:`~repro.core.cost.cost_decomposition` (the fallback used by the
+  heuristic planners, the service's re-certification and the CLI).
 
-:func:`check_certificate` then re-derives every claim independently and
+:func:`check_certificate` then re-derives every claim from that walk and
 emits ``DF101`` (ERROR) when a claim diverges from the Eq. 3
 recomputation, anchors to a node the plan does not have, or falls below
 the admissible information-theoretic floor :func:`admissible_lower_bound`
 — a sound lower bound ``l(R)`` on any correct plan's cost for the
-subproblem, so a smaller claim is provably a lie.
+subproblem, so a smaller claim is provably a lie.  The verifier calls
+:func:`certificate_findings` with the decomposition its cost rules
+already hold, so admission walks Eq. 3 once.
 """
 
 from __future__ import annotations
@@ -26,24 +29,23 @@ from typing import Any, Mapping
 
 from repro.analysis.dataflow import AnyQuery
 from repro.core.attributes import Schema
-from repro.core.cost import expected_cost
+from repro.core.cost import NodeCostContribution, cost_decomposition, root_bound
 from repro.core.cost_models import AcquisitionCostModel
-from repro.core.plan import ConditionNode, PlanNode, SequentialNode, VerdictLeaf
+from repro.core.plan import PlanNode
 from repro.core.predicates import Truth
 from repro.core.ranges import RangeVector
 from repro.exceptions import PlanError
 from repro.probability.base import Distribution
 from repro.verify.diagnostics import Diagnostic, make_diagnostic
+from repro.verify.rules import DEFAULT_COST_TOLERANCE
 
 __all__ = [
     "CostCertificate",
     "certify_plan",
     "admissible_lower_bound",
     "check_certificate",
-    "DEFAULT_CERTIFICATE_TOLERANCE",
+    "certificate_findings",
 ]
-
-DEFAULT_CERTIFICATE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,56 +83,16 @@ def certify_plan(
 ) -> CostCertificate:
     """Issue an Eq. 3 certificate for every subtree of ``plan``.
 
-    One recursive pass: each node's bound is assembled from its
-    children's, so the whole certificate costs the same as one
-    :func:`~repro.core.cost.expected_cost` call.  Raises
-    :class:`~repro.exceptions.PlanError` on structurally broken plans
-    (same contract as ``expected_cost``).
+    The bounds are the ``bound`` fields of one
+    :func:`~repro.core.cost.cost_decomposition` walk, zero-reach
+    subtrees included; the root bound equals
+    :func:`~repro.core.cost.expected_cost`.  Raises
+    :class:`~repro.exceptions.PlanError` when any node is structurally
+    broken, reachable or not.
     """
-    schema = distribution.schema
-    context = ranges if ranges is not None else RangeVector.full(schema)
-    bounds: dict[str, float] = {}
-
-    def walk(node: PlanNode, node_ranges: RangeVector, path: str) -> float:
-        if isinstance(node, VerdictLeaf):
-            bounds[path] = 0.0
-            return 0.0
-        if isinstance(node, SequentialNode):
-            cost = expected_cost(node, distribution, node_ranges, cost_model)
-            bounds[path] = cost
-            return cost
-        if isinstance(node, ConditionNode):
-            index = node.attribute_index
-            if not 0 <= index < len(schema):
-                raise PlanError(
-                    f"condition node attribute index {index} out of range "
-                    f"for a schema of {len(schema)} attributes"
-                )
-            interval = node_ranges[index]
-            if not interval.low < node.split_value <= interval.high:
-                raise PlanError(
-                    f"plan splits {node.attribute!r} at {node.split_value} "
-                    f"outside the reachable range "
-                    f"[{interval.low}, {interval.high}]"
-                )
-            if node_ranges.is_acquired(index):
-                acquisition = 0.0
-            elif cost_model is None:
-                acquisition = schema[index].cost
-            else:
-                acquisition = cost_model.cost(index, node_ranges.acquired_indices())
-            probability = distribution.split_probability(
-                index, node.split_value, node_ranges
-            )
-            below_ranges, above_ranges = node_ranges.split(index, node.split_value)
-            below = walk(node.below, below_ranges, path + "/below")
-            above = walk(node.above, above_ranges, path + "/above")
-            cost = acquisition + probability * below + (1.0 - probability) * above
-            bounds[path] = cost
-            return cost
-        raise PlanError(f"unknown plan node type {type(node).__name__}")
-
-    walk(plan, context, "root")
+    records = cost_decomposition(plan, distribution, ranges, cost_model)
+    root_bound(records)  # raises on a broken node
+    bounds = {path: r.bound for path, r in records.items() if r.bound is not None}
     return CostCertificate(bounds=bounds, source="eq3")
 
 
@@ -174,19 +136,31 @@ def check_certificate(
     query: AnyQuery | None = None,
     ranges: RangeVector | None = None,
     cost_model: AcquisitionCostModel | None = None,
-    tolerance: float = DEFAULT_CERTIFICATE_TOLERANCE,
+    tolerance: float = DEFAULT_COST_TOLERANCE,
 ) -> list[Diagnostic]:
-    """Independently re-derive every certificate claim; emit ``DF101``.
+    """Independently re-derive every certificate claim; emit ``DF101``."""
+    records = cost_decomposition(plan, distribution, ranges, cost_model)
+    return certificate_findings(
+        records, certificate, distribution.schema, query, cost_model, tolerance
+    )
+
+
+def certificate_findings(
+    records: dict[str, NodeCostContribution],
+    certificate: CostCertificate,
+    schema: Schema,
+    query: AnyQuery | None = None,
+    cost_model: AcquisitionCostModel | None = None,
+    tolerance: float = DEFAULT_COST_TOLERANCE,
+) -> list[Diagnostic]:
+    """The ``DF101`` rule over a plan's Eq. 3 decomposition ``records``.
 
     Claims on structurally broken plans are not checkable — the caller's
     structural rules gate this (mirroring the verifier's cost rules), and
     an unverifiable certificate yields a single ``DF101`` saying so.
     """
-    findings: list[Diagnostic] = []
     try:
-        recomputed = certify_plan(
-            plan, distribution, ranges=ranges, cost_model=cost_model
-        )
+        root_bound(records)
     except PlanError as error:
         return [
             make_diagnostic(
@@ -196,12 +170,10 @@ def check_certificate(
                 hint="fix the structural errors, then re-certify",
             )
         ]
-    schema = distribution.schema
-    context = ranges if ranges is not None else RangeVector.full(schema)
-    contexts = _subproblem_contexts(plan, context)
+    findings: list[Diagnostic] = []
     for path, claimed in sorted(certificate.bounds.items()):
-        actual = recomputed.bounds.get(path)
-        if actual is None:
+        record = records.get(path)
+        if record is None:
             findings.append(
                 make_diagnostic(
                     "DF101",
@@ -211,6 +183,8 @@ def check_certificate(
                 )
             )
             continue
+        actual, context = record.bound, record.ranges
+        assert actual is not None and context is not None  # a sound plan
         if abs(claimed - actual) > tolerance * max(1.0, abs(actual)):
             findings.append(
                 make_diagnostic(
@@ -222,9 +196,7 @@ def check_certificate(
                 )
             )
             continue
-        floor = admissible_lower_bound(
-            query, schema, contexts[path], cost_model=cost_model
-        )
+        floor = admissible_lower_bound(query, schema, context, cost_model=cost_model)
         if claimed < floor - tolerance:
             findings.append(
                 make_diagnostic(
@@ -238,22 +210,3 @@ def check_certificate(
                 )
             )
     return findings
-
-
-def _subproblem_contexts(
-    plan: PlanNode, context: RangeVector
-) -> dict[str, RangeVector]:
-    """Range context per node path (valid plans only — caller pre-checks)."""
-    contexts: dict[str, RangeVector] = {}
-
-    def walk(node: PlanNode, node_ranges: RangeVector, path: str) -> None:
-        contexts[path] = node_ranges
-        if isinstance(node, ConditionNode):
-            below_ranges, above_ranges = node_ranges.split(
-                node.attribute_index, node.split_value
-            )
-            walk(node.below, below_ranges, path + "/below")
-            walk(node.above, above_ranges, path + "/above")
-
-    walk(plan, context, "root")
-    return contexts

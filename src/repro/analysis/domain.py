@@ -91,12 +91,6 @@ class AbstractState:
         assert self.ranges is not None, "truth_of is undefined at bottom"
         return predicate.truth_under(self.ranges[index])
 
-    def observe(self, index: int) -> "AbstractState":
-        """Record that attribute ``index`` was read (no interval change)."""
-        if self.ranges is None or index in self.observed:
-            return self
-        return AbstractState(ranges=self.ranges, observed=self.observed | {index})
-
     def assume_split(self, index: int, split_value: int) -> tuple["AbstractState", "AbstractState"]:
         """Transfer function for ``T(X_index >= split_value)``.
 

@@ -105,7 +105,9 @@ def _no_new_errors(
             if finding.severity is Severity.ERROR
         }
 
-    return error_codes(candidate) <= error_codes(original)
+    # A clean candidate passes whatever the original holds.
+    errors = error_codes(candidate)
+    return not errors or errors <= error_codes(original)
 
 
 def _rewrite(

@@ -7,14 +7,17 @@ Implements the paper's three cost quantities plus the Section 2.4 extension:
 - :func:`dataset_execution` / :func:`empirical_cost` — Equation 4: the
   dataset-approximated expected cost (and, as a byproduct, the plan's
   verdict on every row — used to verify plans never change query answers).
-- :func:`expected_cost` — Equation 3: the model-expected cost under any
-  :class:`~repro.probability.base.Distribution`, computed by recursing over
-  the plan tree while tracking the subproblem ranges each branch implies.
-- :func:`cost_decomposition` — the same Equation 3 expectation, broken
-  into one :class:`NodeCostContribution` per plan node (keyed by the
-  verifier's node paths).  The verifier's cost-conservation rules and the
-  observability layer's :func:`repro.obs.drift.predict_plan` both consume
-  this single decomposition instead of re-walking Eq. 3 independently.
+- :func:`cost_decomposition` — Equation 3: the model-expected cost under
+  any :class:`~repro.probability.base.Distribution`, computed by one walk
+  over the plan tree that tracks the subproblem ranges each branch
+  implies, and broken into one :class:`NodeCostContribution` per plan
+  node (keyed by the verifier's node paths): each node's reach-weighted
+  share and its subtree's conditional cost, over zero-reach subtrees
+  too.  The verifier's cost and certificate rules, the cost certificate
+  (:func:`repro.analysis.certify_plan`) and the drift predictions
+  (:func:`repro.obs.drift.predict_plan`) all read this one walk.
+- :func:`expected_cost` — the scalar: the walk's root cost, which the
+  planners price sequential leaves with.
 - :func:`combined_objective` — Section 2.4: ``C(P) + alpha * zeta(P)``,
   folding plan-dissemination cost into the optimization target.
 """
@@ -45,6 +48,7 @@ __all__ = [
     "empirical_cost",
     "expected_cost",
     "cost_decomposition",
+    "root_bound",
     "NodeCostContribution",
     "combined_objective",
     "DatasetExecution",
@@ -288,71 +292,12 @@ def expected_cost(
     the full attribute space); condition nodes recurse with split ranges and
     branch probabilities from ``distribution``, and sequential leaves charge
     each step weighted by the probability that every earlier predicate in
-    the order held.
+    the order held.  This is the root ``bound`` of
+    :func:`cost_decomposition`, the one Eq. 3 walk; raises
+    :class:`~repro.exceptions.PlanError` when a node is structurally
+    broken.
     """
-    schema = distribution.schema
-    if ranges is None:
-        ranges = RangeVector.full(schema)
-    return _expected_cost(plan, distribution, ranges, schema, cost_model)
-
-
-def _expected_cost(
-    plan: PlanNode,
-    distribution: Distribution,
-    ranges: RangeVector,
-    schema: Schema,
-    cost_model: AcquisitionCostModel | None = None,
-) -> float:
-    if isinstance(plan, VerdictLeaf):
-        return 0.0
-    if isinstance(plan, ConditionNode):
-        index = plan.attribute_index
-        if ranges.is_acquired(index):
-            acquisition = 0.0
-        elif cost_model is None:
-            acquisition = schema[index].cost
-        else:
-            acquisition = cost_model.cost(index, ranges.acquired_indices())
-        interval = ranges[index]
-        if not interval.low < plan.split_value <= interval.high:
-            raise PlanError(
-                f"plan splits {plan.attribute!r} at {plan.split_value} outside "
-                f"the reachable range [{interval.low}, {interval.high}]"
-            )
-        probability_below = distribution.split_probability(
-            index, plan.split_value, ranges
-        )
-        below_ranges, above_ranges = ranges.split(index, plan.split_value)
-        total = acquisition
-        if probability_below > 0.0:
-            total += probability_below * _expected_cost(
-                plan.below, distribution, below_ranges, schema, cost_model
-            )
-        if probability_below < 1.0:
-            total += (1.0 - probability_below) * _expected_cost(
-                plan.above, distribution, above_ranges, schema, cost_model
-            )
-        return total
-    if isinstance(plan, SequentialNode):
-        total = 0.0
-        survival = 1.0
-        conditioner = distribution.sequential_conditioner(ranges)
-        acquired = set(ranges.acquired_indices())
-        for step in plan.steps:
-            if survival <= 0.0:
-                break
-            index = step.attribute_index
-            if index not in acquired:
-                if cost_model is None:
-                    total += survival * schema[index].cost
-                else:
-                    total += survival * cost_model.cost(index, acquired)
-                acquired.add(index)
-            binding = (step.predicate, step.attribute_index)
-            survival *= conditioner.pass_probability(binding)
-            conditioner.condition_on(binding)
-        return total
-    raise PlanError(f"unknown plan node type {type(plan).__name__}")
+    return root_bound(cost_decomposition(plan, distribution, ranges, cost_model))
 
 
 @dataclass(frozen=True)
@@ -373,7 +318,11 @@ class NodeCostContribution:
     marks records where the walk stopped: verdict/sequential leaves and
     broken nodes — their ``reach`` values partition the root context.
     Records inside zero-reach subtrees carry zero reach/cost and no
-    probabilities; their range context is not tracked.
+    probabilities, but still track ``ranges``, the node's range context,
+    and ``bound``, the Eq. 3 cost of its subtree per tuple reaching it
+    (what :func:`repro.analysis.certify_plan` certifies; the root's
+    equals :func:`expected_cost`).  ``bound`` is None when the subtree
+    holds a broken node; below one, ``ranges`` is None too.
     """
 
     path: str
@@ -387,6 +336,8 @@ class NodeCostContribution:
     feasible: bool = True
     is_leaf: bool = True
     detail: str = ""
+    bound: float | None = None
+    ranges: RangeVector | None = None
 
 
 def cost_decomposition(
@@ -401,123 +352,167 @@ def cost_decomposition(
     convention (``root``, ``root/below``, ...), in pre-order.  The
     decomposition is exact: live-node ``cost`` values sum to the Eq. 3
     expectation, and leaf ``reach`` values sum to 1 for any plan whose
-    splits partition the context.  Unlike :func:`expected_cost` this
-    never raises on a broken plan — infeasible splits and out-of-range
-    indices yield ``feasible=False`` records so verifier rules can turn
-    them into diagnostics.
+    splits partition the context.  The same walk assembles every
+    subtree's conditional ``bound`` bottom-up — ``acquisition + p * below
+    + (1 - p) * above``, leaving out a branch whose probability is 0 —
+    so one call serves the verifier's cost rules, the cost certificate,
+    the drift predictions and :func:`expected_cost`.  Unlike
+    :func:`expected_cost` this never raises on a broken plan —
+    infeasible splits and out-of-range indices yield ``feasible=False``
+    records so verifier rules can turn them into diagnostics
+    (:func:`root_bound` raises naming the first).
     """
     schema = distribution.schema
     context = ranges if ranges is not None else RangeVector.full(schema)
+    # A condition record waits for its children's bounds; ``order`` keeps
+    # the pre-order the result is returned in.
+    order: list[str] = []
     records: dict[str, NodeCostContribution] = {}
 
-    def dead(node: PlanNode, path: str) -> None:
-        # Zero-reach subtree: record every node with zero contributions.
-        if isinstance(node, ConditionNode):
-            records[path] = NodeCostContribution(
-                path=path, kind="condition", reach=0.0, acquisition=0.0,
-                cost=0.0, is_leaf=False,
-            )
-            dead(node.below, path + "/below")
-            dead(node.above, path + "/above")
-        elif isinstance(node, SequentialNode):
-            records[path] = NodeCostContribution(
-                path=path, kind="sequential", reach=0.0, acquisition=0.0,
-                cost=0.0, step_costs=tuple(0.0 for _ in node.steps),
-            )
-        else:
-            kind = "verdict" if isinstance(node, VerdictLeaf) else "unknown"
-            records[path] = NodeCostContribution(
-                path=path, kind=kind, reach=0.0, acquisition=0.0, cost=0.0
-            )
-
     def walk(
-        node: PlanNode, node_ranges: RangeVector, reach: float, path: str
-    ) -> None:
+        node: PlanNode, node_ranges: RangeVector | None, reach: float, path: str
+    ) -> float | None:
+        order.append(path)
         if reach <= 0.0:
-            dead(node, path)
-            return
+            reach = 0.0  # a zero-reach subtree: only bounds are tracked
         if isinstance(node, VerdictLeaf):
             records[path] = NodeCostContribution(
-                path=path, kind="verdict", reach=reach, acquisition=0.0, cost=0.0
+                path=path, kind="verdict", reach=reach, acquisition=0.0,
+                cost=0.0, bound=0.0, ranges=node_ranges,
             )
-            return
+            return 0.0
         if isinstance(node, SequentialNode):
-            records[path] = _sequential_contribution(
+            record = _sequential_contribution(
                 node, node_ranges, reach, path, schema, distribution, cost_model
             )
-            return
-        if isinstance(node, ConditionNode):
-            index = node.attribute_index
-            if not 0 <= index < len(schema):
-                records[path] = NodeCostContribution(
-                    path=path, kind="condition", reach=reach, acquisition=0.0,
-                    cost=0.0, feasible=False,
-                    detail=f"condition node attribute index {index} out of "
-                    f"range for a schema of {len(schema)} attributes",
-                )
-                return
-            interval = node_ranges[index]
-            if not interval.low < node.split_value <= interval.high:
-                records[path] = NodeCostContribution(
-                    path=path, kind="condition", reach=reach, acquisition=0.0,
-                    cost=0.0, feasible=False,
-                    detail=f"plan splits {node.attribute!r} at "
-                    f"{node.split_value} outside the reachable range "
-                    f"[{interval.low}, {interval.high}]",
-                )
-                return
-            if node_ranges.is_acquired(index):
-                acquisition = 0.0
-            elif cost_model is None:
-                acquisition = schema[index].cost
-            else:
-                acquisition = cost_model.cost(index, node_ranges.acquired_indices())
-            probability = distribution.split_probability(
-                index, node.split_value, node_ranges
-            )
+            records[path] = record
+            return record.bound
+        if not isinstance(node, ConditionNode):
             records[path] = NodeCostContribution(
-                path=path, kind="condition", reach=reach,
-                acquisition=acquisition, cost=reach * acquisition,
-                probability_below=probability, is_leaf=False,
+                path=path, kind="unknown", reach=reach, acquisition=0.0, cost=0.0,
+                feasible=False,
+                detail=f"unknown plan node type {type(node).__name__}",
             )
-            below_ranges, above_ranges = node_ranges.split(index, node.split_value)
-            walk(node.below, below_ranges, reach * probability, path + "/below")
-            walk(
-                node.above, above_ranges, reach * (1.0 - probability),
-                path + "/above",
+            return None
+        live = reach > 0.0
+        detail = _split_defect(node, node_ranges, schema)
+        if node_ranges is None or detail:
+            # The walk stops at a live broken node; below a zero-reach
+            # one it records the subtree with no context known.
+            records[path] = NodeCostContribution(
+                path=path, kind="condition", reach=reach, acquisition=0.0,
+                cost=0.0, feasible=not detail, is_leaf=live, detail=detail,
             )
-            return
-        records[path] = NodeCostContribution(
-            path=path, kind="unknown", reach=reach, acquisition=0.0, cost=0.0,
-            feasible=False,
-            detail=f"unknown plan node type {type(node).__name__}",
+            if not live:
+                walk(node.below, None, 0.0, path + "/below")
+                walk(node.above, None, 0.0, path + "/above")
+            return None
+        index = node.attribute_index
+        acquisition = _charge(index, node_ranges, schema, cost_model)
+        probability = distribution.split_probability(
+            index, node.split_value, node_ranges
         )
+        below_ranges, above_ranges = node_ranges.split(index, node.split_value)
+        below = walk(node.below, below_ranges, reach * probability, path + "/below")
+        above = walk(
+            node.above, above_ranges, reach * (1.0 - probability), path + "/above"
+        )
+        bound = None
+        if below is not None and above is not None:
+            bound = acquisition
+            if probability > 0.0:
+                bound += probability * below
+            if probability < 1.0:
+                bound += (1.0 - probability) * above
+        records[path] = NodeCostContribution(
+            path=path, kind="condition", reach=reach,
+            acquisition=acquisition if live else 0.0, cost=reach * acquisition,
+            probability_below=probability if live else None, is_leaf=False,
+            bound=bound, ranges=node_ranges,
+        )
+        return bound
 
     walk(plan, context, 1.0, "root")
-    return records
+    return {path: records[path] for path in order}
+
+
+def root_bound(records: dict[str, NodeCostContribution]) -> float:
+    """The plan's Eq. 3 cost from its decomposition ``records``.
+
+    Raises :class:`~repro.exceptions.PlanError` naming the first broken
+    node (in pre-order) when there is one, reachable or not.
+    """
+    bound = records["root"].bound
+    if bound is None:
+        raise PlanError(
+            next(record.detail for record in records.values() if not record.feasible)
+        )
+    return bound
+
+
+def _charge(
+    index: int,
+    ranges: RangeVector,
+    schema: Schema,
+    cost_model: AcquisitionCostModel | None,
+) -> float:
+    """What a condition node pays to read attribute ``index`` in ``ranges``."""
+    if ranges.is_acquired(index):
+        return 0.0
+    if cost_model is None:
+        return schema[index].cost
+    return cost_model.cost(index, ranges.acquired_indices())
+
+
+def _split_defect(
+    node: ConditionNode, ranges: RangeVector | None, schema: Schema
+) -> str:
+    """Why ``node`` cannot split ``ranges`` (empty when it can, or when
+    no context is known)."""
+    index = node.attribute_index
+    if not 0 <= index < len(schema):
+        return (
+            f"condition node attribute index {index} out of range for a "
+            f"schema of {len(schema)} attributes"
+        )
+    if ranges is None:
+        return ""
+    interval = ranges[index]
+    if not interval.low < node.split_value <= interval.high:
+        return (
+            f"plan splits {node.attribute!r} at {node.split_value} outside "
+            f"the reachable range [{interval.low}, {interval.high}]"
+        )
+    return ""
 
 
 def _sequential_contribution(
     node: SequentialNode,
-    ranges: RangeVector,
+    ranges: RangeVector | None,
     reach: float,
     path: str,
     schema: Schema,
     distribution: Distribution,
     cost_model: AcquisitionCostModel | None,
 ) -> NodeCostContribution:
-    """Live sequential leaf: per-step pass probabilities and costs."""
+    """A sequential leaf: each step charged to the survivors of the steps
+    before it, as per-step pass probabilities and costs plus the leaf's
+    bound."""
+    if ranges is None:
+        return NodeCostContribution(
+            path=path, kind="sequential", reach=0.0, acquisition=0.0, cost=0.0,
+            step_costs=tuple(0.0 for _ in node.steps),
+        )
     conditioner = distribution.sequential_conditioner(ranges)
     acquired = set(ranges.acquired_indices())
     survival = 1.0
+    total = 0.0
     passes: list[float] = []
     costs: list[float] = []
-    feasible = True
     detail = ""
     for step in node.steps:
         index = step.attribute_index
         if not 0 <= index < len(schema):
-            feasible = False
             detail = (
                 f"sequential step attribute index {index} out of range "
                 f"for a schema of {len(schema)} attributes"
@@ -526,9 +521,11 @@ def _sequential_contribution(
             break
         if survival > 0.0 and index not in acquired:
             if cost_model is None:
-                costs.append(reach * survival * schema[index].cost)
+                charge = schema[index].cost
             else:
-                costs.append(reach * survival * cost_model.cost(index, acquired))
+                charge = cost_model.cost(index, acquired)
+            total += survival * charge
+            costs.append(reach * survival * charge)
         else:
             costs.append(0.0)
         acquired.add(index)
@@ -542,8 +539,9 @@ def _sequential_contribution(
         survival *= passed
     return NodeCostContribution(
         path=path, kind="sequential", reach=reach, acquisition=0.0,
-        cost=sum(costs), step_passes=tuple(passes), step_costs=tuple(costs),
-        feasible=feasible, detail=detail,
+        cost=sum(costs), step_passes=tuple(passes) if reach > 0.0 else (),
+        step_costs=tuple(costs), feasible=not detail, detail=detail,
+        bound=None if detail else total, ranges=ranges,
     )
 
 

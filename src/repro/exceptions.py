@@ -88,20 +88,5 @@ class ClusterError(ServiceError):
     """The sharded serving tier was configured or used inconsistently."""
 
 
-class LoadShedError(ClusterError):
-    """The admission controller refused a request under overload.
-
-    ``reason`` distinguishes why the request was shed: ``"overload"``
-    (global in-flight ceiling), ``"queue-depth"`` (the target shard's
-    backlog), ``"cold"`` (SKIP-mode shedding of a fingerprint that would
-    need fresh planning work), or ``"outage"`` (the target shard is down
-    and the shed policy is ABSTAIN).
-    """
-
-    def __init__(self, message: str, reason: str = "overload") -> None:
-        super().__init__(message)
-        self.reason = reason
-
-
 class ShardUnavailableError(ClusterError):
     """A shard worker died or stopped answering within the deadline."""

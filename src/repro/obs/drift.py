@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.cost import cost_decomposition, expected_cost
+from repro.core.cost import NodeCostContribution, cost_decomposition, root_bound
 from repro.core.plan import PlanNode
 from repro.exceptions import PlanError
 from repro.obs.profile import PlanProfile
@@ -89,8 +89,14 @@ def predict_plan(
     plans whose reachable nodes are structurally broken (infeasible
     splits, out-of-range indices).
     """
+    return _predictions(cost_decomposition(plan, distribution))
+
+
+def _predictions(
+    records: dict[str, NodeCostContribution]
+) -> dict[str, NodePrediction]:
     predictions: dict[str, NodePrediction] = {}
-    for path, record in cost_decomposition(plan, distribution).items():
+    for path, record in records.items():
         if not record.feasible and record.reach > 0.0:
             raise PlanError(record.detail)
         if record.kind == "sequential":
@@ -192,8 +198,9 @@ class DriftMonitor:
     """Scores a plan's observed profile against its Eq. 3 predictions.
 
     Predictions are computed once at construction (against the statistics
-    the plan was built from); :meth:`assess` may then be called as often
-    as desired against a live profile.  ``min_visits`` suppresses cells
+    the plan was built from), by one Eq. 3 walk that also supplies the
+    plan's expected cost when ``expected`` is not given; :meth:`assess`
+    may then be called as often as desired against a live profile.  ``min_visits`` suppresses cells
     with too few observations to be meaningful; ``threshold`` is compared
     against the *normalized* score (per-cell mean chi-square term, ~1
     under no drift).
@@ -217,12 +224,9 @@ class DriftMonitor:
         debounce: bool = True,
     ) -> None:
         self._plan = plan
-        self._predictions = predict_plan(plan, distribution)
-        self._expected = (
-            expected
-            if expected is not None
-            else expected_cost(plan, distribution)
-        )
+        records = cost_decomposition(plan, distribution)
+        self._predictions = _predictions(records)
+        self._expected = expected if expected is not None else root_bound(records)
         self._min_visits = min_visits
         self._threshold = threshold
         self._debounce = debounce

@@ -33,7 +33,6 @@ import math
 
 from repro.analysis.certificates import CostCertificate, certify_plan
 from repro.analysis.rewrite import optimize_plan
-from repro.core.cost import expected_cost
 from repro.core.plan import ConditionNode, PlanNode, VerdictLeaf
 from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
@@ -106,10 +105,10 @@ class ExhaustivePlanner(Planner):
             # fallback steps); re-derive the cost and certificate for the
             # new shape so both stay verifier-exact.
             plan = optimized
-            cost = expected_cost(plan, self.distribution, cost_model=self.cost_model)
             certificate = certify_plan(
                 plan, self.distribution, cost_model=self.cost_model
             )
+            cost = certificate.bounds["root"]
         return PlanningResult(
             plan=plan,
             expected_cost=cost,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.analysis.certificates import certify_plan
 from repro.analysis.rewrite import optimize_plan
-from repro.core.cost import expected_cost
 from repro.core.plan import ConditionNode, PlanNode
 from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
@@ -235,19 +234,18 @@ class GreedyConditionalPlanner(Planner):
 
         plan = root.freeze()
         optimized = optimize_plan(plan, schema, query=query)
+        certificate = certify_plan(
+            optimized, self.distribution, cost_model=self.cost_model
+        )
         if optimized != plan:
-            plan = optimized
-            expected_total = expected_cost(
-                plan, self.distribution, cost_model=self.cost_model
-            )
+            # The rewrite changed the plan: its certificate prices it.
+            expected_total = certificate.bounds["root"]
         return PlanningResult(
-            plan=plan,
+            plan=optimized,
             expected_cost=expected_total,
             planner=f"{self.name}-{self._max_splits}",
             stats=stats,
-            certificate=certify_plan(
-                plan, self.distribution, cost_model=self.cost_model
-            ),
+            certificate=certificate,
         )
 
     def _split_for(

@@ -272,7 +272,7 @@ class _CountedScorer(SplitScorer):
             rows = np.flatnonzero(~plain)[:, None]
             joints[rows, columns] = counter.joints(counts[rows, columns])
         orders = _optimal_orders(superset_sums(joints), charges, starts)
-        # Equation 3 for each order, as _expected_cost walks a sequential
+        # Equation 3 for each order, as expected_cost walks a sequential
         # leaf: charge the survivors, then condition on the step passing.
         # The running product and sum go left to right, so each side's
         # floats are the walk's.  Once a survival reaches 0 it stays 0 and

@@ -28,25 +28,12 @@ from repro.core.attributes import Schema
 from repro.core.plan import ConditionNode, PlanNode
 from repro.core.query import ConjunctiveQuery
 from repro.verify.diagnostics import Diagnostic, make_diagnostic
+from repro.verify.paths import iter_plan_paths
 
 if TYPE_CHECKING:
     from repro.faults.policy import FaultPolicy
 
 __all__ = ["check_fault_tolerance"]
-
-
-def _condition_paths(plan: PlanNode) -> list[tuple[str, ConditionNode]]:
-    """Every condition node in the tree with its root-relative path."""
-    found: list[tuple[str, ConditionNode]] = []
-
-    def walk(node: PlanNode, path: str) -> None:
-        if isinstance(node, ConditionNode):
-            found.append((path, node))
-            walk(node.below, f"{path}/below")
-            walk(node.above, f"{path}/above")
-
-    walk(plan, "root")
-    return found
 
 
 def check_fault_tolerance(
@@ -84,7 +71,9 @@ def check_fault_tolerance(
     if query is not None and mode is DegradationMode.ABSTAIN:
         query_indices = set(query.attribute_indices)
         flagged: set[int] = set()
-        for path, node in _condition_paths(plan):
+        for path, node in iter_plan_paths(plan):
+            if not isinstance(node, ConditionNode):
+                continue
             index = node.attribute_index
             if index in query_indices or index in flagged:
                 continue

@@ -2,9 +2,10 @@
 
 Diagnostics, runtime profiles, and trace events all need to point at
 *one node* of a plan tree — and agree with each other about which node
-that is.  The convention, introduced by the verifier's rule walk
-(:mod:`repro.verify.rules`) and reused by the runtime observability
-layer (:mod:`repro.obs`), is:
+that is.  The convention, shared by the dataflow pass whose facts the
+verifier's rules read (:mod:`repro.analysis.dataflow`), the Eq. 3
+decomposition (:func:`repro.core.cost.cost_decomposition`) and the
+runtime observability layer (:mod:`repro.obs`), is:
 
 - the root is ``root``;
 - a condition node's children are ``<path>/below`` and ``<path>/above``;

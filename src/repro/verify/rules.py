@@ -1,10 +1,15 @@
 """Tree-level verification rules: structure, semantics, ranges, cost.
 
-All rules share one recursive walk that threads the *range context* — the
-:class:`~repro.core.ranges.RangeVector` subproblem implied by the
-condition splits on the path from the root (Section 3.2).  The context is
-what makes the checks static: a leaf is judged against what the splits
-above it *prove* about the tuple, never by executing the plan.
+The structural, semantic and range rules are per-node checks over one
+dataflow pass (:func:`repro.analysis.dataflow.analyze_plan`): each node's
+:class:`~repro.analysis.dataflow.NodeFacts` carries its *range context*
+— the :class:`~repro.core.ranges.RangeVector` subproblem implied by the
+condition splits on the path from the root (Section 3.2) — and the
+query's truth there.  The context is what makes the checks static: a
+leaf is judged against what the splits above it *prove* about the
+tuple, never by executing the plan.  A node the rules cannot look below
+(``STR002``, ``RNG003``, ``RNG001``) hides its subtree: nothing below it
+is reported.
 
 The semantic rules accept both query classes.  For a
 :class:`~repro.core.query.ConjunctiveQuery` the leaf contract is exact:
@@ -16,20 +21,21 @@ implement a general formula — the same restriction
 :func:`~repro.planning.base.require_conjunctive` enforces at planning
 time), while verdict leaves are still checked against ``truth_under``.
 
-The cost rule consumes the shared per-node Equation 3 decomposition
-(:func:`repro.core.cost.cost_decomposition` — the same helper behind
-:func:`repro.obs.drift.predict_plan`): probability-sanity checks run
-over its per-node records, and the summed decomposition is required to
-agree with the closed-form :func:`repro.core.cost.expected_cost`
-recursion, as is any claimed cost the planner reported.
+The cost rules read the per-node Equation 3 decomposition
+(:func:`repro.core.cost.cost_decomposition` — the same walk behind the
+cost certificate and :func:`repro.obs.drift.predict_plan`):
+probability-sanity checks run over its per-node records, and the summed
+reach-weighted costs must agree with the root's conditional bound, as
+must any claimed cost the planner reported.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.attributes import Schema
 from repro.core.boolean import BooleanQuery
-from repro.core.cost import cost_decomposition, expected_cost
-from repro.core.cost_models import AcquisitionCostModel
+from repro.core.cost import NodeCostContribution, root_bound
 from repro.core.plan import (
     ConditionNode,
     PlanNode,
@@ -39,13 +45,20 @@ from repro.core.plan import (
 from repro.core.predicates import Predicate, Truth
 from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
-from repro.exceptions import PlanError
-from repro.probability.base import Distribution
 from repro.verify.diagnostics import Diagnostic, make_diagnostic
 
-__all__ = ["check_tree", "check_cost"]
+if TYPE_CHECKING:
+    from repro.analysis.dataflow import NodeFacts, PlanAnalysis
+
+__all__ = ["check_tree", "check_facts", "check_cost", "DEFAULT_COST_TOLERANCE"]
 
 AnyQuery = ConjunctiveQuery | BooleanQuery
+
+# Relative tolerance for Eq. 3 cost comparisons (COST001 and DF101).
+# Planner bookkeeping is float arithmetic over a different summation order
+# than the recomputation, so exact equality is out; anything beyond this
+# is a real drift.
+DEFAULT_COST_TOLERANCE = 1e-6
 
 
 def check_tree(
@@ -59,103 +72,114 @@ def check_tree(
     ``ranges`` narrows the root context for verifying subtrees; it
     defaults to the full attribute space.
     """
+    # Imported lazily: repro.analysis imports this module.
+    from repro.analysis.dataflow import analyze_plan
+
+    return check_facts(analyze_plan(plan, schema, query=query, ranges=ranges))
+
+
+def check_facts(analysis: "PlanAnalysis") -> list[Diagnostic]:
+    """The STR/SEM/RNG rules over one dataflow pass, node by node."""
     findings: list[Diagnostic] = []
-    context = ranges if ranges is not None else RangeVector.full(schema)
-    _walk(plan, context, "root", schema, query, findings)
+    hidden: set[str] = set()
+    for facts in analysis:
+        if facts.path.rpartition("/")[0] in hidden or not _check_node(
+            facts, analysis.schema, analysis.query, findings
+        ):
+            hidden.add(facts.path)
     return findings
 
 
-def _walk(
-    node: PlanNode,
-    ranges: RangeVector,
-    path: str,
+def _check_node(
+    facts: "NodeFacts",
     schema: Schema,
     query: AnyQuery | None,
     findings: list[Diagnostic],
-) -> None:
+) -> bool:
+    """Check one node; False when nothing below it may be reported."""
+    node, path, ranges = facts.node, facts.path, facts.state.ranges
+    # A node the rules reach has a feasible context: only a hidden
+    # split produces an empty one.
+    assert ranges is not None
     if isinstance(node, VerdictLeaf):
-        if query is not None:
-            _check_verdict(node.verdict, ranges, path, query, findings)
-        return
+        if facts.query_truth is not None:  # a query is bound
+            _check_verdict(node.verdict, facts.query_truth, path, findings)
+        return True
     if isinstance(node, SequentialNode):
         _check_sequential(node, ranges, path, schema, query, findings)
-        return
-    if isinstance(node, ConditionNode):
-        index = node.attribute_index
-        if not 0 <= index < len(schema):
-            findings.append(
-                make_diagnostic(
-                    "STR002",
-                    path,
-                    f"condition node attribute index {index} out of range "
-                    f"for a schema of {len(schema)} attributes",
-                    hint="plan was built against a different schema",
-                )
+        return True
+    if not isinstance(node, ConditionNode):
+        findings.append(
+            make_diagnostic(
+                "STR001", path, f"unknown plan node type {type(node).__name__}"
             )
-            return
-        attribute = schema[index]
-        if node.attribute != attribute.name:
-            findings.append(
-                make_diagnostic(
-                    "STR003",
-                    path,
-                    f"condition node names {node.attribute!r} but index "
-                    f"{index} is {attribute.name!r}",
-                )
-            )
-        if node.split_value < 2:
-            findings.append(
-                make_diagnostic(
-                    "RNG003",
-                    path,
-                    f"split at {node.split_value} is below the 1-based "
-                    "domain minimum; the below branch is empty",
-                )
-            )
-            return
-        interval = ranges[index]
-        if not interval.low < node.split_value <= interval.high:
-            findings.append(
-                make_diagnostic(
-                    "RNG001",
-                    path,
-                    f"split {attribute.name} >= {node.split_value} is "
-                    f"unreachable given ancestor range "
-                    f"[{interval.low}, {interval.high}]: the branches do "
-                    "not partition the context",
-                    hint="an ancestor split already decided this test",
-                )
-            )
-            return
-        if query is not None and query.truth_under(ranges) is not Truth.UNDETERMINED:
-            findings.append(
-                make_diagnostic(
-                    "RNG002",
-                    path,
-                    f"context already decides the query; splitting on "
-                    f"{attribute.name} acquires data for nothing",
-                    hint="replace the subtree with a verdict leaf",
-                )
-            )
-        below_ranges, above_ranges = ranges.split(index, node.split_value)
-        _walk(node.below, below_ranges, path + "/below", schema, query, findings)
-        _walk(node.above, above_ranges, path + "/above", schema, query, findings)
-        return
-    findings.append(
-        make_diagnostic(
-            "STR001", path, f"unknown plan node type {type(node).__name__}"
         )
-    )
+        return True
+    index = node.attribute_index
+    if not 0 <= index < len(schema):
+        findings.append(
+            make_diagnostic(
+                "STR002",
+                path,
+                f"condition node attribute index {index} out of range "
+                f"for a schema of {len(schema)} attributes",
+                hint="plan was built against a different schema",
+            )
+        )
+        return False
+    attribute = schema[index]
+    if node.attribute != attribute.name:
+        findings.append(
+            make_diagnostic(
+                "STR003",
+                path,
+                f"condition node names {node.attribute!r} but index "
+                f"{index} is {attribute.name!r}",
+            )
+        )
+    if node.split_value < 2:
+        findings.append(
+            make_diagnostic(
+                "RNG003",
+                path,
+                f"split at {node.split_value} is below the 1-based "
+                "domain minimum; the below branch is empty",
+            )
+        )
+        return False
+    interval = ranges[index]
+    if not interval.low < node.split_value <= interval.high:
+        findings.append(
+            make_diagnostic(
+                "RNG001",
+                path,
+                f"split {attribute.name} >= {node.split_value} is "
+                f"unreachable given ancestor range "
+                f"[{interval.low}, {interval.high}]: the branches do "
+                "not partition the context",
+                hint="an ancestor split already decided this test",
+            )
+        )
+        return False
+    if facts.query_truth not in (None, Truth.UNDETERMINED):
+        findings.append(
+            make_diagnostic(
+                "RNG002",
+                path,
+                f"context already decides the query; splitting on "
+                f"{attribute.name} acquires data for nothing",
+                hint="replace the subtree with a verdict leaf",
+            )
+        )
+    return True
 
 
 def _check_verdict(
     verdict: bool,
-    ranges: RangeVector,
+    truth: Truth,
     path: str,
-    query: AnyQuery,
     findings: list[Diagnostic],
 ) -> None:
-    truth = query.truth_under(ranges)
     if truth is Truth.UNDETERMINED:
         findings.append(
             make_diagnostic(
@@ -323,35 +347,28 @@ def _check_sequential(
 
 
 def check_cost(
-    plan: PlanNode,
-    distribution: Distribution,
+    decomposition: dict[str, NodeCostContribution],
     claimed_cost: float | None = None,
-    tolerance: float = 1e-5,
-    cost_model: AcquisitionCostModel | None = None,
-    ranges: RangeVector | None = None,
+    tolerance: float = DEFAULT_COST_TOLERANCE,
 ) -> list[Diagnostic]:
-    """Cost-conservation rules (Equation 3) under ``distribution``.
+    """Cost-conservation rules (Equation 3) over a plan's decomposition.
 
-    Consumes the shared per-node decomposition
-    (:func:`repro.core.cost.cost_decomposition`), checking that every
+    Reads the per-node records of
+    :func:`repro.core.cost.cost_decomposition`, checking that every
     split probability lies in ``[0, 1]`` (COST002), that leaf
     reach-probabilities partition the root context (COST003), and
-    flagging model-dead branches (COST004).  The summed decomposition
-    must agree with :func:`repro.core.cost.expected_cost` — a guard that
-    the per-node ledger stays exact — and with ``claimed_cost`` when
-    given (COST001).
+    flagging model-dead branches (COST004).  The summed reach-weighted
+    costs must agree with the root's conditional bound — a guard that
+    the per-node ledger stays exact — and so must ``claimed_cost`` when
+    given (COST001).  The verifier runs these rules only on plans the
+    tree rules found structurally sound (no STR/RNG finding); a broken
+    node raises :class:`~repro.exceptions.PlanError`.
     """
     findings: list[Diagnostic] = []
-    schema = distribution.schema
-    context = ranges if ranges is not None else RangeVector.full(schema)
-    records = cost_decomposition(
-        plan, distribution, ranges=context, cost_model=cost_model
-    )
-
     recomputed = 0.0
     leaf_mass = 0.0
     dead_branches = False
-    for record in records.values():
+    for record in decomposition.values():
         recomputed += record.cost
         if record.is_leaf:
             # Verdict/sequential leaves plus structurally-broken nodes
@@ -398,17 +415,7 @@ def check_cost(
             )
         )
 
-    try:
-        independent = expected_cost(plan, distribution, context, cost_model)
-    except PlanError as error:
-        findings.append(
-            make_diagnostic(
-                "COST001",
-                "root",
-                f"Equation 3 recomputation failed: {error}",
-            )
-        )
-        return findings
+    independent = root_bound(decomposition)
     if not _close(recomputed, independent, tolerance):
         findings.append(
             make_diagnostic(

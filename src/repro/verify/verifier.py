@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.attributes import Schema
 from repro.core.boolean import BooleanQuery
+from repro.core.cost import cost_decomposition
 from repro.core.cost_models import AcquisitionCostModel
 from repro.core.plan import PlanNode
 from repro.core.query import ConjunctiveQuery
@@ -25,7 +26,7 @@ from repro.execution.bytecode import compile_plan
 from repro.probability.base import Distribution
 from repro.verify.bytecode_check import check_bytecode
 from repro.verify.diagnostics import VerificationReport, make_diagnostic
-from repro.verify.rules import check_cost, check_tree
+from repro.verify.rules import DEFAULT_COST_TOLERANCE, check_cost, check_facts
 
 if TYPE_CHECKING:
     from repro.analysis.certificates import CostCertificate
@@ -41,11 +42,6 @@ __all__ = [
 ]
 
 AnyQuery = ConjunctiveQuery | BooleanQuery
-
-# Relative tolerance for Eq. 3 cost comparisons.  Planner bookkeeping is
-# float arithmetic over a different summation order than the recomputation,
-# so exact equality is out; anything beyond this is a real drift.
-DEFAULT_COST_TOLERANCE = 1e-6
 
 
 def verify_plan(
@@ -67,11 +63,14 @@ def verify_plan(
 
     ``query`` enables the semantic-equivalence rules, ``distribution``
     the cost-conservation rules (with ``claimed_cost`` compared when
-    given), and ``check_compiled`` additionally compiles the plan and
-    runs the bytecode safety rules over the result.  The dataflow rules
-    (``DF001``-``DF004``) always run; a ``certificate`` (with a
-    distribution) additionally re-derives its cost-bound claims
-    (``DF101``).  A ``fault_policy`` enables the fault-tolerance rules
+    given, within the relative ``tolerance``), and ``check_compiled``
+    additionally compiles the plan and runs the bytecode safety rules
+    over the result.  The dataflow rules (``DF001``-``DF004``) always
+    run; a ``certificate`` (with a distribution) additionally re-derives
+    its cost-bound claims (``DF101``, within the same ``tolerance``).
+    The plan is walked twice: one dataflow pass feeds the tree and
+    dataflow rules, one Eq. 3 decomposition the cost and certificate
+    rules.  A ``fault_policy`` enables the fault-tolerance rules
     (``FT001``-``FT003``): the degraded paths the policy selects must
     remain semantically sound.  A learned-planner ``provenance`` (from
     :class:`repro.learn.planner.BanditPlanner` or the learned stream
@@ -80,11 +79,16 @@ def verify_plan(
     agreement.
     """
     # Imported lazily: repro.analysis imports this package's submodules.
-    from repro.analysis.certificates import check_certificate
+    from repro.analysis.certificates import certificate_findings
     from repro.analysis.checks import check_dataflow
+    from repro.analysis.dataflow import analyze_plan
 
-    findings = check_tree(plan, schema, query=query, ranges=ranges)
-    findings.extend(check_dataflow(plan, schema, query=query, ranges=ranges))
+    # One interval walk feeds the tree rules and the dataflow rules.
+    analysis = analyze_plan(plan, schema, query=query, ranges=ranges)
+    findings = check_facts(analysis)
+    findings.extend(
+        check_dataflow(plan, schema, query=query, ranges=ranges, analysis=analysis)
+    )
     if fault_policy is not None:
         from repro.verify.ft import check_fault_tolerance
 
@@ -96,25 +100,22 @@ def verify_plan(
         finding.code.startswith(("STR", "RNG")) for finding in findings
     )
     if distribution is not None and structurally_sound:
+        # One Eq. 3 walk feeds the cost rules and the certificate rule.
+        decomposition = cost_decomposition(
+            plan, distribution, ranges=ranges, cost_model=cost_model
+        )
         findings.extend(
-            check_cost(
-                plan,
-                distribution,
-                claimed_cost=claimed_cost,
-                tolerance=tolerance,
-                cost_model=cost_model,
-                ranges=ranges,
-            )
+            check_cost(decomposition, claimed_cost=claimed_cost, tolerance=tolerance)
         )
         if certificate is not None:
             findings.extend(
-                check_certificate(
-                    plan,
+                certificate_findings(
+                    decomposition,
                     certificate,
-                    distribution,
+                    distribution.schema,
                     query=query,
-                    ranges=ranges,
                     cost_model=cost_model,
+                    tolerance=tolerance,
                 )
             )
     if check_compiled and structurally_sound:
