@@ -59,7 +59,6 @@ from repro.core import (
     validate_plan,
     plan_from_dict,
     simplify_plan,
-    traversal_cost,
 )
 from repro.exceptions import (
     AcquisitionError,
@@ -166,7 +165,6 @@ __all__ = [
     "plan_from_dict",
     "simplify_plan",
     "validate_plan",
-    "traversal_cost",
     "dataset_execution",
     "empirical_cost",
     "expected_cost",

@@ -23,7 +23,6 @@ from repro.core.cost import (
     dataset_execution,
     empirical_cost,
     expected_cost,
-    traversal_cost,
 )
 from repro.core.plan import (
     ConditionNode,
@@ -67,7 +66,6 @@ __all__ = [
     "ConditionNode",
     "plan_from_dict",
     "simplify_plan",
-    "traversal_cost",
     "dataset_execution",
     "empirical_cost",
     "expected_cost",

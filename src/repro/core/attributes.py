@@ -72,6 +72,9 @@ class Schema:
 
     attributes: tuple[Attribute, ...]
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    domain_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    costs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, attributes: Iterable[Attribute]) -> None:
         attrs = tuple(attributes)
@@ -84,6 +87,13 @@ class Schema:
             index[attribute.name] = position
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "_index", index)
+        # Attribute names in schema order, their domain sizes ``K_i`` and
+        # acquisition costs ``C_i``: built once, read on every request.
+        object.__setattr__(self, "names", tuple(a.name for a in attrs))
+        object.__setattr__(
+            self, "domain_sizes", tuple(a.domain_size for a in attrs)
+        )
+        object.__setattr__(self, "costs", tuple(a.cost for a in attrs))
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -109,21 +119,6 @@ class Schema:
             return self._index[name]
         except KeyError:
             raise SchemaError(f"unknown attribute {name!r}") from None
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Attribute names in schema order."""
-        return tuple(attribute.name for attribute in self.attributes)
-
-    @property
-    def domain_sizes(self) -> tuple[int, ...]:
-        """Domain sizes ``K_i`` in schema order."""
-        return tuple(attribute.domain_size for attribute in self.attributes)
-
-    @property
-    def costs(self) -> tuple[float, ...]:
-        """Acquisition costs ``C_i`` in schema order."""
-        return tuple(attribute.cost for attribute in self.attributes)
 
     def validate_tuple(self, values: Iterable[int]) -> tuple[int, ...]:
         """Check a tuple of attribute values against the schema.

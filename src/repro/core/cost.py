@@ -2,11 +2,10 @@
 
 Implements the paper's three cost quantities plus the Section 2.4 extension:
 
-- :func:`traversal_cost` — Equation 1: the acquisition cost a plan pays on
-  one concrete tuple.
-- :func:`dataset_execution` / :func:`empirical_cost` — Equation 4: the
-  dataset-approximated expected cost (and, as a byproduct, the plan's
-  verdict on every row — used to verify plans never change query answers).
+- :func:`dataset_execution` / :func:`empirical_cost` — Equation 1 on every
+  row of a dataset, and its mean, Equation 4: the dataset-approximated
+  expected cost (and, as a byproduct, the plan's verdict on every row —
+  used to verify plans never change query answers).
 - :func:`cost_decomposition` — Equation 3: the model-expected cost under
   any :class:`~repro.probability.base.Distribution`, computed by one walk
   over the plan tree that tracks the subproblem ranges each branch
@@ -43,7 +42,6 @@ from repro.exceptions import PlanError
 from repro.probability.base import Distribution
 
 __all__ = [
-    "traversal_cost",
     "dataset_execution",
     "empirical_cost",
     "expected_cost",
@@ -116,40 +114,17 @@ def predicate_mask(predicate: Predicate, values: np.ndarray) -> np.ndarray:
     )
 
 
-def traversal_cost(
-    plan: PlanNode,
-    values: Sequence[int],
-    schema: Schema,
-    cost_model: AcquisitionCostModel | None = None,
-) -> float:
-    """Equation 1: acquisition cost of running ``plan`` on one tuple.
-
-    ``cost_model`` generalizes the flat per-attribute costs to the
-    Section 7 conditional-cost setting; acquisitions fire in traversal
-    order, so the model sees the correct acquired-so-far set.
-    """
-    costs = schema.costs
-    total = 0.0
-    acquired: set[int] = set()
-
-    def on_acquire(index: int) -> None:
-        nonlocal total
-        if cost_model is None:
-            total += costs[index]
-        else:
-            total += cost_model.cost(index, acquired)
-        acquired.add(index)
-
-    plan.evaluate(values, on_acquire=on_acquire)
-    return total
-
-
 @dataclass(frozen=True)
 class DatasetExecution:
-    """Per-row outcome of running a plan over a dataset."""
+    """Per-row outcome of running a plan over a dataset.
+
+    ``projection`` holds each row's unread SELECT cost when the walk was
+    given a ``select`` list, else None.
+    """
 
     costs: np.ndarray
     verdicts: np.ndarray
+    projection: np.ndarray | None = None
 
     @property
     def mean_cost(self) -> float:
@@ -174,15 +149,21 @@ def dataset_execution(
     cost_model: AcquisitionCostModel | None = None,
     observer: ExecutionObserver | None = None,
     reads: np.ndarray | None = None,
+    select: Sequence[int] | None = None,
 ) -> DatasetExecution:
     """Run a plan over every row of ``data`` with vectorized tree routing.
 
-    Rows are pushed down the plan tree in batches: a condition node charges
-    its attribute cost to every routed row that has not acquired the
-    attribute on its path, then partitions the batch by the split test; a
-    sequential node walks its predicate order with a shrinking "alive" set.
-    The result carries per-row costs (Equation 1 applied to every tuple) and
-    per-row verdicts.
+    Rows are pushed down the plan tree in batches, once: a condition node
+    charges its attribute cost to every routed row that has not acquired
+    the attribute on its path, then partitions the batch by the split
+    test; a sequential node walks its predicate order with a shrinking
+    "alive" set.  The charge a path has paid so far travels down the
+    recursion as one float, summed in traversal order, and row costs are
+    only ever set inside the leaf where the rows stop: on entering a
+    verdict leaf, and at a sequential leaf's first step and each step
+    that charges.
+    The result carries per-row costs (Equation 1 applied to every tuple)
+    and per-row verdicts.
 
     ``observer`` (when given) receives one event per visited node batch —
     see :class:`ExecutionObserver`; node batches with zero routed rows are
@@ -190,6 +171,12 @@ def dataset_execution(
 
     ``reads`` (when given) is a rows-by-attributes boolean matrix that
     receives ``True`` wherever a row's walk acquired an attribute.
+
+    ``select`` (when given) lists the attribute indices a query returns,
+    duplicates included.  Every row that reaches a leaf is charged, in
+    ``projection``, the schema cost of each listed attribute neither its
+    path nor the leaf's steps read.  Only matching rows are projected, and
+    a matching row at a sequential leaf has read every step.
     """
     matrix = np.asarray(data)
     if matrix.ndim != 2 or matrix.shape[1] != len(schema):
@@ -200,19 +187,34 @@ def dataset_execution(
     attribute_costs = schema.costs
     row_costs = np.zeros(matrix.shape[0], dtype=np.float64)
     verdicts = np.zeros(matrix.shape[0], dtype=bool)
+    projection = None if select is None else np.zeros(matrix.shape[0])
 
     def charge(index: int, acquired: frozenset[int] | set[int]) -> float:
         if cost_model is None:
             return attribute_costs[index]
         return cost_model.cost(index, acquired)
 
+    def project(rows: np.ndarray, acquired: frozenset[int]) -> None:
+        unread = [index for index in select if index not in acquired]
+        if unread:
+            projection[rows] = sum(attribute_costs[index] for index in unread)
+
     def walk(
-        node: PlanNode, rows: np.ndarray, acquired: frozenset[int], path: str
+        node: PlanNode,
+        rows: np.ndarray,
+        acquired: frozenset[int],
+        paid: float,
+        path: str,
     ) -> None:
         if rows.size == 0:
             return
         if isinstance(node, VerdictLeaf):
-            verdicts[rows] = node.verdict
+            if paid:
+                row_costs[rows] = paid
+            if node.verdict:
+                verdicts[rows] = True
+            if projection is not None:
+                project(rows, acquired)
             if observer is not None:
                 observer.on_verdict(path, node, int(rows.size))
             return
@@ -220,23 +222,27 @@ def dataset_execution(
             index = node.attribute_index
             charged = index not in acquired
             if charged:
-                row_costs[rows] += charge(index, acquired)
+                paid += charge(index, acquired)
                 acquired = acquired | {index}
                 if reads is not None:
                     reads[rows, index] = True
-            column = matrix[rows, index]
-            below = column < node.split_value
-            below_rows = rows[below]
+            below = matrix[:, index][rows] < node.split_value
+            below_rows = rows.compress(below)
             if observer is not None:
                 observer.on_condition(
                     path, node, int(rows.size), int(below_rows.size), charged
                 )
-            walk(node.below, below_rows, acquired, path + "/below")
-            walk(node.above, rows[~below], acquired, path + "/above")
+            walk(node.below, below_rows, acquired, paid, path + "/below")
+            walk(node.above, rows.compress(~below), acquired, paid, path + "/above")
             return
         if isinstance(node, SequentialNode):
             if observer is not None:
                 observer.on_sequential(path, node, int(rows.size))
+            if projection is not None:
+                project(
+                    rows,
+                    acquired.union(step.attribute_index for step in node.steps),
+                )
             alive = rows
             mutable_acquired = set(acquired)
             for position, step in enumerate(node.steps):
@@ -245,12 +251,16 @@ def dataset_execution(
                 index = step.attribute_index
                 charged = index not in mutable_acquired
                 if charged:
-                    row_costs[alive] += charge(index, mutable_acquired)
+                    paid += charge(index, mutable_acquired)
                     mutable_acquired.add(index)
                     if reads is not None:
                         reads[alive, index] = True
-                satisfied = predicate_mask(step.predicate, matrix[alive, index])
-                surviving = alive[satisfied]
+                if paid and (charged or position == 0):
+                    # Every row still alive stops here or later, at this
+                    # charge unless a later step adds to it.
+                    row_costs[alive] = paid
+                satisfied = predicate_mask(step.predicate, matrix[:, index][alive])
+                surviving = alive.compress(satisfied)
                 if observer is not None:
                     observer.on_step(
                         path,
@@ -260,14 +270,17 @@ def dataset_execution(
                         int(surviving.size),
                         charged,
                     )
-                verdicts[alive[~satisfied]] = False
                 alive = surviving
+            if paid and not node.steps:
+                row_costs[rows] = paid
             verdicts[alive] = True
             return
         raise PlanError(f"unknown plan node type {type(node).__name__}")
 
-    walk(plan, np.arange(matrix.shape[0]), frozenset(), "root")
-    return DatasetExecution(costs=row_costs, verdicts=verdicts)
+    walk(plan, np.arange(matrix.shape[0]), frozenset(), 0.0, "root")
+    return DatasetExecution(
+        costs=row_costs, verdicts=verdicts, projection=projection
+    )
 
 
 def empirical_cost(

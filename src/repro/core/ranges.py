@@ -146,19 +146,37 @@ class RangeVector:
         )
 
     def with_range(self, index: int, interval: Range) -> "RangeVector":
-        """A copy with attribute ``index`` restricted to ``interval``."""
-        ranges = list(self._ranges)
-        ranges[index] = interval
-        return RangeVector(ranges, self._domain_sizes)
+        """A copy with attribute ``index`` restricted to ``interval``.
+
+        Only the replaced interval is validated; the others and the
+        domain sizes are carried over as they are.
+        """
+        size = self._domain_sizes[index]
+        if interval.low < 1 or interval.high > size:
+            raise PlanningError(
+                f"range [{interval.low}, {interval.high}] exceeds domain "
+                f"[1, {size}] for attribute index {index}"
+            )
+        return self._replaced(index, interval)
 
     def split(self, index: int, value: int) -> tuple["RangeVector", "RangeVector"]:
         """Apply conditioning predicate ``T(X_index >= value)``.
 
         Returns the (below, at-or-above) subproblem pair produced by
-        splitting ``R_index`` at ``value``.
+        splitting ``R_index`` at ``value``.  Both halves lie inside the
+        current interval, so neither needs validating.
         """
         below, above = self._ranges[index].split_at(value)
-        return self.with_range(index, below), self.with_range(index, above)
+        return self._replaced(index, below), self._replaced(index, above)
+
+    def _replaced(self, index: int, interval: Range) -> "RangeVector":
+        ranges = list(self._ranges)
+        ranges[index] = interval
+        vector = RangeVector.__new__(RangeVector)
+        vector._ranges = tuple(ranges)
+        vector._domain_sizes = self._domain_sizes
+        vector._hash = hash(vector._ranges)
+        return vector
 
     def split_candidates(self, index: int) -> range:
         """Interior split points ``a+1 .. b`` for attribute ``index``."""

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.analysis import annotate_plan, plan_summary
 from repro.core.attributes import Schema
 from repro.core.cost import ExecutionObserver, dataset_execution
-from repro.core.plan import ConditionNode, PlanNode, SequentialNode
+from repro.core.plan import PlanNode
 from repro.core.query import ConjunctiveQuery
 from repro.engine.language import ParsedQuery, parse_query
 from repro.exceptions import FaultConfigError, QueryError
@@ -325,12 +325,13 @@ class AcquisitionalEngine:
         node events, so they stay outside the profile.
         """
         matrix = self.validate_readings(readings)
+        columns, select = self._select_indices(prepared)
         outcome = dataset_execution(
-            prepared.plan, matrix, self._schema, observer=observer
+            prepared.plan, matrix, self._schema, observer=observer, select=select
         )
-        extra = self._projection_extra(prepared, matrix, outcome.verdicts)
         return self._build_result(
-            prepared, matrix, outcome.costs, outcome.verdicts, extra
+            columns, select, matrix, outcome.costs, outcome.verdicts,
+            outcome.projection,
         )
 
     def execute_prepared_resilient(
@@ -374,9 +375,16 @@ class AcquisitionalEngine:
             distribution=self._distribution,
         )
         outcome = executor.run(prepared.plan, matrix, schedule, rng)
-        extra = self._projection_extra(prepared, matrix, outcome.verdicts)
+        # Each matching row pays projection at the leaf its true readings
+        # reach, as on the fault-free path.
+        columns, select = self._select_indices(prepared)
+        matching = np.flatnonzero(outcome.verdicts)
+        extra = np.zeros(matrix.shape[0])
+        extra[matching] = dataset_execution(
+            prepared.plan, matrix[matching], self._schema, select=select
+        ).projection
         result = self._build_result(
-            prepared, matrix, outcome.costs, outcome.verdicts, extra
+            columns, select, matrix, outcome.costs, outcome.verdicts, extra
         )
         return ResilientQueryResult(
             result=result,
@@ -404,26 +412,24 @@ class AcquisitionalEngine:
         matrices = [self.validate_readings(readings) for readings in readings_list]
         if not matrices:
             return []
-        # One batch runs in place: no stacking copy and no slicing.
+        # One batch runs in place, without a stacking copy.
         stacked = matrices[0] if len(matrices) == 1 else np.vstack(matrices)
+        columns, select = self._select_indices(prepared)
         outcome = dataset_execution(
-            prepared.plan, stacked, self._schema, observer=observer
+            prepared.plan, stacked, self._schema, observer=observer, select=select
         )
-        extra = self._projection_extra(prepared, stacked, outcome.verdicts)
-        if len(matrices) == 1:
-            costs, verdicts = outcome.costs, outcome.verdicts
-            return [self._build_result(prepared, stacked, costs, verdicts, extra)]
         results: list[QueryResult] = []
         start = 0
         for matrix in matrices:
             end = start + matrix.shape[0]
             results.append(
                 self._build_result(
-                    prepared,
+                    columns,
+                    select,
                     matrix,
                     outcome.costs[start:end],
                     outcome.verdicts[start:end],
-                    extra[start:end],
+                    outcome.projection[start:end],
                 )
             )
             start = end
@@ -447,21 +453,27 @@ class AcquisitionalEngine:
         columns = prepared.parsed.select
         return columns, [self._schema.index_of(name) for name in columns]
 
+    @staticmethod
     def _build_result(
-        self,
-        prepared: PreparedQuery,
+        columns: tuple[str, ...],
+        select: list[int],
         matrix: np.ndarray,
         costs: np.ndarray,
         verdicts: np.ndarray,
         extra: np.ndarray,
     ) -> QueryResult:
-        columns, select_indices = self._select_indices(prepared)
+        """The matching rows, gathered once and assembled column-wise.
+
+        One ``tolist`` of the transposed gather (a list per column) and
+        one ``zip`` build the row tuples directly, allocating far fewer
+        GC-tracked objects than a 2-D ``tolist`` plus a ``tuple`` per
+        row; values stay Python ints.
+        """
         matching = np.flatnonzero(verdicts)
-        picked = matrix[np.ix_(matching, select_indices)]
-        rows = picked.astype(np.int64, copy=False).tolist()
+        picked = matrix[np.ix_(matching, select)].astype(np.int64, copy=False)
         return QueryResult(
             columns=columns,
-            rows=tuple(map(tuple, rows)),
+            rows=tuple(zip(*picked.T.tolist())),
             tuples_scanned=matrix.shape[0],
             where_cost=float(costs.sum()),
             projection_cost=float(extra[matching].sum()),
@@ -481,41 +493,3 @@ class AcquisitionalEngine:
             annotate_plan(prepared.plan, self._distribution),
         ]
         return "\n".join(lines)
-
-    def _projection_extra(
-        self, prepared: PreparedQuery, matrix: np.ndarray, verdicts: np.ndarray
-    ) -> np.ndarray:
-        """Per-row cost of acquiring selected attributes post-WHERE.
-
-        Attributes the WHERE plan read on a tuple's path are free; only
-        unread ones cost extra.  Only matching rows reach projection, and
-        a matching row passed every step of its sequential leaf, so only
-        condition nodes route and a leaf has read all its step attributes.
-        """
-        _columns, select_indices = self._select_indices(prepared)
-        extra = np.zeros(matrix.shape[0], dtype=np.float64)
-        costs = self._schema.costs
-
-        def walk(
-            node: PlanNode, rows: np.ndarray, acquired: frozenset[int]
-        ) -> None:
-            if rows.size == 0:
-                return
-            if isinstance(node, ConditionNode):
-                branch_acquired = acquired | {node.attribute_index}
-                below = matrix[rows, node.attribute_index] < node.split_value
-                walk(node.below, rows[below], branch_acquired)
-                walk(node.above, rows[~below], branch_acquired)
-                return
-            if isinstance(node, SequentialNode):
-                acquired = acquired.union(
-                    step.attribute_index for step in node.steps
-                )
-            unread = [
-                index for index in select_indices if index not in acquired
-            ]
-            if unread:
-                extra[rows] = sum(costs[index] for index in unread)
-
-        walk(prepared.plan, np.flatnonzero(verdicts), frozenset())
-        return extra

@@ -1,5 +1,7 @@
 """Unit tests for attributes and schemas."""
 
+import pickle
+
 import pytest
 
 from repro.core import Attribute, Schema
@@ -75,6 +77,19 @@ class TestSchema:
         assert schema.names == ("a", "b", "c")
         assert schema.domain_sizes == (2, 3, 4)
         assert schema.costs == (1.0, 10.0, 100.0)
+
+    def test_cached_tuples_leave_identity_alone(self):
+        """The per-attribute tuples are built once and take no part in
+        equality, hashing, repr or pickling."""
+        schema = self.make()
+        assert schema.costs is schema.costs
+        assert schema.names is schema.names
+        assert schema == self.make() and hash(schema) == hash(self.make())
+        assert repr(schema).count("Attribute(") == 3
+        assert "costs" not in repr(schema)
+        restored = pickle.loads(pickle.dumps(schema))
+        assert restored == schema
+        assert restored.domain_sizes == schema.domain_sizes
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):

@@ -23,13 +23,13 @@ from repro.core import (
     dataset_execution,
     empirical_cost,
     expected_cost,
-    traversal_cost,
 )
 from repro.core.cost import predicate_mask
 from repro.exceptions import PlanError
 from repro.planning import GreedyConditionalPlanner, GreedySequentialPlanner
 from repro.probability import EmpiricalDistribution
 from tests.conftest import correlated_dataset
+from tests.traversal_reference import traversal_cost
 
 
 def seq(*specs) -> SequentialNode:

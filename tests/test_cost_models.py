@@ -14,7 +14,6 @@ from repro.core import (
     dataset_execution,
     empirical_cost,
     expected_cost,
-    traversal_cost,
 )
 from repro.core.cost_models import BoardAwareCostModel, SchemaCostModel
 from repro.exceptions import SchemaError
@@ -25,6 +24,7 @@ from repro.planning import (
     OptimalSequentialPlanner,
 )
 from repro.probability import EmpiricalDistribution
+from tests.traversal_reference import traversal_cost
 
 
 @pytest.fixture

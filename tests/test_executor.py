@@ -11,13 +11,13 @@ from repro.core import (
     SequentialNode,
     SequentialStep,
     VerdictLeaf,
-    traversal_cost,
 )
 from repro.exceptions import PlanError
 from repro.execution import PlanExecutor, SensorBoardSource, TupleSource
 from repro.planning import GreedyConditionalPlanner, OptimalSequentialPlanner
 from repro.probability import EmpiricalDistribution
 from tests.conftest import correlated_dataset
+from tests.traversal_reference import traversal_cost
 
 
 @pytest.fixture

@@ -131,3 +131,22 @@ class TestRangeVector:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(PlanningError):
             RangeVector([Range(1, 4)], (4, 3))
+
+    def test_with_range_exceeding_domain_rejected(self):
+        ranges = RangeVector.full(self.schema())
+        with pytest.raises(PlanningError, match="attribute index 1"):
+            ranges.with_range(1, Range(2, 4))
+
+    def test_narrowed_vectors_match_fresh_construction(self):
+        """``split``/``with_range`` skip re-validating the untouched
+        intervals; the result is indistinguishable from a new vector."""
+        schema = self.schema()
+        below, above = RangeVector.full(schema).split(1, 2)
+        narrowed = above.with_range(0, Range(2, 3))
+        for vector in (below, above, narrowed):
+            fresh = RangeVector(list(vector.ranges), schema.domain_sizes)
+            assert vector == fresh
+            assert hash(vector) == hash(fresh)
+            assert vector.domain_sizes == fresh.domain_sizes
+            assert vector.acquired_indices() == fresh.acquired_indices()
+        assert narrowed.ranges == (Range(2, 3), Range(2, 3), Range(1, 2))
