@@ -11,7 +11,7 @@ are invalidated cluster-wide.
 """
 
 from repro.cluster.admission import AdmissionController, AdmissionDecision
-from repro.cluster.coalesce import CoalescingMap, InFlight
+from repro.cluster.coalesce import CoalescingMap, InFlight, readings_key
 from repro.cluster.frontdoor import (
     ClusterConfig,
     ClusterResponse,
@@ -25,7 +25,7 @@ from repro.cluster.messages import (
     ExecuteRequest,
     ShardConfig,
 )
-from repro.cluster.shard import ShardServer, readings_key
+from repro.cluster.shard import ShardServer
 from repro.cluster.worker import worker_main
 
 __all__ = [

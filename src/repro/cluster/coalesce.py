@@ -5,9 +5,15 @@ shareable: a query fingerprint over a given readings window acquires the
 same attributes and returns the same rows no matter how many clients ask,
 so only the *first* in-flight request needs to cross the shard boundary.
 :class:`CoalescingMap` tracks in-flight executions keyed by
-``(fingerprint digest, readings hash, fault key)``; later arrivals
-attach an :class:`asyncio.Future` to the existing entry and the single
-reply fans out to every waiter.
+:func:`coalescing_key` — ``(fingerprint digest, readings hash, fault
+key)``; later arrivals attach an :class:`asyncio.Future` to the existing
+entry and the single reply fans out to every waiter.
+
+This module is the one place that decides what makes two requests
+interchangeable.  The key is built once per request at the front door,
+and its readings hash rides to the shard on the
+:class:`~repro.cluster.messages.ExecuteRequest`, where it seeds a
+faulted execution's RNG.
 
 This map lives on the event loop (single-threaded access), so it needs
 no locking; replies arriving from worker threads are marshalled onto
@@ -17,24 +23,75 @@ the loop before they touch it.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import TYPE_CHECKING, Any, Hashable, Mapping, NamedTuple
 
-__all__ = ["CoalescingMap", "InFlight"]
+import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.messages import ExecuteRequest
+
+__all__ = [
+    "CoalescingKey",
+    "CoalescingMap",
+    "InFlight",
+    "coalescing_key",
+    "readings_key",
+]
+
+
+def readings_key(readings: np.ndarray) -> str:
+    """A content hash of a readings matrix (shape + dtype + bytes).
+
+    Two requests coalesce only when their fingerprints *and* readings
+    agree — same query over different windows must execute separately.
+    """
+    matrix = np.ascontiguousarray(readings)
+    header = f"{matrix.shape}:{matrix.dtype.str}:".encode()
+    return hashlib.sha256(header + matrix.tobytes()).hexdigest()[:16]
+
+
+class CoalescingKey(NamedTuple):
+    """What makes two requests' results interchangeable."""
+
+    digest: str
+    readings: str
+    faults: tuple | None
+
+
+def coalescing_key(
+    digest: str,
+    readings: np.ndarray,
+    fault_schedule: Mapping[str, Any] | None,
+    fault_seed: int,
+    degradation: str,
+    max_retries: int,
+) -> CoalescingKey:
+    """The key of one request; hashes ``readings`` exactly once."""
+    faults = None
+    if fault_schedule is not None:
+        faults = (
+            repr(sorted(fault_schedule.items())),
+            fault_seed,
+            degradation,
+            max_retries,
+        )
+    return CoalescingKey(digest, readings_key(readings), faults)
 
 
 @dataclass
 class InFlight:
     """One pending shard execution and everyone waiting on it."""
 
-    key: tuple
+    key: CoalescingKey
     shard: Hashable
     request_id: int
     text: str
     waiters: list[asyncio.Future] = field(default_factory=list)
     #: The dispatched ExecuteRequest, kept so an outage re-route can
     #: resubmit the execution verbatim to the ring successor.
-    request: object | None = None
+    request: ExecuteRequest | None = None
     #: One watchdog timer per execution (not per waiter): cancelled when
     #: the reply lands, fired to expire every waiter at once.
     timeout_handle: object | None = None
@@ -54,7 +111,7 @@ class CoalescingMap:
     """In-flight executions keyed by what makes results interchangeable."""
 
     def __init__(self) -> None:
-        self._inflight: dict[tuple, InFlight] = {}
+        self._inflight: dict[CoalescingKey, InFlight] = {}
         self._by_request: dict[int, InFlight] = {}
         self.coalesced_requests = 0
         self.dispatched_requests = 0
@@ -67,7 +124,7 @@ class CoalescingMap:
         """Total waiters across every pending execution."""
         return sum(entry.fanout for entry in self._inflight.values())
 
-    def join(self, key: tuple, future: asyncio.Future) -> InFlight | None:
+    def join(self, key: CoalescingKey, future: asyncio.Future) -> InFlight | None:
         """Attach to an existing in-flight execution, if any.
 
         Returns the entry joined, or ``None`` when the caller must
@@ -82,7 +139,7 @@ class CoalescingMap:
 
     def open(
         self,
-        key: tuple,
+        key: CoalescingKey,
         shard: Hashable,
         request_id: int,
         text: str,

@@ -48,7 +48,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.cluster.admission import AdmissionController
-from repro.cluster.coalesce import CoalescingMap, InFlight
+from repro.cluster.coalesce import CoalescingMap, InFlight, coalescing_key
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.messages import (
     ControlReply,
@@ -57,7 +57,7 @@ from repro.cluster.messages import (
     ExecuteRequest,
     ShardConfig,
 )
-from repro.cluster.shard import ShardServer, readings_key
+from repro.cluster.shard import ShardServer
 from repro.engine.engine import QueryResult, ResilientQueryResult
 from repro.exceptions import (
     ClusterError,
@@ -533,15 +533,9 @@ class ShardedServiceCluster:
         root: Span | None = None
         if tracer is not None:
             root = tracer.start_span("request", fingerprint=digest)
-        fault_key = None
-        if fault_schedule is not None:
-            fault_key = (
-                repr(sorted(fault_schedule.items())),
-                fault_seed,
-                degradation,
-                max_retries,
-            )
-        key = (digest, readings_key(readings), fault_key)
+        key = coalescing_key(
+            digest, readings, fault_schedule, fault_seed, degradation, max_retries
+        )
         shard = self._route(digest)
 
         loop = asyncio.get_running_loop()
@@ -595,6 +589,7 @@ class ShardedServiceCluster:
                 text=text,
                 readings=readings,
                 fingerprint=digest,
+                readings_key=key.readings,
                 fault_schedule=(
                     dict(fault_schedule) if fault_schedule is not None else None
                 ),
@@ -618,23 +613,6 @@ class ShardedServiceCluster:
         trace_id = ""
         if tracer is not None and root is not None:
             trace_id = root.trace_id
-            if (
-                joined is None
-                and reply.ok
-                and reply.trace_id
-                and reply.trace_id != root.trace_id
-            ):
-                # The shard served this dispatch inside another request's
-                # group (shard-level coalescing the front door could not
-                # see); record which trace holds the execution spans.
-                tracer.emit(
-                    "shard-coalesce",
-                    trace=root.trace_id,
-                    parent=root.span_id,
-                    fingerprint=digest,
-                    leader_trace=reply.trace_id,
-                    shard=reply.shard,
-                )
             end_fields: dict[str, Any] = {
                 "ok": reply.ok,
                 "coalesced": joined is not None,
@@ -677,92 +655,13 @@ class ShardedServiceCluster:
     ) -> list[ClusterResponse]:
         """Serve a wave of requests concurrently (results in order).
 
-        The wave is deduplicated *before* any coroutine is spawned:
-        exact duplicates — same statement text and same readings buffer —
-        collapse onto one representative ``execute()`` call, and the
-        single response fans out to every duplicate position marked
-        ``coalesced=True``.  Semantically this is the same coalescing
-        the in-flight map performs, done eagerly for a batch whose
-        membership is already known, without paying per-request future
-        and watchdog machinery for arrivals that can never dispatch.
-        Spelling variants of one shape still coalesce downstream via
-        the canonical-fingerprint key in :class:`CoalescingMap`.
+        Every request goes through :meth:`execute`, so duplicates in the
+        wave join the first one's in-flight execution.
         """
-        groups: dict[tuple, list[int]] = {}
-        order: list[tuple[str, np.ndarray]] = []
-        # Memoize the readings hash by buffer identity for the duration
-        # of this call: the `requests` list keeps every array alive, so
-        # ids are stable, and waves sharing one acquisition window pay
-        # for a single content hash instead of one per request.
-        window_keys: dict[int, str] = {}
-        for position, (text, readings) in enumerate(requests):
-            window = window_keys.get(id(readings))
-            if window is None:
-                window = readings_key(readings)
-                window_keys[id(readings)] = window
-            key = (text, window)
-            positions = groups.get(key)
-            if positions is None:
-                groups[key] = [position]
-                order.append((text, readings))
-            else:
-                positions.append(position)
         responses = await asyncio.gather(
-            *(
-                self.execute(text, readings, **kwargs)
-                for text, readings in order
-            )
+            *(self.execute(text, readings, **kwargs) for text, readings in requests)
         )
-        results: list[ClusterResponse] = [None] * len(requests)  # type: ignore[list-item]
-        for positions, response in zip(groups.values(), responses):
-            results[positions[0]] = response
-            if len(positions) == 1:
-                continue
-            if response.shed:
-                # Every duplicate of a shed representative is shed too;
-                # account for each one so the ledger and counters match
-                # a request-at-a-time execution.
-                text, readings = requests[positions[0]]
-                digest = self._digests.lookup(text)
-                for position in positions[1:]:
-                    self._metrics.counter("requests").increment()
-                    results[position] = self._shed(
-                        digest, readings, response.shed_reason or "overload"
-                    )
-                continue
-            duplicate = replace(response, coalesced=True)
-            extras = len(positions) - 1
-            self._metrics.counter("requests").increment(extras)
-            self._metrics.counter("requests_coalesced").increment(extras)
-            self._coalescer.coalesced_requests += extras
-            tracer = self._tracer
-            dup_digest = ""
-            if tracer is not None:
-                dup_digest = self._digests.lookup(requests[positions[0]][0])
-            for position in positions[1:]:
-                dup_response = duplicate
-                if tracer is not None:
-                    # Wave-level duplicates never reached execute(), so
-                    # give each one its own compact tree: a root plus a
-                    # coalesce-attach pointing at the representative.
-                    dup_root = tracer.start_span(
-                        "request", fingerprint=dup_digest
-                    )
-                    tracer.emit(
-                        "coalesce-attach",
-                        trace=dup_root.trace_id,
-                        parent=dup_root.span_id,
-                        fingerprint=dup_digest,
-                        leader_trace=response.trace_id,
-                        wave_duplicate=True,
-                    )
-                    dup_root.end(ok=response.ok, coalesced=True)
-                    dup_response = replace(
-                        duplicate, trace_id=dup_root.trace_id
-                    )
-                self._slo.record(0.0, ok=response.ok, shed=False)
-                results[position] = dup_response
-        return results
+        return list(responses)
 
     def _expire(self, request_id: int) -> None:
         """Watchdog: fail every waiter of an execution that never replied."""
@@ -866,14 +765,10 @@ class ShardedServiceCluster:
         if entry.timeout_handle is not None:
             entry.timeout_handle.cancel()
         if reply.ok:
-            digest = entry.key[0]
+            digest = entry.key.digest
             self._warm.add((reply.shard, digest))
             if reply.expected_where_cost > 0.0:
                 self._known_cost[digest] = reply.expected_where_cost
-            if reply.group_size > 1:
-                self._metrics.counter("shard_coalesced").increment(
-                    reply.group_size - 1
-                )
         for waiter in entry.waiters:
             if not waiter.done():
                 waiter.set_result(reply)
@@ -938,7 +833,7 @@ class ShardedServiceCluster:
             if entry.timeout_handle is not None:
                 entry.timeout_handle.cancel()
             if reroute and entry.request is not None:
-                new_shard = int(self._ring.node_for(entry.key[0]))
+                new_shard = int(self._ring.node_for(entry.key.digest))
                 request_id = next(self._ids)
                 context = entry.request.trace
                 if tracer is not None and entry.trace_id:
@@ -951,7 +846,7 @@ class ShardedServiceCluster:
                         span=reroute_span,
                         trace=entry.trace_id,
                         parent=entry.root_span,
-                        fingerprint=entry.key[0],
+                        fingerprint=entry.key.digest,
                         from_shard=shard,
                         to_shard=new_shard,
                     )
@@ -960,16 +855,8 @@ class ShardedServiceCluster:
                         parent_span=reroute_span,
                         baggage=(("sent_ts", repr(tracer.now())),),
                     )
-                request = ExecuteRequest(
-                    request_id=request_id,
-                    text=entry.request.text,
-                    readings=entry.request.readings,
-                    fingerprint=entry.request.fingerprint,
-                    fault_schedule=entry.request.fault_schedule,
-                    fault_seed=entry.request.fault_seed,
-                    degradation=entry.request.degradation,
-                    max_retries=entry.request.max_retries,
-                    trace=context,
+                request = replace(
+                    entry.request, request_id=request_id, trace=context
                 )
                 self._coalescer.reassign(entry, new_shard, request_id)
                 entry.request = request
@@ -983,7 +870,7 @@ class ShardedServiceCluster:
                 self._metrics.labeled_counter(
                     "requests_shed", "reason"
                 ).labels(reason="outage").increment(len(entry.waiters))
-                avoided = self._known_cost.get(entry.key[0], 0.0)
+                avoided = self._known_cost.get(entry.key.digest, 0.0)
                 rows = 0
                 if entry.request is not None:
                     rows = int(np.asarray(entry.request.readings).shape[0])
@@ -997,7 +884,7 @@ class ShardedServiceCluster:
                         "outage-shed",
                         trace=entry.trace_id,
                         parent=entry.root_span,
-                        fingerprint=entry.key[0],
+                        fingerprint=entry.key.digest,
                         shard=shard,
                         waiters=len(entry.waiters),
                         cost_avoided=charged,

@@ -10,8 +10,8 @@ calls (in-process backend).  The protocol is deliberately small:
 - :class:`ExecuteReply` — the result (or error) plus the shard's current
   statistics version, which doubles as the piggybacked signal the front
   door uses for cross-shard invalidation broadcasts; when tracing, the
-  group leader's reply also piggybacks the shard's exported span
-  records so one process (the front door) holds the whole request tree;
+  reply also piggybacks the shard's exported span records so one
+  process (the front door) holds the whole request tree;
 - :class:`ControlRequest` / :class:`ControlReply` — stats collection,
   statistics-version synchronization, liveness pings, and shutdown.
 
@@ -58,7 +58,7 @@ class ShardConfig:
     usual).  It is a *name* rather than a factory callable so the config
     pickles under the ``spawn`` start method, not just ``fork``.
     ``batch_window`` caps how many queued requests a worker drains into
-    one coalesced/batched execution pass.  ``tracing`` gives the shard a
+    one ``serve`` call.  ``tracing`` gives the shard a
     name-prefixed :class:`~repro.obs.trace.Tracer` whose spans are
     exported back to the front door on replies.
     """
@@ -90,13 +90,16 @@ class ShardConfig:
 class ExecuteRequest:
     """Serve ``text`` over ``readings`` on the routed shard.
 
-    ``fingerprint`` is the canonical digest the front door routed on; the
-    shard trusts it only as a grouping hint and re-canonicalizes for its
-    own plan cache.  When ``fault_schedule`` (a
+    ``fingerprint`` is the canonical digest the front door routed on and
+    ``readings_key`` the readings hash of its coalescing key (see
+    :func:`~repro.cluster.coalesce.coalescing_key`); the shard
+    re-canonicalizes for its own plan cache.  When ``fault_schedule`` (a
     :meth:`~repro.faults.FaultSchedule.to_dict` payload) is present the
     shard runs the resilient path; ``fault_seed`` is combined with the
-    fingerprint digest so the injection stream is deterministic per query
-    shape no matter how requests are coalesced or batched.
+    fingerprint digest and the readings hash so the injection stream is
+    deterministic per query shape and window no matter how requests are
+    coalesced or batched.  A request built without ``fingerprint`` or
+    ``readings_key`` has them computed by the shard.
 
     ``trace`` carries the distributed-trace coordinates when the cluster
     runs with tracing enabled: the shard parents its ``shard-execute``
@@ -108,6 +111,7 @@ class ExecuteRequest:
     text: str
     readings: np.ndarray
     fingerprint: str = ""
+    readings_key: str = ""
     fault_schedule: Mapping[str, Any] | None = None
     fault_seed: int = 0
     degradation: str = "abstain"
@@ -121,17 +125,12 @@ class ExecuteReply:
 
     ``payload`` is a :class:`~repro.engine.QueryResult` (plain path) or
     :class:`~repro.engine.ResilientQueryResult` (chaos path); ``None``
-    when ``ok`` is false and ``error`` explains why.  ``group_size`` is
-    how many requests the shard served from this one execution (its
-    local coalescing factor).  ``expected_where_cost`` feeds the front
-    door's Eq. 3 shed-accounting ledger.
+    when ``ok`` is false and ``error`` explains why.
+    ``expected_where_cost`` feeds the front door's Eq. 3 shed-accounting
+    ledger.
 
-    When tracing, ``trace_id`` names the trace that actually *executed*
-    this request's group (the group leader's trace — shard-level
-    coalescing means a follower's reply may carry a foreign trace id),
-    and ``spans`` piggybacks the shard's exported span records —
-    pre-encoded ``TraceEvent.to_json()`` lines, attached to the leader's
-    reply only so coalesced fan-out cannot double-ingest them.  Lines
+    When tracing, ``spans`` piggybacks the shard's exported span records
+    for this request — pre-encoded ``TraceEvent.to_json()`` lines.  Lines
     rather than dicts keep the reply cheap: the JSON encode happens in
     the worker process and the string pickles in one block, so the front
     door's loop only copies it to the merged stream.
@@ -143,9 +142,7 @@ class ExecuteReply:
     payload: Any = None
     error: str = ""
     statistics_version: int = 1
-    group_size: int = 1
     expected_where_cost: float = 0.0
-    trace_id: str = ""
     spans: tuple[str, ...] = ()
 
 

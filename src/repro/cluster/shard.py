@@ -6,49 +6,49 @@ metrics registry + optional profiling) and speaks the message protocol
 of :mod:`repro.cluster.messages`.  The same class backs both the
 multiprocessing worker loop (:mod:`repro.cluster.worker`) and the
 in-process backend the deterministic tests drive, so every behaviour the
-cluster promises — coalescing, chaos, version sync — is testable without
+cluster promises — chaos, tracing, version sync — is testable without
 spawning processes.
 
-Coalescing happens *again* at the shard even though the front door
-already merges identical in-flight requests: a batch drained from the
-queue may contain same-shape requests the front door admitted before the
-first reply landed.  Identical ``(fingerprint, readings, fault key)``
-requests form one group that executes once and fans out.  Each group
-becomes one :class:`~repro.service.Request`, and the whole batch goes
-through one :meth:`~repro.service.AcquisitionalService.serve` call: plain
-groups sharing a fingerprint execute in one stacked vectorized pass, a
-failing group becomes that group's error reply, and nothing runs twice.
-The service charges every successful group's Eq. 3 total cost to its
-``acquisition_cost_total`` gauge, the recorded side of the
-trace-vs-ledger conservation check in :mod:`repro.obs.waterfall`.
+The shard does no coalescing of its own: the front door's
+:class:`~repro.cluster.coalesce.CoalescingMap` already merged identical
+in-flight requests before they crossed the boundary.  Each request of a
+drained batch becomes one :class:`~repro.service.Request`, and the whole
+batch goes through one :meth:`~repro.service.AcquisitionalService.serve`
+call: plain requests sharing a fingerprint execute in one stacked
+vectorized pass, a failing request becomes its own error reply, and
+nothing runs twice.  The service charges every successful request's
+Eq. 3 total cost to its ``acquisition_cost_total`` gauge, the recorded
+side of the trace-vs-ledger conservation check in
+:mod:`repro.obs.waterfall`.
 
-Chaos determinism: a faulted group's RNG is seeded from
-``(fault_seed, fingerprint, readings)`` only — never from batch
+Chaos determinism: a faulted request's RNG is seeded from
+``(fault_seed, fingerprint, readings hash)`` only — never from batch
 composition — so a request's outcome is byte-identical whether it was
-served alone, coalesced, or re-routed after an outage.
+served alone, coalesced, or re-routed after an outage.  Both the
+fingerprint and the readings hash are read from the request; the shard
+computes them only for a request built without them.
 
 Tracing (``ShardConfig.tracing``): the shard owns a name-prefixed
 :class:`~repro.obs.trace.Tracer` (``shard0``, ``shard1``, …) shared with
-its service.  Every group gets a ``shard-execute`` span parented under
+its service.  Every request gets a ``shard-execute`` span parented under
 the front door's request span, opened before the batch's ``serve`` call
-and closed after it, and annotated with that group's own Eq. 3 result
-fields.  The span is the group's request's trace parent, so the
-service's events for it (cache, plan, verify, execute) hang under it.
-They ride back on the group leader's reply, followed by the span's own
-closing event.  A stacked pass shared by several groups reports its one
-``execute`` event under the first of them.
+and closed after it, and annotated with that request's own Eq. 3 result
+fields.  The span is the request's trace parent, so the service's events
+for it (cache, plan, verify, execute) hang under it and ride back on its
+reply, followed by the span's own closing event.  A stacked pass shared
+by several requests reports its one ``execute`` event under the first of
+them.
 """
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import replace
 from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.cluster.coalesce import readings_key
 from repro.cluster.hashring import stable_hash
 from repro.cluster.messages import (
     ControlReply,
@@ -68,20 +68,9 @@ from repro.service.service import (
     Request,
 )
 
-__all__ = ["ShardServer", "readings_key"]
+__all__ = ["ShardServer"]
 
 _SEED_MASK = (1 << 32) - 1
-
-
-def readings_key(readings: np.ndarray) -> str:
-    """A content hash of a readings matrix (shape + dtype + bytes).
-
-    Two requests coalesce only when their fingerprints *and* readings
-    agree — same query over different windows must execute separately.
-    """
-    matrix = np.ascontiguousarray(readings)
-    header = f"{matrix.shape}:{matrix.dtype.str}:".encode()
-    return hashlib.sha256(header + matrix.tobytes()).hexdigest()[:16]
 
 
 class ShardServer:
@@ -142,48 +131,24 @@ class ShardServer:
     def handle_batch(
         self, requests: list[ExecuteRequest]
     ) -> list[ExecuteReply]:
-        """Serve a drained batch with shard-level coalescing.
-
-        Requests are grouped by ``(fingerprint, readings, fault key)``;
-        each group becomes one :class:`~repro.service.Request`, the
-        service serves them all in one :meth:`~repro.service.
-        AcquisitionalService.serve` call (plain groups sharing a
-        fingerprint execute in one stacked pass), and each group's
-        outcome is shared by every member (results are immutable).
-        """
-        groups: dict[tuple, list[ExecuteRequest]] = {}
-        keys: list[tuple] = []
-        for request in requests:
-            digest = request.fingerprint or str(
-                self.service.fingerprint(request.text)
-            )
-            fault_key = None
-            if request.fault_schedule is not None:
-                fault_key = (
-                    repr(sorted(request.fault_schedule.items())),
-                    request.fault_seed,
-                    request.degradation,
-                    request.max_retries,
-                )
-            key = (digest, readings_key(request.readings), fault_key)
-            groups.setdefault(key, []).append(request)
-            keys.append(key)
-
+        """Serve a drained batch through one :meth:`~repro.service.
+        AcquisitionalService.serve` call, one reply per request (plain
+        requests sharing a fingerprint execute in one stacked pass)."""
         tracer = self.tracer
-        spans: dict[tuple, Span] = {}
-        pending: dict[tuple, Request] = {}
-        outcomes: dict[tuple, Outcome] = {}
-        for key, members in groups.items():
-            context = None
-            if tracer is not None:
-                spans[key] = self._open_span(members, key[0])
-                context = spans[key].context()
+        spans: list[Span | None] = [None] * len(requests)
+        outcomes: dict[int, Outcome] = {}
+        pending: dict[int, Request] = {}
+        for position, request in enumerate(requests):
             try:
-                pending[key] = self._request(members[0], key, context)
+                context = None
+                if tracer is not None:
+                    span = spans[position] = self._open_span(request)
+                    context = span.context()
+                pending[position] = self._request(request, context)
             except ReproError as error:
-                outcomes[key] = Outcome(error=error)
+                outcomes[position] = Outcome(error=error)
             except KeyError as error:  # an unknown degradation mode
-                outcomes[key] = Outcome(error=ClusterError(str(error)))
+                outcomes[position] = Outcome(error=ClusterError(str(error)))
 
         collecting: AbstractContextManager[list[TraceEvent]] = (
             tracer.collect() if tracer is not None else nullcontext([])
@@ -191,23 +156,22 @@ class ShardServer:
         with collecting as events:
             served = self.service.serve(list(pending.values()))
         outcomes.update(zip(pending, served))
-        # A group's service events hang under its span: they ride on the
-        # leader's reply, ahead of the span's own closing event.
+        # A request's service events hang under its span: they ride on
+        # its reply, ahead of the span's own closing event.
         exports: dict[str, list[str]] = {
-            span.span_id: [] for span in spans.values()
+            span.span_id: [] for span in spans if span is not None
         }
         for event in events:
             if event.parent in exports:
                 exports[event.parent].append(event.to_json())
 
         version = self.service.engine.statistics_version
-        leaders: dict[tuple, ExecuteReply] = {}
-        for key, members in groups.items():
-            outcome = outcomes[key]
+        replies: list[ExecuteReply] = []
+        for position, (request, span) in enumerate(zip(requests, spans)):
+            outcome = outcomes[position]
             ok, payload = outcome.error is None, outcome.result
             error = "" if ok else str(outcome.error)
             lines: tuple[str, ...] = ()
-            span = spans.get(key)
             if span is not None:
                 fields = payload.trace_fields() if payload is not None else {}
                 span.annotate(ok=ok, **fields)
@@ -216,40 +180,34 @@ class ShardServer:
                 closing = span.end()
                 closed = (closing.to_json(),) if closing is not None else ()
                 lines = (*exports[span.span_id], *closed)
-            trace = members[0].trace
-            leaders[key] = ExecuteReply(
-                request_id=members[0].request_id,
-                shard=self.shard_id,
-                ok=ok,
-                payload=payload,
-                error=error,
-                statistics_version=version,
-                group_size=len(members),
-                expected_where_cost=(
-                    0.0 if outcome.prepared is None
-                    else outcome.prepared.expected_where_cost
-                ),
-                trace_id=trace.trace_id if trace is not None else "",
-                spans=lines,
+            replies.append(
+                ExecuteReply(
+                    request_id=request.request_id,
+                    shard=self.shard_id,
+                    ok=ok,
+                    payload=payload,
+                    error=error,
+                    statistics_version=version,
+                    expected_where_cost=(
+                        0.0 if outcome.prepared is None
+                        else outcome.prepared.expected_where_cost
+                    ),
+                    spans=lines,
+                )
             )
-        # A follower's reply is its leader's, minus the exported spans.
-        return [
-            leaders[key]
-            if request is groups[key][0]
-            else replace(leaders[key], request_id=request.request_id, spans=())
-            for request, key in zip(requests, keys)
-        ]
+        return replies
 
-    def _open_span(self, members: list[ExecuteRequest], digest: str) -> Span:
-        """A group's ``shard-execute`` span, parented under its leader's
-        wire context and annotated with shard, group and queue delay."""
+    def _digest(self, request: ExecuteRequest) -> str:
+        """The routed fingerprint, or this shard's own for a keyless request."""
+        return request.fingerprint or str(self.service.fingerprint(request.text))
+
+    def _open_span(self, request: ExecuteRequest) -> Span:
+        """A request's ``shard-execute`` span, parented under its wire
+        context and annotated with shard and queue delay."""
         tracer = self.tracer
         assert tracer is not None
-        context = members[0].trace or TraceContext("")
-        fields: dict[str, Any] = {
-            "shard": self.shard_id,
-            "group_size": len(members),
-        }
+        context = request.trace or TraceContext("")
+        fields: dict[str, Any] = {"shard": self.shard_id}
         sent = context.baggage_value("sent_ts")
         if sent:
             try:
@@ -262,27 +220,25 @@ class ShardServer:
             "shard-execute",
             trace=context.trace_id,
             parent=context.parent_span,
-            fingerprint=digest,
+            fingerprint=self._digest(request),
             **fields,
         )
 
     def _request(
-        self,
-        request: ExecuteRequest,
-        key: tuple,
-        trace: TraceContext | None,
+        self, request: ExecuteRequest, trace: TraceContext | None
     ) -> Request:
-        """The service request for one group.
+        """The service request for one wire request.
 
-        A faulted group's RNG is seeded from ``(fault_seed, fingerprint,
-        readings)`` only, so its injection stream does not depend on how
-        the batch was composed.
+        A faulted request's RNG is seeded from ``(fault_seed,
+        fingerprint, readings hash)`` only, so its injection stream does
+        not depend on how the batch was composed.
         """
         if request.fault_schedule is None:
             return Request(request.text, request.readings, trace=trace)
         from repro.faults.model import FaultSchedule
         from repro.faults.policy import DegradationMode, FaultPolicy, RetryPolicy
 
+        window = request.readings_key or readings_key(request.readings)
         faults = FaultContext(
             FaultSchedule.from_dict(
                 dict(request.fault_schedule), self._config.schema
@@ -290,8 +246,8 @@ class ShardServer:
             np.random.default_rng(
                 [
                     request.fault_seed & _SEED_MASK,
-                    stable_hash(key[0]) & _SEED_MASK,
-                    stable_hash(key[1]) & _SEED_MASK,
+                    stable_hash(self._digest(request)) & _SEED_MASK,
+                    stable_hash(window) & _SEED_MASK,
                 ]
             ),
             FaultPolicy(

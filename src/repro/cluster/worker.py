@@ -3,16 +3,15 @@
 Each worker owns one :class:`~repro.cluster.shard.ShardServer` built
 from a picklable :class:`~repro.cluster.messages.ShardConfig`.  The loop
 blocks on its request queue, then greedily drains whatever else is
-already queued (up to ``config.batch_window``) so a burst of same-shape
-requests becomes one coalesced, vectorized execution instead of N
-round-trips — the multiprocessing analogue of the front door's
-event-loop coalescing window.
+already queued (up to ``config.batch_window``) so a burst of requests
+is served by one ``serve`` call — same-shape plain requests in one
+stacked, vectorized pass — instead of N round-trips.
 
 Distributed tracing needs no code here: ``config.tracing`` makes the
 ShardServer build its own shard-named :class:`~repro.obs.trace.Tracer`,
 the incoming :class:`~repro.cluster.messages.TraceContext` rides on each
-``ExecuteRequest``, and the shard's spans travel back piggybacked on the
-group leader's ``ExecuteReply`` — the worker just moves the records.
+``ExecuteRequest``, and the shard's spans travel back piggybacked on
+each ``ExecuteReply`` — the worker just moves the records.
 
 Control messages are handled in arrival order relative to the execute
 batches around them; ``shutdown`` acknowledges and exits the process.

@@ -77,7 +77,6 @@ TRACE_PHASES = (
     # per-request emission cost is what the overhead benchmark bounds.
     "request",
     "coalesce-attach",
-    "shard-coalesce",
     "shard-execute",
     "reroute",
     "outage-shed",
@@ -372,7 +371,7 @@ class Tracer:
         """Capture every event emitted while the context is open.
 
         The shard server wraps each traced batch in a collector and
-        piggybacks each group's captured events on its leader's reply —
+        piggybacks each request's captured events on its reply —
         span export without sharing the tracer across the process
         boundary.
         """

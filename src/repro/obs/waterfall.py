@@ -71,7 +71,7 @@ _ADDITIVE = ("route", "queue", "coalesce_wait", "execute")
 _EXECUTE_PHASES = ("shard-execute",)
 _ACQUIRE_PHASES = ("execute", "execute-resilient")
 _PLAN_PHASES = ("plan", "verify")
-_COALESCE_PHASES = ("coalesce-attach", "shard-coalesce")
+_COALESCE_PHASES = ("coalesce-attach",)
 _SHED_PHASES = ("shed", "outage-shed")
 
 

@@ -1,10 +1,11 @@
 """A drained shard batch goes through one ``serve`` call.
 
-``ShardServer.handle_batch`` coalesces a drained batch into unique
-groups and serves them through :meth:`AcquisitionalService.serve` once:
-a failing group becomes that group's error reply, every other group
-runs exactly once, and a traced plain group carries its service events
-under its own ``shard-execute`` span.
+``ShardServer.handle_batch`` serves every request of a drained batch
+through :meth:`AcquisitionalService.serve` once: plain requests sharing
+a fingerprint run in one stacked pass, a failing request becomes its own
+error reply, every other request runs exactly once, and a traced plain
+request carries its service events under its own ``shard-execute`` span.
+The shard merges no duplicates; coalescing is the front door's job.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ def test_a_failing_group_fails_alone_and_nothing_runs_twice(
     assert [reply.ok for reply in replies] == [True, False, True, True, True, False]
     assert "readings shape" in replies[1].error
     assert "FT001" in replies[5].error
-    assert [reply.group_size for reply in replies] == [2, 1, 1, 2, 1, 1]
-    assert replies[0].payload is replies[3].payload
     assert isinstance(replies[4].payload, ResilientQueryResult)
 
     # Each payload and Eq. 3 expectation equals the request served alone.
@@ -96,10 +95,13 @@ def test_a_failing_group_fails_alone_and_nothing_runs_twice(
         assert (reply.expected_where_cost > 0) == reply.ok
 
     counters = shard.service.stats()["counters"]
-    assert counters["queries"] == 5  # unique groups: A, B, C, F, G
-    assert shard.service.profile_for(A).tuples == len(READINGS)
+    assert counters["queries"] == 6  # every request, both A's included
+    # Both A requests ran in one stacked pass: A, C and F are the only
+    # executions (B and G failed before executing).
+    assert shard.service.metrics.histogram("execution").count == 3
+    assert shard.service.profile_for(A).tuples == 2 * len(READINGS)
     charged = 0.0
-    for reply in (replies[0], replies[2], replies[4]):
+    for reply in (replies[0], replies[2], replies[3], replies[4]):
         payload = reply.payload
         if isinstance(payload, ResilientQueryResult):
             payload = payload.result

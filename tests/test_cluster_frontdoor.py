@@ -15,6 +15,7 @@ import pytest
 
 from tests.conftest import make_day_night_data
 from repro.cluster import ClusterConfig, ShardConfig, ShardedServiceCluster
+from repro.cluster import shard as shard_module
 from repro.core import Attribute, Schema
 from repro.exceptions import ClusterError
 
@@ -89,6 +90,18 @@ def test_coalesced_wave_executes_once_and_matches() -> None:
     asyncio.run(main())
 
 
+def _assert_wave_coalescing(
+    cluster: ShardedServiceCluster, coalescing: bool
+) -> None:
+    """An 8-request wave dispatches once when coalescing, else 8 times."""
+    stats = cluster.front_door_stats()
+    dispatched, coalesced = (1, 7) if coalescing else (8, 0)
+    assert stats["coalescing"]["dispatched_requests"] == dispatched
+    assert stats["coalescing"]["coalesced_requests"] == coalesced
+    assert stats["counters"].get("requests_coalesced", 0) == coalesced
+    assert stats["counters"]["requests_dispatched"] == dispatched
+
+
 def test_coalesced_equals_uncoalesced_byte_for_byte() -> None:
     async def run(coalescing: bool) -> list:
         async with make_cluster(coalescing=coalescing) as cluster:
@@ -96,6 +109,7 @@ def test_coalesced_equals_uncoalesced_byte_for_byte() -> None:
                 [(QUERY, READINGS)] * 8
             )
             assert all(r.ok for r in responses)
+            _assert_wave_coalescing(cluster, coalescing)
             return [r.result for r in responses]
 
     merged = asyncio.run(run(True))
@@ -114,6 +128,7 @@ def test_coalesced_equals_uncoalesced_byte_for_byte() -> None:
                 degradation="skip",
             )
             assert all(r.ok for r in responses)
+            _assert_wave_coalescing(cluster, coalescing)
             return [r.payload for r in responses]
 
     merged_chaos = asyncio.run(chaos(True))
@@ -281,7 +296,15 @@ def test_outage_skip_reroutes_pending_correctly() -> None:
     asyncio.run(main())
 
 
-def test_outage_skip_reroutes_chaos_identically() -> None:
+def test_outage_skip_reroutes_chaos_identically(monkeypatch) -> None:
+    # The front door hashes the readings once and carries the hash on the
+    # wire request, the re-routed copy included; the shard must never
+    # hash them again, so its fallback fails the test if reached.
+    def rehash(readings: np.ndarray) -> str:
+        raise AssertionError("the shard re-hashed a request's readings")
+
+    monkeypatch.setattr(shard_module, "readings_key", rehash)
+
     async def baseline() -> object:
         async with make_cluster(shards=1) as cluster:
             response = await cluster.execute(
@@ -316,6 +339,9 @@ def test_outage_skip_reroutes_chaos_identically() -> None:
             assert response.payload.result.rows == truth.result.rows
             assert response.payload.abstained_rows == truth.abstained_rows
             assert response.payload.tuples_degraded == truth.tuples_degraded
+            assert response.payload == truth
+            counters = cluster.front_door_stats()["counters"]
+            assert counters["requests_rerouted"] == 1
 
     asyncio.run(main())
 
