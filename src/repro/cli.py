@@ -42,6 +42,13 @@ Mirrors the basestation workflow of the paper's architecture
 Every command reads/writes the JSON/CSV formats of
 :mod:`repro.data.trace_io`, so artifacts interoperate with the library
 API and external tooling.
+
+Exit status: 0 on success (a report verb: its report is ok), 1 when a
+report verb's report is not, 2 on a usage or I/O error, and 141 (128 +
+SIGPIPE, what a shell reports for a command a broken pipe stopped) when
+standard output is closed before the command has written it all, as in
+``repro analyze --suite | head -1``: the rest of the output is dropped
+without a traceback.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -1838,8 +1846,12 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+#: Exit status when standard output is closed early (128 + SIGPIPE).
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (see the module docs)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -1849,14 +1861,35 @@ def main(argv: list[str] | None = None) -> int:
         force=True,
     )
     try:
-        if args.command in REPORT_VERBS:
-            build, out_is_report = REPORT_VERBS[args.command]
-            payload, text, ok = build(args)
-            return _emit(args, payload, text, ok, args.out if out_is_report else None)
-        return COMMANDS[args.command](args)
-    except (ReproError, FileNotFoundError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        try:
+            if args.command in REPORT_VERBS:
+                build, out_is_report = REPORT_VERBS[args.command]
+                payload, text, ok = build(args)
+                status = _emit(
+                    args, payload, text, ok, args.out if out_is_report else None
+                )
+            else:
+                status = COMMANDS[args.command](args)
+            # A closed pipe shows at the flush; flush while it can be caught.
+            sys.stdout.flush()
+            return status
+        except (ReproError, FileNotFoundError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_BROKEN_PIPE
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's final
+    flush of output the closed pipe refused stays quiet."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):
+        pass  # stdout is not a file descriptor: nothing is left to flush
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.ranges import Range
 from repro.exceptions import QueryError
 
@@ -48,6 +50,23 @@ class Predicate(ABC):
     def truth_under(self, interval: Range) -> Truth:
         """Predicate truth given only that the attribute lies in ``interval``."""
 
+    def truths_under(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`truth_under` of every interval ``[lows[k], highs[k]]``.
+
+        Returns two boolean arrays: the intervals that prove the predicate
+        true, and those that prove it false.
+        """
+        truths = [
+            self.truth_under(Range(int(low), int(high)))
+            for low, high in zip(lows, highs)
+        ]
+        return (
+            np.array([truth is Truth.TRUE for truth in truths], dtype=bool),
+            np.array([truth is Truth.FALSE for truth in truths], dtype=bool),
+        )
+
     @abstractmethod
     def describe(self) -> str:
         """Human-readable rendering used by the plan pretty-printer."""
@@ -81,6 +100,12 @@ class RangePredicate(Predicate):
             return Truth.FALSE
         return Truth.UNDETERMINED
 
+    def truths_under(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        inside = (lows >= self.low) & (highs <= self.high)
+        return inside, (highs < self.low) | (lows > self.high)
+
     def describe(self) -> str:
         return f"{self.low} <= {self.attribute} <= {self.high}"
 
@@ -109,6 +134,12 @@ class NotRangePredicate(Predicate):
         if not interval.intersects(window):
             return Truth.TRUE
         return Truth.UNDETERMINED
+
+    def truths_under(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        inside = (lows >= self.low) & (highs <= self.high)
+        return (highs < self.low) | (lows > self.high), inside
 
     def describe(self) -> str:
         return f"not({self.low} <= {self.attribute} <= {self.high})"

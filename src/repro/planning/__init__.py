@@ -12,7 +12,12 @@ from repro.planning.corrseq import CorrSeqPlanner
 from repro.planning.exhaustive import ExhaustivePlanner
 from repro.planning.greedy_conditional import GreedyConditionalPlanner
 from repro.planning.greedy_sequential import GreedySequentialPlanner
-from repro.planning.greedy_split import SplitChoice, greedy_split
+from repro.planning.greedy_split import (
+    SplitChoice,
+    SplitPass,
+    greedy_split,
+    greedy_splits,
+)
 from repro.planning.naive import NaivePlanner
 from repro.planning.optimal_sequential import OptimalSequentialPlanner
 from repro.planning.registry import PLANNER_NAMES, planner_by_name
@@ -32,7 +37,9 @@ __all__ = [
     "SizeAwareConditionalPlanner",
     "plan_for_lifetime",
     "SplitChoice",
+    "SplitPass",
     "greedy_split",
+    "greedy_splits",
     "SplitPointPolicy",
     "PLANNER_NAMES",
     "planner_by_name",

@@ -152,16 +152,22 @@ class SequentialPlanner(Planner):
         """
 
     def split_scorer(
-        self, query: ConjunctiveQuery, ranges: RangeVector
+        self,
+        query: ConjunctiveQuery,
+        ranges: RangeVector,
+        at: tuple[int, int] | None = None,
     ) -> "SplitScorer":
-        """Prices this planner's plans on both sides of ``ranges``' splits.
+        """Prices this planner's plans for one GreedyPlan scoring pass.
 
-        GreedySplit (Figure 6) asks for ``SeqCost`` of every candidate
-        side of one subproblem.  The default plans each side with
-        :meth:`plan_sequence` when first asked; planners that can score
-        all sides of a subproblem from one counting pass override this.
+        The pass covers ``ranges`` itself, or with ``at = (i, x)`` both
+        children of ``ranges`` split at ``X_i >= x``.  GreedySplit
+        (Figure 6) asks for ``SeqCost`` of every candidate side of every
+        subproblem in the pass, and GreedyPlan (Figure 7) for the root's
+        unsplit plan.  The default plans each side with
+        :meth:`plan_sequence` when first asked; planners that can score a
+        whole pass from one counting pass override this.
         """
-        return SplitScorer(self, query, ranges)
+        return SplitScorer(self, query, ranges, at)
 
     def plan(self, query: ConjunctiveQuery) -> PlanningResult:
         require_conjunctive(query)
@@ -194,12 +200,14 @@ class SideScores(ABC):
 
 
 class SplitScorer:
-    """Scores candidate split sides of one subproblem for GreedySplit.
+    """Scores the candidate split sides of one pass's subproblems.
 
-    This default plans a side with the planner's :meth:`plan_sequence`
-    only when GreedySplit first asks for it, so Figure 6's pruning still
-    skips the sides it never needs, and takes split probabilities from
-    the planner's distribution per attribute.
+    ``subproblems`` are ``ranges`` alone, or its two children when the
+    pass was asked for a split ``at = (i, x)``.  This default plans a side
+    with the planner's :meth:`plan_sequence` only when GreedySplit first
+    asks for it, so Figure 6's pruning still skips the sides it never
+    needs, and takes split probabilities from the planner's distribution
+    per attribute.
     """
 
     def __init__(
@@ -207,24 +215,34 @@ class SplitScorer:
         planner: SequentialPlanner,
         query: ConjunctiveQuery,
         ranges: RangeVector,
+        at: tuple[int, int] | None = None,
     ) -> None:
         self._planner = planner
         self._query = query
-        self._ranges = ranges
+        self.subproblems: tuple[RangeVector, ...] = (
+            (ranges,) if at is None else ranges.split(*at)
+        )
 
-    def score(self, attribute_index: int, candidates: list[int]) -> SideScores:
-        """Scores for splitting attribute ``attribute_index`` at ``candidates``."""
-        return _PlannedSides(self, attribute_index, candidates)
+    def sequence(self, subproblem: int) -> tuple[float, PlanNode]:
+        """The unsplit base plan of ``subproblems[subproblem]`` and its cost."""
+        return self._planner.plan_sequence(
+            self._query, self.subproblems[subproblem]
+        )
 
-    def score_all(self, candidates: list[list[int]]) -> list[SideScores | None]:
-        """:meth:`score` of every attribute with candidates, by attribute index.
+    def score_all(
+        self, candidates: list[list[list[int]]]
+    ) -> list[list[SideScores | None]]:
+        """Side scores of every attribute with candidates, per subproblem.
 
-        ``candidates[i]`` are attribute ``i``'s split values; an attribute
-        without any gets ``None``.
+        ``candidates[k][i]`` are attribute ``i``'s split values in
+        subproblem ``k``; an attribute without any gets ``None``.
         """
         return [
-            self.score(index, values) if values else None
-            for index, values in enumerate(candidates)
+            [
+                _PlannedSides(self, ranges, index, values) if values else None
+                for index, values in enumerate(wanted)
+            ]
+            for ranges, wanted in zip(self.subproblems, candidates)
         ]
 
 
@@ -232,9 +250,14 @@ class _PlannedSides(SideScores):
     """One :meth:`SequentialPlanner.plan_sequence` call per side, on demand."""
 
     def __init__(
-        self, scorer: SplitScorer, attribute_index: int, candidates: list[int]
+        self,
+        scorer: SplitScorer,
+        ranges: RangeVector,
+        attribute_index: int,
+        candidates: list[int],
     ) -> None:
         self._scorer = scorer
+        self._ranges = ranges
         self._index = attribute_index
         self._candidates = candidates
         self._planned: dict[tuple[int, bool], tuple[float, PlanNode]] = {}
@@ -242,12 +265,11 @@ class _PlannedSides(SideScores):
 
     def probability_below(self, position: int) -> float:
         if self._probabilities is None:
-            scorer = self._scorer
             self._probabilities = split_probabilities(
-                scorer._planner.distribution,
+                self._scorer._planner.distribution,
                 self._index,
                 self._candidates,
-                scorer._ranges,
+                self._ranges,
             )
         return self._probabilities[position]
 
@@ -255,7 +277,7 @@ class _PlannedSides(SideScores):
         planned = self._planned.get((position, above))
         if planned is None:
             scorer = self._scorer
-            sides = scorer._ranges.split(self._index, self._candidates[position])
+            sides = self._ranges.split(self._index, self._candidates[position])
             planned = scorer._planner.plan_sequence(scorer._query, sides[above])
             self._planned[position, above] = planned
         return planned

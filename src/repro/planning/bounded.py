@@ -36,7 +36,7 @@ from repro.planning.base import (
     SequentialPlanner,
 )
 from repro.planning.greedy_conditional import _Frontier, _TreeNode
-from repro.planning.greedy_split import greedy_split
+from repro.planning.greedy_split import SplitPass, greedy_splits
 from repro.planning.split_points import SplitPointPolicy
 from repro.probability import Distribution
 
@@ -109,7 +109,8 @@ class SizeAwareConditionalPlanner(Planner):
         stats = PlannerStats()
 
         full = RangeVector.full(schema)
-        root_cost, root_plan = self._base.plan_sequence(query, full)
+        scored = self._score(query, full, policy, stats)
+        root_cost, root_plan = scored.sequence(0)
         stats.sequential_plans_built += 1
         root = _TreeNode(root_plan)
         counter = itertools.count()
@@ -121,15 +122,7 @@ class SizeAwareConditionalPlanner(Planner):
                 node=root,
                 ranges=full,
                 sequential_cost=root_cost,
-                split=greedy_split(
-                    query,
-                    full,
-                    self.distribution,
-                    self._base,
-                    policy,
-                    stats,
-                    self.cost_model,
-                ),
+                split=scored.splits[0],
                 reach_probability=1.0,
             ),
         )
@@ -161,8 +154,12 @@ class SizeAwareConditionalPlanner(Planner):
                 break
 
             stats.subproblems += 1
-            below_ranges, above_ranges = leaf.ranges.split(
-                split.attribute_index, split.split_value
+            scored = self._score(
+                query,
+                leaf.ranges,
+                policy,
+                stats,
+                at=(split.attribute_index, split.split_value),
             )
             below_node = _TreeNode(split.below_plan)
             above_node = _TreeNode(split.above_plan)
@@ -173,19 +170,12 @@ class SizeAwareConditionalPlanner(Planner):
                 below=below_node,
                 above=above_node,
             )
-            for node, ranges, cost, probability in (
-                (
-                    below_node,
-                    below_ranges,
-                    split.below_cost,
-                    leaf.reach_probability * split.probability_below,
-                ),
-                (
-                    above_node,
-                    above_ranges,
-                    split.above_cost,
-                    leaf.reach_probability * (1.0 - split.probability_below),
-                ),
+            for node, ranges, cost, child_split, probability in zip(
+                (below_node, above_node),
+                scored.subproblems,
+                (split.below_cost, split.above_cost),
+                scored.splits,
+                (split.probability_below, 1.0 - split.probability_below),
             ):
                 self._push(
                     queue,
@@ -194,16 +184,8 @@ class SizeAwareConditionalPlanner(Planner):
                         node=node,
                         ranges=ranges,
                         sequential_cost=cost,
-                        split=greedy_split(
-                            query,
-                            ranges,
-                            self.distribution,
-                            self._base,
-                            policy,
-                            stats,
-                            self.cost_model,
-                        ),
-                        reach_probability=probability,
+                        split=child_split,
+                        reach_probability=leaf.reach_probability * probability,
                     ),
                 )
             execution_cost -= saving
@@ -216,6 +198,25 @@ class SizeAwareConditionalPlanner(Planner):
             expected_cost=combined,
             planner=f"{self.name}(alpha={self._alpha:g})",
             stats=stats,
+        )
+
+    def _score(
+        self,
+        query: ConjunctiveQuery,
+        ranges: RangeVector,
+        policy: SplitPointPolicy,
+        stats: PlannerStats,
+        at: tuple[int, int] | None = None,
+    ) -> SplitPass:
+        return greedy_splits(
+            query,
+            ranges,
+            self.distribution,
+            self._base,
+            policy,
+            stats,
+            self.cost_model,
+            at,
         )
 
     @staticmethod

@@ -50,11 +50,21 @@ class CorrSeqPlanner(SequentialPlanner):
         return self._greedy.plan_sequence(query, ranges)
 
     def split_scorer(
-        self, query: ConjunctiveQuery, ranges: RangeVector
+        self,
+        query: ConjunctiveQuery,
+        ranges: RangeVector,
+        at: tuple[int, int] | None = None,
     ) -> SplitScorer:
         # A side never has more undetermined predicates than its subproblem,
-        # so every side of a small subproblem goes to OptSeq.
-        undetermined = len(query.undetermined_predicates(ranges))
-        if undetermined <= self._optimal_threshold:
-            return self._optimal.split_scorer(query, ranges)
-        return super().split_scorer(query, ranges)
+        # and a child no more than its parent, so every side of small
+        # subproblems goes to OptSeq.
+        threshold = self._optimal_threshold
+        if len(query.undetermined_predicates(ranges)) > threshold and (
+            at is None
+            or any(
+                len(query.undetermined_predicates(child)) > threshold
+                for child in ranges.split(*at)
+            )
+        ):
+            return super().split_scorer(query, ranges, at)
+        return self._optimal.split_scorer(query, ranges, at)

@@ -6,7 +6,7 @@ sequential plan for the whole problem.  Every frontier leaf carries:
 
 - the subproblem ranges it covers,
 - the base sequential plan (and cost) for that subproblem,
-- the locally optimal :func:`~repro.planning.greedy_split.greedy_split`,
+- its locally optimal split (:mod:`repro.planning.greedy_split`),
 - a priority = P(reaching the leaf) * (sequential cost - split cost),
   i.e. the expected saving from applying the split at that leaf.
 
@@ -14,6 +14,12 @@ A max-priority queue decides which leaf to expand next; expansion turns the
 leaf into a condition node whose children become new frontier leaves.  The
 loop stops after ``max_splits`` expansions (the Section 2.4 plan-size bound)
 or when no remaining leaf's split offers positive savings.
+
+Scoring runs in passes (:func:`~repro.planning.greedy_split.greedy_splits`):
+one for the root, which also yields the root's sequential plan, and one per
+expansion for both new leaves together.  A Heuristic-k plan therefore
+scores in ``1 + expansions`` passes; over an empirical distribution each is
+one counting pass and one OptSeq DP.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from repro.planning.base import (
     PlanningResult,
     SequentialPlanner,
 )
-from repro.planning.greedy_split import SplitChoice, greedy_split
+from repro.planning.greedy_split import SplitChoice, SplitPass, greedy_splits
 from repro.planning.split_points import SplitPointPolicy
 from repro.probability.base import Distribution
 
@@ -169,20 +175,23 @@ class GreedyConditionalPlanner(Planner):
         stats = PlannerStats()
 
         full = RangeVector.full(schema)
-        root_cost, root_plan = self._base.plan_sequence(query, full)
+        scored = self._score(query, full, policy, stats)
+        root_cost, root_plan = scored.sequence(0)
         stats.sequential_plans_built += 1
         root = _TreeNode(root_plan)
-        frontier = _Frontier(
-            node=root,
-            ranges=full,
-            sequential_cost=root_cost,
-            split=self._split_for(query, full, policy, stats),
-            reach_probability=1.0,
-        )
-
         counter = itertools.count()
         queue: list[tuple[float, int, _Frontier]] = []
-        self._push(queue, counter, frontier)
+        self._push(
+            queue,
+            counter,
+            _Frontier(
+                node=root,
+                ranges=full,
+                sequential_cost=root_cost,
+                split=scored.splits[0],
+                reach_probability=1.0,
+            ),
+        )
 
         splits_used = 0
         expected_total = root_cost
@@ -193,8 +202,12 @@ class GreedyConditionalPlanner(Planner):
                 break  # no remaining leaf offers a positive expected saving
             split = leaf.split
             stats.subproblems += 1
-            below_ranges, above_ranges = leaf.ranges.split(
-                split.attribute_index, split.split_value
+            scored = self._score(
+                query,
+                leaf.ranges,
+                policy,
+                stats,
+                at=(split.attribute_index, split.split_value),
             )
             below_node = _TreeNode(split.below_plan)
             above_node = _TreeNode(split.above_plan)
@@ -205,30 +218,24 @@ class GreedyConditionalPlanner(Planner):
                 below=below_node,
                 above=above_node,
             )
-            self._push(
-                queue,
-                counter,
-                _Frontier(
-                    node=below_node,
-                    ranges=below_ranges,
-                    sequential_cost=split.below_cost,
-                    split=self._split_for(query, below_ranges, policy, stats),
-                    reach_probability=leaf.reach_probability
-                    * split.probability_below,
-                ),
-            )
-            self._push(
-                queue,
-                counter,
-                _Frontier(
-                    node=above_node,
-                    ranges=above_ranges,
-                    sequential_cost=split.above_cost,
-                    split=self._split_for(query, above_ranges, policy, stats),
-                    reach_probability=leaf.reach_probability
-                    * (1.0 - split.probability_below),
-                ),
-            )
+            for node, ranges, cost, child_split, probability in zip(
+                (below_node, above_node),
+                scored.subproblems,
+                (split.below_cost, split.above_cost),
+                scored.splits,
+                (split.probability_below, 1.0 - split.probability_below),
+            ):
+                self._push(
+                    queue,
+                    counter,
+                    _Frontier(
+                        node=node,
+                        ranges=ranges,
+                        sequential_cost=cost,
+                        split=child_split,
+                        reach_probability=leaf.reach_probability * probability,
+                    ),
+                )
             expected_total -= saving
             splits_used += 1
 
@@ -248,14 +255,15 @@ class GreedyConditionalPlanner(Planner):
             certificate=certificate,
         )
 
-    def _split_for(
+    def _score(
         self,
         query: ConjunctiveQuery,
         ranges: RangeVector,
         policy: SplitPointPolicy,
         stats: PlannerStats,
-    ) -> SplitChoice | None:
-        return greedy_split(
+        at: tuple[int, int] | None = None,
+    ) -> SplitPass:
+        return greedy_splits(
             query,
             ranges,
             self.distribution,
@@ -263,6 +271,7 @@ class GreedyConditionalPlanner(Planner):
             policy,
             stats,
             self.cost_model,
+            at,
         )
 
     @staticmethod

@@ -116,13 +116,17 @@ class Distribution(ABC):
         """
 
     def outcome_counter(
-        self, bindings: Sequence[PredicateBinding], ranges: RangeVector
+        self,
+        bindings: Sequence[PredicateBinding],
+        ranges: RangeVector,
+        at: tuple[int, int] | None = None,
     ) -> "OutcomeCounter | None":
         """Integer outcome counts for scoring many split sides at once.
 
         Dataset-backed models return an
         :class:`~repro.probability.empirical.OutcomeCounter` over the
-        subproblem's rows; models that do not count rows return ``None``
+        subproblem's rows, labelled by child when ``at = (i, x)`` names
+        the split of ``ranges`` whose two children are scored; models that do not count rows return ``None``
         and planners fall back to one query per side.
         """
         return None

@@ -17,8 +17,9 @@ Section 5:
   reused across every subproblem (the rediscretized attributes ``X'_i``
   of Section 4.1.2);
 - :class:`OutcomeCounter` counts a subproblem's predicate outcomes per
-  value of every attribute in one ``bincount``, from which GreedySplit
-  reads all its side joints and split probabilities.
+  value of every attribute in one ``bincount`` (split by child when
+  GreedyPlan scores both children of an expansion), from which
+  GreedySplit reads all its side joints and split probabilities.
 
 Counts are integers whatever their order, so every probability equals the
 one row-by-row counting gives, bit for bit.
@@ -155,10 +156,14 @@ class EmpiricalDistribution(Distribution):
             column_mask = (column >= interval.low) & (column <= interval.high)
             mask = column_mask if mask is None else (mask & column_mask)
         cells = self._all_cells if mask is None else np.flatnonzero(mask)
+        self._remember(ranges, cells)
+        return cells
+
+    def _remember(self, ranges: RangeVector, cells: np.ndarray) -> None:
+        """Cache ``cells`` as the cell set of ``ranges``."""
         if len(self._row_cache) >= self._max_cached:
             self._row_cache.clear()
         self._row_cache[ranges] = cells
-        return cells
 
     def row_count(self, ranges: RangeVector) -> int:
         """Number of training rows inside a subproblem."""
@@ -214,9 +219,12 @@ class EmpiricalDistribution(Distribution):
         return counts / counts.sum()
 
     def outcome_counter(
-        self, bindings: Sequence[PredicateBinding], ranges: RangeVector
+        self,
+        bindings: Sequence[PredicateBinding],
+        ranges: RangeVector,
+        at: tuple[int, int] | None = None,
     ) -> "OutcomeCounter":
-        return OutcomeCounter(self, bindings, ranges)
+        return OutcomeCounter(self, bindings, ranges, at)
 
     def satisfied_given_satisfied(
         self,
@@ -274,7 +282,8 @@ class EmpiricalDistribution(Distribution):
         """Per-cell outcome bitmask: bit ``j`` set when ``bindings[j]`` holds."""
         codes = np.zeros(cells.size, dtype=np.int64)
         for bit, binding in enumerate(bindings):
-            codes |= self._satisfaction_mask(binding)[cells].astype(np.int64) << bit
+            satisfied = np.take(self._satisfaction_mask(binding), cells)
+            codes |= satisfied.astype(np.int64) << bit
         return codes
 
     def _conjunction_mask(
@@ -343,19 +352,68 @@ def _normalised(counts: np.ndarray, smoothing: float) -> np.ndarray:
     return smoothed / total
 
 
-class OutcomeCounter:
-    """Outcome counts of one subproblem's cells, by attribute value.
+# numpy sums a contiguous run of at most this many float64 values in
+# eight interleaved accumulators; longer runs are halved first.
+_PAIRWISE_BLOCK = 128
 
-    Each cell of the subproblem is encoded once as its outcome bitmask over
+
+def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values[k, :lengths[k]].sum()`` for every row ``k``, bit for bit.
+
+    Entries past a row's length must be 0.0 and none may be negative.
+    ``ndarray.sum`` adds ``n`` float64 values pairwise: fewer than 8 left
+    to right from 0.0; up to 128 by adding value ``i`` of the first
+    ``n - n % 8`` into accumulator ``i % 8``, combining the accumulators
+    as ``((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))`` and adding
+    the rest left to right; longer runs as the sums of their two halves
+    (split at ``n // 2`` rounded down to a multiple of 8).  Following that
+    order on whole arrays sums rows of any lengths in a fixed number of
+    passes, and the padding zeros add exactly nothing.
+    """
+    long = lengths > _PAIRWISE_BLOCK
+    if long.any():
+        totals = np.empty(len(values))
+        if not long.all():
+            totals[~long] = _row_sums(values[~long], lengths[~long])
+        part = values[long]
+        counts = lengths[long]
+        half = counts // 2 - counts // 2 % 8
+        columns = np.arange(part.shape[1])
+        left = np.where(columns < half[:, None], part, 0.0)
+        shifted = np.take_along_axis(
+            part, np.minimum(columns + half[:, None], part.shape[1] - 1), axis=1
+        )
+        right = np.where(columns < (counts - half)[:, None], shifted, 0.0)
+        totals[long] = _row_sums(left, half) + _row_sums(right, counts - half)
+        return totals
+    rows, width = values.shape
+    if width % 8:
+        values = np.concatenate([values, np.zeros((rows, 8 - width % 8))], axis=1)
+    blocked = np.arange(values.shape[1]) < (lengths & -8)[:, None]
+    lanes = np.where(blocked, values, 0.0)
+    sums = np.cumsum(lanes.reshape(rows, -1, 8), axis=1)[:, -1]
+    pairs = sums[:, 0::2] + sums[:, 1::2]
+    combined = (pairs[:, 0] + pairs[:, 1]) + (pairs[:, 2] + pairs[:, 3])
+    # The values past the accumulated ones (x - x is 0.0, x - 0.0 is x).
+    running = np.concatenate([combined[:, None], values - lanes], axis=1)
+    return np.cumsum(running, axis=1)[:, -1]
+
+
+class OutcomeCounter:
+    """Outcome counts of one scoring pass's cells, by subproblem and value.
+
+    Each cell of ``ranges`` is encoded once as its outcome bitmask over
     ``bindings`` (bit ``j`` set when ``bindings[j]`` holds, as in
-    :meth:`EmpiricalDistribution.predicate_joint`).  One weighted
-    ``bincount`` then counts the outcomes per value of every attribute
-    asked for (:meth:`value_counts`): a split side's outcome counts are a
-    prefix or suffix sum over an attribute's values (Equation 7 lifted to
-    the predicate lattice), and the attribute's histogram is their row
-    sums.  :meth:`histogram`, :meth:`joints` and :meth:`pass_probabilities`
-    turn those counts into exactly the floats that
-    :meth:`~EmpiricalDistribution.attribute_histogram`,
+    :meth:`EmpiricalDistribution.predicate_joint`).  With ``at = (i, x)``
+    each cell is also labelled by the child of ``ranges`` split at
+    ``X_i >= x`` that holds it (0 below, 1 above); without, every cell is
+    subproblem 0.  One weighted ``bincount`` then counts the outcomes per
+    value of every attribute in every subproblem (:meth:`value_counts`):
+    a split side's outcome counts are a prefix or suffix sum over one
+    such segment's values (Equation 7 lifted to the predicate lattice),
+    and the segment's histogram is their row sums.  :meth:`split_probabilities`,
+    :meth:`joints` and :meth:`pass_probabilities` turn those counts into
+    exactly the floats that :func:`~repro.probability.base.probabilities_below`,
     :meth:`~EmpiricalDistribution.predicate_joint` and the sequential
     conditioner report.
     """
@@ -365,56 +423,119 @@ class OutcomeCounter:
         distribution: EmpiricalDistribution,
         bindings: Sequence[PredicateBinding],
         ranges: RangeVector,
+        at: tuple[int, int] | None = None,
     ) -> None:
         cells = distribution.rows_matching(ranges)
-        self._cells = distribution._cells[cells]
-        self._weights = distribution._weights[cells]
+        self._cells = np.take(distribution._cells, cells, axis=0)
+        self._weights = np.take(distribution._weights, cells)
         self._codes = distribution._outcome_codes(bindings, cells)
-        self._ranges = ranges
+        self._labels: np.ndarray | None = None
+        if at is not None:
+            above = self._cells[:, at[0]] >= at[1]
+            self._labels = above.astype(np.int64)
+            # The children's cell sets, ready for their own passes.
+            for child, inside in zip(ranges.split(*at), (~above, above)):
+                distribution._remember(child, cells[inside])
         self._size = 1 << len(bindings)
         self._smoothing = distribution.smoothing
 
-    def value_counts(self, attribute_indices: Sequence[int]) -> np.ndarray:
-        """Outcome counts per value of each attribute's range.
+    def value_counts(self, lows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Outcome counts per value of each attribute in each subproblem.
 
-        Rows run through the values of ``attribute_indices[0]``'s range
-        in ascending order, then those of the next attribute, and so on;
-        column ``s`` counts the rows with outcome bitmask ``s``.  Returns
-        a float64 array of integer counts, shape ``(sum of range lengths,
-        2**m)``.
+        Segment ``(k, i)`` runs through attribute ``i``'s values
+        ``lows[k, i] .. lows[k, i] + lengths[k, i] - 1`` over the cells of
+        subproblem ``k``; the rows run through the segments in row-major
+        order, and column ``t`` counts the rows with outcome bitmask
+        ``t``.  Returns a float64 array of integer counts, shape
+        ``(lengths.sum(), 2**m)``.
         """
-        intervals = [self._ranges[index] for index in attribute_indices]
-        lengths = [len(interval) for interval in intervals]
-        starts = np.cumsum([0] + lengths[:-1])
-        lows = np.array([interval.low for interval in intervals])
-        values = self._cells[:, attribute_indices] - lows + starts
+        starts = np.cumsum(lengths).reshape(lengths.shape) - lengths
+        shifts = starts - lows
+        # Each cell lands in its own subproblem's segments.
+        values = self._cells + (
+            shifts[0] if self._labels is None else np.take(shifts, self._labels, axis=0)
+        )
         counts = np.bincount(
             (values * self._size + self._codes[:, None]).ravel(),
-            weights=np.repeat(self._weights, len(intervals)),
-            minlength=sum(lengths) * self._size,
+            weights=np.repeat(self._weights, lows.shape[1]),
+            minlength=int(starts[-1, -1] + lengths[-1, -1]) * self._size,
         )
         return counts.reshape(-1, self._size)
 
-    def histogram(self, counts: np.ndarray) -> np.ndarray:
-        """:meth:`~EmpiricalDistribution.attribute_histogram` of one attribute.
+    def split_probabilities(
+        self,
+        counts: np.ndarray,
+        lengths: np.ndarray,
+        segments: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray:
+        """``P(X < x)`` of each candidate split of a :meth:`value_counts` table.
 
-        ``counts`` are the attribute's rows of :meth:`value_counts`.
+        Segment ``s`` spans ``lengths[s]`` rows of ``counts``; candidate
+        ``c`` splits segment ``segments[c]`` ``offsets[c]`` values above
+        its low end.  Each is the float
+        :func:`~repro.probability.base.probabilities_below` reads from
+        :meth:`~EmpiricalDistribution.attribute_histogram`: every
+        segment's histogram is normalised, summed and accumulated as one
+        row of a zero-padded array.
         """
-        return _normalised(counts.sum(axis=1), self._smoothing)
+        # Segments run through the table in order, so a row-major mask of
+        # each padded row's first ``lengths[s]`` entries lays them out.
+        width = -(-int(lengths.max()) // 8) * 8
+        inside = np.arange(width) < lengths[:, None]
+        smoothed = np.zeros(inside.shape)
+        smoothed[inside] = counts.sum(axis=1) + self._smoothing
+        # Unsmoothed, the totals are integers, exact in any order.
+        totals = (
+            _row_sums(smoothed, lengths) if self._smoothing else smoothed.sum(axis=1)
+        )
+        # A histogram without mass is all zeros.
+        histograms = smoothed / np.where(totals > 0.0, totals, 1.0)[:, None]
+        masses = _row_sums(histograms, lengths)[segments]
+        below = np.cumsum(histograms, axis=1)[segments, offsets - 1]
+        positive = masses > 0.0
+        return np.where(
+            positive,
+            below / np.where(positive, masses, 1.0),
+            offsets / lengths[segments],
+        )
 
-    def joints(self, counts: np.ndarray) -> np.ndarray:
+    def joints(self, counts: np.ndarray, held: np.ndarray) -> np.ndarray:
         """:meth:`~EmpiricalDistribution.predicate_joint` of each row set.
 
-        Row ``k`` of ``counts`` holds one row set's outcome counts.
+        Row ``k`` of ``counts`` holds one row set's outcome counts; each
+        of its rows satisfies every predicate in bitmask ``held[k]``.  Its
+        joint is the one over the other predicates, placed on the states
+        that hold all of ``held[k]`` (the smaller lattice's states with
+        the held bits put back in, ascending); other states get 0.
         """
-        joints = counts.astype(np.float64)
-        if self._smoothing:
-            joints += self._smoothing
-        empty = counts.sum(axis=1) == 0
-        totals = joints.sum(axis=1, keepdims=True)
-        totals[empty] = 1.0
-        joints /= totals
-        joints[empty] = 0.0
+        if not self._smoothing:
+            # Unsmoothed, a joint is its counts over their total, which
+            # any summation order gives exactly, and the states outside
+            # the smaller lattice count no rows.
+            totals = counts.sum(axis=1, keepdims=True)
+            return np.divide(
+                counts, totals, out=np.zeros(counts.shape), where=totals > 0.0
+            )
+        count = self._size.bit_length() - 1
+        held_bits = (held[:, None] >> np.arange(count)) & 1
+        popcounts = held_bits.sum(axis=1)
+        joints = np.zeros(counts.shape)
+        for popcount in np.flatnonzero(np.bincount(popcounts)).tolist():
+            rows = np.flatnonzero(popcounts == popcount)
+            free = np.nonzero(held_bits[rows] == 0)[1].reshape(len(rows), -1)
+            digits = (
+                np.arange(1 << (count - popcount))[:, None]
+                >> np.arange(count - popcount)
+            ) & 1
+            columns = held[rows, None] | (digits << free[:, None, :]).sum(axis=2)
+            smoothed = counts[rows[:, None], columns] + self._smoothing
+            # A row set without rows has the all-zero joint.
+            smoothed[counts[rows].sum(axis=1) == 0] = 0.0
+            totals = smoothed.sum(axis=1, keepdims=True)
+            joints[rows[:, None], columns] = np.divide(
+                smoothed, totals, out=np.zeros(smoothed.shape), where=totals > 0.0
+            )
         return joints
 
     def pass_probabilities(

@@ -14,8 +14,10 @@ counters, and against the scalar planner side by side:
 - the same rows in another order.
 
 It also pins Equation 7 to one implementation: the scalar
-``split_probability`` and the planners' ``split_probabilities`` agree to
-the last bit on a 12-value domain.
+``split_probability``, the planners' ``split_probabilities`` and the
+counted scorer's batched probabilities agree to the last bit on 12- and
+300-value domains, whose histogram sums take numpy's blocked and halved
+pairwise orders that the batched row sums reproduce.
 """
 
 from __future__ import annotations
@@ -42,8 +44,11 @@ from repro.probability import (
     EmpiricalDistribution,
     IndependenceDistribution,
 )
+from repro.probability.empirical import _row_sums
 from tests.test_split_scoring import (
+    _ran_for_root_and_every_expansion,
     _reference_greedy_split,
+    _reference_pass,
     _same_choice,
     _same_sides,
 )
@@ -74,7 +79,7 @@ def _lattice_sizes(base, query, ranges):
     policy = SplitPointPolicy.full(base.schema).with_query_boundaries(query)
     candidates = [policy.candidates(index, ranges) for index in range(len(ranges))]
     with mock.patch.object(optimal_module, "_optimal_orders", recording):
-        base.split_scorer(query, ranges).score_all(candidates)
+        base.split_scorer(query, ranges).score_all([candidates])
     return sizes
 
 
@@ -139,8 +144,8 @@ class TestStackedLattice:
         assert choice is not None
         policy = SplitPointPolicy.full(SCHEMA).with_query_boundaries(self.QUERY)
         scores = base.split_scorer(self.QUERY, full).score_all(
-            [policy.candidates(index, full) for index in range(len(SCHEMA))]
-        )
+            [[policy.candidates(index, full) for index in range(len(SCHEMA))]]
+        )[0]
         # Below a = 3 the plan skips a; at or above b = 3 it skips b.
         below_a = scores[1].plan(policy.candidates(1, full).index(3), above=False)
         above_b = scores[2].plan(policy.candidates(2, full).index(3), above=True)
@@ -157,8 +162,10 @@ class TestStackedLattice:
             distribution, CorrSeqPlanner(distribution), max_splits=5
         )
         actual = planner.plan(self.QUERY)
-        monkeypatch.setattr(conditional_module, "greedy_split", _reference_greedy_split)
+        calls: list = []
+        monkeypatch.setattr(conditional_module, "greedy_splits", _reference_pass(calls))
         expected = planner.plan(self.QUERY)
+        _ran_for_root_and_every_expansion(calls, expected)
         assert actual.plan == expected.plan
         assert actual.expected_cost.hex() == expected.expected_cost.hex()
         assert actual.stats == expected.stats
@@ -285,3 +292,46 @@ class TestEquationSeven:
                 for k in range(9, 13)
             )
         assert differing > 0
+
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 0.3])
+    @pytest.mark.parametrize("domain", [12, 300])
+    def test_counted_scorer_matches_split_probabilities(self, smoothing, domain):
+        schema = Schema([Attribute("wide", domain, 1.0), Attribute("other", 3, 9.0)])
+        rng = np.random.default_rng(domain)
+        wide = rng.choice(domain, 4000, p=rng.dirichlet(np.ones(domain))) + 1
+        data = np.stack([wide, rng.integers(1, 4, 4000)], axis=1).astype(np.int64)
+        distribution = EmpiricalDistribution(schema, data, smoothing=smoothing)
+        query = ConjunctiveQuery(schema, [RangePredicate("other", 2, 3)])
+        base = OptimalSequentialPlanner(distribution)
+        full = RangeVector.full(schema)
+        for ranges, at in ((full, None), (full, (0, domain // 3)), (full, (1, 2))):
+            scorer = base.split_scorer(query, ranges, at)
+            candidates = [
+                [list(range(sub[0].low + 1, sub[0].high + 1)), []]
+                for sub in scorer.subproblems
+            ]
+            for subproblem, wanted, scores in zip(
+                scorer.subproblems, candidates, scorer.score_all(candidates)
+            ):
+                expected = split_probabilities(distribution, 0, wanted[0], subproblem)
+                for position, probability in enumerate(expected):
+                    assert scores[0].probability_below(position).hex() == (
+                        probability.hex()
+                    )
+
+
+def test_row_sums_add_in_numpy_sum_order():
+    """The batched row sums equal ``ndarray.sum`` on every row, through the
+    left-to-right, eight-accumulator and halving orders."""
+    rng = np.random.default_rng(21)
+    lengths = np.array(
+        [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 127, 128, 129, 130, 255, 256, 300, 513]
+    )
+    values = np.zeros((len(lengths), int(lengths.max()) + 5))
+    for row, length in enumerate(lengths):
+        drawn = rng.random(length) * 10.0 ** rng.integers(-3, 4, length)
+        values[row, :length] = drawn / drawn.sum() if row % 2 else drawn
+    totals = _row_sums(values, lengths)
+    for row, length in enumerate(lengths):
+        assert totals[row].hex() == float(values[row, :length].sum()).hex(), length

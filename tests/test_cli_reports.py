@@ -1,7 +1,11 @@
 """The report verbs share one emitter; the two suites share one sweep."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +163,59 @@ def test_suite_smoothing_zero_reaches_the_distribution(monkeypatch):
         with pytest.raises(Stop):
             main(argv)
     assert seen == [0.0, 0.0, 0.5]
+
+
+# ----------------------------------------------------------------------
+# A closed standard output (``repro ... | head -1``)
+# ----------------------------------------------------------------------
+
+
+def _run_into_closed_pipe(argv):
+    """Run the CLI in a child process whose stdout pipe has no reader.
+
+    The reading end is closed before the child starts writing, so its
+    first write to stdout fails as a pipe whose reader exited does.
+    Returns the exit status and everything written to stderr.
+    """
+    source = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(source))
+    read, write = os.pipe()
+    child = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv,
+        ],
+        stdout=write,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write)
+    os.close(read)
+    _stdout, stderr = child.communicate(timeout=300)
+    return child.returncode, stderr.decode()
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_report_into_a_closed_pipe_exits_quietly(tmp_path, json_flag):
+    status, stderr = _run_into_closed_pipe(_lint_code_args(tmp_path) + json_flag)
+    assert stderr == ""
+    assert status == cli.EXIT_BROKEN_PIPE == 141
+
+
+def test_command_into_a_closed_pipe_exits_quietly(tmp_path):
+    trace = _trace(tmp_path)
+    status, stderr = _run_into_closed_pipe(
+        [
+            "explain",
+            "--schema",
+            str(trace / "schema.json"),
+            "--trace",
+            str(trace / "train.csv"),
+            "--query",
+            QUERY,
+        ]
+    )
+    assert stderr == ""
+    assert status == cli.EXIT_BROKEN_PIPE

@@ -46,16 +46,19 @@ from repro.planning import (
     SplitChoice,
     SplitPointPolicy,
     greedy_split,
+    greedy_splits,
 )
 from repro.exceptions import PlanningError
 from repro.planning.base import (
     PlannerStats,
     SequentialPlanner,
+    SplitScorer,
     effective_cost,
     resolved_leaf,
     sequential_node_from_order,
     split_probabilities,
 )
+from repro.planning.greedy_split import SplitPass
 from repro.probability import (
     ChowLiuDistribution,
     EmpiricalDistribution,
@@ -150,6 +153,44 @@ def _reference_greedy_split(
         )
 
 
+def _reference_pass(
+    calls: list[tuple[RangeVector, tuple[int, int] | None]],
+):
+    """A stand-in for :func:`greedy_splits` that runs the reference.
+
+    Each subproblem of the pass gets :func:`_reference_greedy_split`, and
+    its own unsplit plan comes from the base planner's ``plan_sequence``
+    (the default :class:`SplitScorer`).  Every call lands in ``calls``.
+    """
+
+    def reference(
+        query, ranges, distribution, base_planner, policy, stats=None,
+        cost_model=None, at=None,
+    ) -> SplitPass:
+        calls.append((ranges, at))
+        scorer = SplitScorer(base_planner, query, ranges, at)
+        return SplitPass(
+            subproblems=scorer.subproblems,
+            splits=tuple(
+                _reference_greedy_split(
+                    query, subproblem, distribution, base_planner, policy, stats,
+                    cost_model,
+                )
+                for subproblem in scorer.subproblems
+            ),
+            scorer=scorer,
+        )
+
+    return reference
+
+
+def _ran_for_root_and_every_expansion(calls, result) -> None:
+    """One reference pass for the root, then one per expansion."""
+    assert [at for _ranges, at in calls[:1]] == [None]
+    assert all(at is not None for _ranges, at in calls[1:])
+    assert len(calls) == 1 + result.stats.subproblems
+
+
 def _per_side_greedy_split(
     query: ConjunctiveQuery,
     ranges: RangeVector,
@@ -230,7 +271,9 @@ def _same_sides(
         candidates = policy.candidates(index, ranges)
         if not candidates:
             continue
-        scores = scorer.score(index, candidates)
+        wanted: list[list[int]] = [[] for _ in range(len(ranges))]
+        wanted[index] = candidates
+        scores = scorer.score_all([wanted])[0][index]
         for position, value in enumerate(candidates):
             for above, side in enumerate(ranges.split(index, value)):
                 with _reference_sequential():
@@ -353,10 +396,13 @@ def case(request):
 
 
 def _reference_plan(planner, query, monkeypatch):
+    calls: list = []
     with monkeypatch.context() as patch, _reference_sequential():
-        patch.setattr(conditional_module, "greedy_split", _reference_greedy_split)
-        patch.setattr(bounded_module, "greedy_split", _reference_greedy_split)
-        return planner.plan(query)
+        patch.setattr(conditional_module, "greedy_splits", _reference_pass(calls))
+        patch.setattr(bounded_module, "greedy_splits", _reference_pass(calls))
+        result = planner.plan(query)
+    _ran_for_root_and_every_expansion(calls, result)
+    return result
 
 
 class TestPlannersMatchPerSideReference:
@@ -604,17 +650,26 @@ def test_row_cache_holds_only_split_subproblems(monkeypatch):
 
     distribution = EmpiricalDistribution(schema, train)
     called: set[RangeVector] = set()
+    passes = []
 
-    def recording_split(query, ranges, *args, **kwargs):
+    def recording_splits(query, ranges, *args, **kwargs):
+        scored = greedy_splits(query, ranges, *args, **kwargs)
+        passes.append((ranges, kwargs.get("at", args[5] if len(args) > 5 else None)))
         called.add(ranges)
-        return greedy_split(query, ranges, *args, **kwargs)
+        called.update(scored.subproblems)
+        return scored
 
-    monkeypatch.setattr(conditional_module, "greedy_split", recording_split)
+    monkeypatch.setattr(conditional_module, "greedy_splits", recording_splits)
     planner = GreedyConditionalPlanner(
         distribution, CorrSeqPlanner(distribution), max_splits=5
     )
+    expansions = 0
     for text in sorted(texts):
-        planner.plan(parse_query(text, schema).query)
+        before = len(passes)
+        result = planner.plan(parse_query(text, schema).query)
+        _ran_for_root_and_every_expansion(passes[before:], result)
+        expansions += result.stats.subproblems
+    assert len(passes) == len(texts) + expansions
     cached = set(distribution._row_cache)
     assert called
     assert cached <= called
