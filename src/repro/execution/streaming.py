@@ -57,7 +57,9 @@ class ReplanEvent:
 
     ``reason``: ``"interval"``, ``"drift"``, ``"profile-drift"`` (Sec. 7),
     ``"warmup"``, ``"order-swap"``, ``"commit"``, ``"drift-refit"``
-    (bandit) or ``"outage"`` (either).  ``drift_score`` is the chi-square
+    (bandit) or ``"outage"`` (either).  The Sec. 7 executor reports its
+    first plan, fitted when the warm-up ends, as ``"interval"`` too (its
+    :attr:`OrderingPolicy.warmup_reason`).  ``drift_score`` is the chi-square
     score behind a profile-drift or drift-refit.  The bandit fills the
     rest: the ``branch`` and ``arm`` a swap or commit concerns, whether
     learned evidence survived (``warm``), the unspent regret budget.
@@ -235,7 +237,9 @@ class StreamLoop:
     :class:`~repro.faults.state.FaultState` for the whole stream and the
     executor rebuilt per refit so IMPUTE marginals track the window.  The
     policy scans each window; where a trigger fires the loop cuts it and
-    re-runs the kept prefix from the window's starting state.  Sustained
+    keeps the prefix with the fault state at the cut
+    (:meth:`~repro.faults.executor.FaultedDatasetExecution.state_at`)
+    instead of running it again.  Sustained
     outages are the loop's own ``"outage"`` trigger (see :meth:`_outage`).
     """
 
@@ -343,14 +347,14 @@ class StreamLoop:
 
         def keep(outcome: Any, start: int, kept: int) -> None:
             nonlocal state, degraded
-            costs[start : start + kept] = outcome.costs[:kept]
-            verdicts[start : start + kept] = outcome.verdicts[:kept]
+            end = start + kept
+            costs[start:end] = outcome.costs[:kept]
+            verdicts[start:end] = outcome.verdicts[:kept]
             if executor is not None:
-                end = start + kept
-                fails[start:end] = outcome.failed.any(axis=1)
-                abstained[start:end] = outcome.abstains
-                degraded += int(np.count_nonzero(outcome.degraded))
-                state = outcome.state
+                fails[start:end] = outcome.failed[:kept].any(axis=1)
+                abstained[start:end] = outcome.abstains[:kept]
+                degraded += int(np.count_nonzero(outcome.degraded[:kept]))
+                state = outcome.state_at(kept)
 
         if warmup:
             read = query_read_plan(self._query)
@@ -381,11 +385,6 @@ class StreamLoop:
                         position, run.costs, outage, failed, outcome.observed
                     )
                 kept, reason, score = policy.scan(run)
-                # Re-run a cut faulted window's prefix for its end state.  A
-                # fault-free cut re-plans, which drops the observer that saw
-                # the rows past it, so the walker's prefix is just sliced.
-                if kept < outcome.costs.size and executor is not None:
-                    outcome = execute(step.plan, position, position + kept, step)
                 keep(outcome, position, kept)
             position += kept
             if reason is not None:

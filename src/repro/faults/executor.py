@@ -39,8 +39,8 @@ asserts exactly this invariant.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -128,6 +128,10 @@ class FaultedDatasetExecution:
     The cost ledger satisfies ``total_cost == base_cost + retry_cost``
     (the conservation law the chaos suite checks).  The fault counters
     come from ``state`` and so cover the whole run the window belongs to.
+    ``checkpoints`` pairs a row count ``k`` with the state after the
+    first ``k`` rows, save that no clean read is yet counted in
+    ``attempts``: the start state at 0, and a copy after each row the
+    degraded walk ran (:meth:`state_at` reads them).
     """
 
     costs: np.ndarray
@@ -141,10 +145,41 @@ class FaultedDatasetExecution:
     failed: np.ndarray
     imputed: np.ndarray
     state: FaultState
+    checkpoints: list[tuple[int, FaultState]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     @property
     def rows(self) -> int:
         return int(self.costs.size)
+
+    def state_at(self, rows: int) -> FaultState:
+        """The state after the first ``rows`` rows, as if only they ran.
+
+        It equals the state :meth:`FaultTolerantExecutor.run` returns for
+        those rows alone from the same start state, since a row's outcome
+        never depends on the rows after it.  The last checkpoint at or
+        before the cut is followed only by clean rows: their reads are
+        added to ``attempts``, and each stuck-prone attribute's last
+        clean read since the checkpoint becomes its last delivered value.
+        """
+        if rows >= self.rows:
+            return self.state
+        positions = [position for position, _ in self.checkpoints]
+        position, saved = self.checkpoints[bisect_right(positions, rows) - 1]
+        state = saved.copy()
+        walked = [end - 1 for end in positions[1:] if end <= rows]
+        state.attempts += int(np.count_nonzero(self.acquired[:rows])) - int(
+            np.count_nonzero(self.acquired[walked])
+        )
+        for attribute, profile in state.profiles.items():
+            if profile.stuck_rate > 0.0:
+                readers = np.flatnonzero(self.acquired[position:rows, attribute])
+                if readers.size:
+                    state.last_delivered[attribute] = int(
+                        self.observed[position + readers[-1], attribute]
+                    )
+        return state
 
     @property
     def selected(self) -> tuple[int, ...]:
@@ -478,9 +513,11 @@ class FaultTolerantExecutor:
 
         Start a run with ``schedule`` and ``rng`` (a fresh
         :class:`FaultState`), or continue one by passing the ``state`` a
-        previous window returned; ``state`` itself is never modified, so
-        a window can be re-run from it.  ``first_row`` is the run-wide id
-        of the window's first row — the dice coordinate.
+        previous window returned; ``state`` itself is never modified.
+        The result's :meth:`~FaultedDatasetExecution.state_at` gives the
+        state after any prefix of the window, so a window cut short need
+        not run again.  ``first_row`` is the run-wide id of the window's
+        first row — the dice coordinate.
 
         With ``read_all`` the plan must be sequential and every step's
         attribute is acquired regardless of earlier verdicts (a
@@ -497,8 +534,6 @@ class FaultTolerantExecutor:
             raise FaultConfigError(
                 "pass either schedule and rng, or state — not both"
             )
-        else:
-            state = state.copy()
         rows = self._validated(data)
         steps = self._read_all_steps(plan) if read_all else None
         return self._window(plan, steps, rows, first_row, state)
@@ -567,9 +602,11 @@ class FaultTolerantExecutor:
         steps: Sequence[SequentialStep] | None,
         rows: np.ndarray,
         first_row: int,
-        state: FaultState,
+        start: FaultState,
     ) -> FaultedDatasetExecution:
+        """Run the window from ``start``, which stays untouched."""
         n, width = rows.shape
+        state = start.copy()
         reads = np.zeros((n, width), dtype=bool)
         costs, verdicts = self._clean(plan, steps, rows, reads)
         out = FaultedDatasetExecution(
@@ -584,6 +621,7 @@ class FaultTolerantExecutor:
             failed=np.zeros((n, width), dtype=bool),
             imputed=np.zeros((n, width), dtype=bool),
             state=state,
+            checkpoints=[(0, start)],
         )
         clean_reads = int(np.count_nonzero(reads))
         # Attributes with a live profile that some row's clean walk reads;
@@ -614,6 +652,7 @@ class FaultTolerantExecutor:
         still owed on the attribute.  The rows between two walked rows
         are clean, so the only state they advance is each stuck-prone
         attribute's last delivered value: the last clean read of it.
+        After each walked row the state is copied into ``out.checkpoints``.
         """
         state = out.state
         reads = out.acquired
@@ -655,6 +694,8 @@ class FaultTolerantExecutor:
         position = 0
         cursor = 0
         while True:
+            if position:
+                out.checkpoints.append((position, state.copy()))
             while landed[cursor] < position:
                 cursor += 1
             row = landed[cursor]

@@ -22,8 +22,6 @@ both call it.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.exceptions import AcquisitionError
@@ -144,9 +142,11 @@ class FaultState:
 
     def copy(self) -> "FaultState":
         """An independent copy sharing the schedule and the run key."""
-        twin = copy.copy(self)
+        twin = object.__new__(type(self))
+        carried = vars(twin)
+        carried.update(vars(self))
         for name in _CARRIED:
-            setattr(twin, name, dict(getattr(self, name)))
+            carried[name] = dict(carried[name])
         return twin
 
     @property

@@ -13,12 +13,21 @@ positions in query order), and capped: a branch with more than
 ``max_predicates`` undetermined predicates would explode factorially, so
 :class:`ArmSpace` refuses it rather than silently sampling.  A branch
 whose context already decides the query has a single verdict-leaf arm.
+
+On a distribution that counts rows every arm is priced from one
+:class:`~repro.probability.empirical.OutcomeCounter` over the branch
+context: the same left-to-right replay OptSeq's scorer runs
+(:func:`~repro.planning.optimal_sequential.replay_orders`) gives each
+arm's Eq. 3 cost and per-step pass rates, float for float.  Other
+distributions walk each arm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 from repro.core.cost import expected_cost
 from repro.core.cost_models import AcquisitionCostModel
@@ -30,7 +39,9 @@ from repro.planning.base import (
     resolved_leaf,
     sequential_node_from_order,
 )
+from repro.planning.optimal_sequential import charge_table, replay_orders
 from repro.probability.base import Distribution
+from repro.probability.joint import superset_sums
 
 __all__ = ["Arm", "ArmSpace", "DEFAULT_MAX_ARM_PREDICATES"]
 
@@ -64,19 +75,24 @@ class ArmSpace:
         self._query = query
         self._context = context
         leaf = resolved_leaf(query, context)
-        if leaf is not None:
-            self._arms: tuple[Arm, ...] = (Arm(arm_id=0, order=(), plan=leaf),)
-            self._span_indices: tuple[int, ...] = ()
-            return
-        bindings = query.undetermined_predicates(context)
+        bindings = [] if leaf is not None else query.undetermined_predicates(context)
+        self._bindings = bindings
+        self._span_indices = tuple(index for _, index in bindings)
         if len(bindings) > max_predicates:
             raise LearningError(
                 f"branch has {len(bindings)} undetermined predicates; "
                 f"{len(bindings)}! orders exceed the max_predicates="
                 f"{max_predicates} arm cap"
             )
+        # Each arm's order as positions in ``bindings``.
+        self._orders = np.array(
+            list(permutations(range(len(bindings)))), dtype=np.int64
+        )
+        if leaf is not None:
+            self._arms: tuple[Arm, ...] = (Arm(arm_id=0, order=(), plan=leaf),)
+            return
         arms = []
-        for arm_id, ordering in enumerate(permutations(range(len(bindings)))):
+        for arm_id, ordering in enumerate(self._orders.tolist()):
             order = [bindings[position] for position in ordering]
             arms.append(
                 Arm(
@@ -86,7 +102,6 @@ class ArmSpace:
                 )
             )
         self._arms = tuple(arms)
-        self._span_indices = tuple(index for _, index in bindings)
 
     @property
     def context(self) -> RangeVector:
@@ -130,10 +145,7 @@ class ArmSpace:
         cost_model: AcquisitionCostModel | None = None,
     ) -> tuple[float, ...]:
         """Eq. 3 cost of every arm under ``distribution`` in this context."""
-        return tuple(
-            expected_cost(arm.plan, distribution, self._context, cost_model)
-            for arm in self._arms
-        )
+        return self.prices(distribution, cost_model)[0]
 
     def step_rates(
         self, distribution: Distribution
@@ -149,16 +161,48 @@ class ArmSpace:
         orders of magnitude faster than in per-tuple cost means.
         Verdict-leaf arms have no steps and contribute an empty tuple.
         """
-        rates: list[tuple[float, ...]] = []
-        for arm in self._arms:
-            if not isinstance(arm.plan, SequentialNode):
-                rates.append(())
-                continue
-            conditioner = distribution.sequential_conditioner(self._context)
-            arm_rates: list[float] = []
-            for step in arm.plan.steps:
-                binding = (step.predicate, step.attribute_index)
-                arm_rates.append(conditioner.pass_probability(binding))
-                conditioner.condition_on(binding)
-            rates.append(tuple(arm_rates))
+        return self.prices(distribution)[1]
+
+    def prices(
+        self,
+        distribution: Distribution,
+        cost_model: AcquisitionCostModel | None = None,
+    ) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        """:meth:`priors` and :meth:`step_rates` together, in one pass."""
+        bindings = self._bindings
+        if not bindings:
+            return (0.0,), ((),)
+        context = self._context
+        counter = distribution.outcome_counter(bindings, context)
+        if counter is None:
+            return (
+                tuple(
+                    expected_cost(arm.plan, distribution, context, cost_model)
+                    for arm in self._arms
+                ),
+                tuple(self._walked_rates(distribution, arm) for arm in self._arms),
+            )
+        arms = len(self._orders)
+        sums = superset_sums(counter.outcome_counts())
+        table = charge_table(
+            distribution.schema, cost_model, bindings, context.acquired_indices()
+        )
+        costs, passed = replay_orders(
+            counter,
+            np.broadcast_to(sums, (arms, sums.size)),
+            self._orders,
+            np.broadcast_to(table, (arms, *table.shape)),
+            np.zeros(arms, dtype=np.int64),
+        )
+        return tuple(costs[:, -1].tolist()), tuple(map(tuple, passed.tolist()))
+
+    def _walked_rates(self, distribution: Distribution, arm: Arm) -> tuple[float, ...]:
+        """One arm's :meth:`step_rates` by the sequential conditioner."""
+        assert isinstance(arm.plan, SequentialNode)
+        conditioner = distribution.sequential_conditioner(self._context)
+        rates: list[float] = []
+        for step in arm.plan.steps:
+            binding = (step.predicate, step.attribute_index)
+            rates.append(conditioner.pass_probability(binding))
+            conditioner.condition_on(binding)
         return tuple(rates)

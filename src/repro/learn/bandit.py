@@ -72,6 +72,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Union
 
+import numpy as np
+
 from repro.core.attributes import Schema
 from repro.core.cost import expected_cost
 from repro.core.cost_models import AcquisitionCostModel
@@ -499,9 +501,9 @@ class BranchBandit:
         ``passes`` carries the walk's observed per-step pass bits for
         the prefix of steps actually evaluated (a short-circuited walk
         stops at its first failure) — the selectivity evidence the
-        change detector runs on.  Callers without step traces (the
-        fault-injected executor) omit it; those runs adapt through
-        outage-triggered refits instead.
+        change detector runs on.  The fault-injected executor has no
+        step traces: it books whole served runs through
+        :meth:`record_run` and adapts through outage-triggered refits.
         """
         reference = self.mean(self._served)
         if arm_id == self._served:
@@ -522,6 +524,45 @@ class BranchBandit:
                     self._step_obs[index].observe(1.0 if passed else 0.0)
             self._maybe_detect()
         self._rounds += 1
+
+    def record_run(self, costs: list[float]) -> None:
+        """Book a run of served pulls at once: ``record(served, c)`` per cost.
+
+        For runs without step passes (the fault-injected executor's
+        served windows): with no passes the change detector cannot fire,
+        and outside a burst neither a swap nor a commit can, so every
+        pull of the run is the incumbent's.  The floats are the per-pull
+        ones: the incumbent's weight and cost sum take ``w*γ + 1`` and
+        ``s*γ + c`` pull by pull, every other decayed moment is
+        multiplied by γ once per pull, in sequence, and the ledger's base
+        side adds the costs left to right.
+        """
+        self._ledger.charge_exploits(costs)
+        decay = self._decay
+        served = self._posteriors[self._served]
+        others = [p for p in self._posteriors if p is not served]
+        moments = [*self._paired, *self._step_obs]
+        values = [v for p in others for v in (p.weight, p.cost_sum)]
+        values += [v for m in moments for v in (m.weight, m.total, m.squares)]
+        # Row 0 holds the values and every later row one pull's factor, so
+        # accumulating down the rows multiplies in sequence.  A factor of
+        # 1.0 (no decay) leaves every float as it is.
+        factors = np.full((len(costs) + 1, len(values)), decay)
+        factors[0] = values
+        decayed = np.multiply.accumulate(factors, axis=0)[-1].tolist()
+        for k, posterior in enumerate(others):
+            posterior.weight, posterior.cost_sum = decayed[2 * k : 2 * k + 2]
+        first = 2 * len(others)
+        for k, moment in enumerate(moments):
+            at = first + 3 * k
+            moment.weight, moment.total, moment.squares = decayed[at : at + 3]
+        weight, total = served.weight, served.cost_sum
+        for cost in costs:
+            weight = weight * decay + 1.0
+            total = total * decay + cost
+        served.weight, served.cost_sum = weight, total
+        served.pulls += len(costs)
+        self._rounds += len(costs)
 
     def record_full(
         self, full_cost: float, costs: "list[float] | tuple[float, ...]"
@@ -955,17 +996,18 @@ class OrderBanditEnsemble:
                     above=build(node.above, f"{path}/above", above),
                 )
             arm_space = ArmSpace(query, context, max_arm_predicates)
+            priors, step_rates = arm_space.prices(distribution, cost_model)
             branch = BranchBandit(
                 path,
                 arm_space,
-                arm_space.priors(distribution, cost_model),
+                priors,
                 self._ledger,
                 span=arm_space.span(schema, cost_model) * span_inflation,
                 delta=delta,
                 burst_pulls=burst_pulls,
                 decay=decay,
                 prior_weight=prior_weight,
-                step_rates=arm_space.step_rates(distribution),
+                step_rates=step_rates,
             )
             self._branches.append(branch)
             return branch
@@ -1058,11 +1100,8 @@ class OrderBanditEnsemble:
     def warm_start(self, distribution: Distribution, discount: float) -> None:
         """Re-prior every branch against freshly fitted statistics."""
         for branch in self._branches:
-            branch.warm_start(
-                branch.arm_space.priors(distribution, self._cost_model),
-                discount,
-                branch.arm_space.step_rates(distribution),
-            )
+            priors, step_rates = branch.arm_space.prices(distribution, self._cost_model)
+            branch.warm_start(priors, discount, step_rates)
 
     def export_state(self) -> BanditState:
         return BanditState(

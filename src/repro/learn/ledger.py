@@ -151,6 +151,22 @@ class RegretLedger:
         self._base += cost
         self._exploit_pulls += 1
 
+    def charge_exploits(self, costs: list[float]) -> None:
+        """A run of served pulls: :meth:`charge_exploit` per cost, in order.
+
+        The base side adds them left to right, so its float is the
+        per-pull one; nothing is booked when a cost is bad.
+        """
+        base = self._base
+        for cost in costs:
+            base += cost
+        # A NaN or infinite cost makes the sum non-finite.
+        if not math.isfinite(base) or min(costs, default=0.0) < 0.0:
+            for cost in costs:
+                self._require_charge(cost)
+        self._base = base
+        self._exploit_pulls += len(costs)
+
     def charge_explore(self, cost: float, reference: float) -> None:
         """A pull on a non-served arm, split against the served reference.
 

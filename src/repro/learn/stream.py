@@ -29,13 +29,15 @@ module only decides what runs next, driving an
   :class:`~repro.learn.ledger.RegretLedger`, whose exploration side is
   hard-capped by the regret budget.
 
-Arm decisions are per tuple.  Fault-free, each tuple is the policy's row
-step: route through the skeleton, then a metered scalar walk.  Under
-fault injection the loop runs the current decision speculatively over a
-window and the policy cuts it where a decision changes; the reward is
-the *faulted* realized cost, retries included, so the ledger conserves
-under storms too.  Faulted learning runs flat and without the chi-square
-monitor: routing and the monitor both need the scalar walker.
+Fault-free, each tuple is the policy's row step: route through the
+skeleton, then a metered scalar walk.  Under fault injection the loop
+runs the current decision speculatively over a window and the policy
+cuts it where a decision may change.  A served decision holds until the
+window's first outage row, so that run is booked in one bandit update;
+burst pulls are booked tuple by tuple.  The reward is the *faulted*
+realized cost, retries included, so the ledger conserves under storms
+too.  Faulted learning runs flat and without the chi-square monitor:
+routing and the monitor both need the scalar walker.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def _replay_costs(
 
 
 class _BanditPolicy(OrderingPolicy):
-    """The bandit's side of one run: per-tuple arm decisions and rewards."""
+    """The bandit's side of one run: arm decisions and rewards."""
 
     warmup_reason = "warmup"
 
@@ -421,11 +423,16 @@ class _BanditPolicy(OrderingPolicy):
         return None
 
     def _scan_faulted(self, run: WindowRun) -> WindowCut:
-        """Replay the window's decisions tuple by tuple; cut where one changes.
+        """Book the window's decision; cut where the next one may differ.
 
-        The window ran one decision speculatively: it is cut at the first
+        A served decision cannot change before the window's first outage
+        row: without step passes the change detector cannot fire, and
+        outside a burst no swap or commit can.  So the served run up to
+        and including that row is booked in one
+        :meth:`~repro.learn.bandit.BranchBandit.record_run` call.  A
+        burst window is replayed tuple by tuple and cut at the first
         tuple whose decision differs, or after a tuple that swaps,
-        commits or trips the outage trigger.  The rows after the cut run
+        commits or trips the outage trigger.  The rows after a cut run
         again under the next decision on the same row-keyed dice.
         """
         assert self._ensemble is not None and self._decision is not None
@@ -433,6 +440,14 @@ class _BanditPolicy(OrderingPolicy):
         ensemble = self._ensemble
         branch = ensemble.branches[0]
         full, arm_id = self._decision
+        self._decision = None
+        if not full:
+            kept, reason = run.costs.size, None
+            if run.outage is not None and run.outage.any():
+                kept, reason = int(np.argmax(run.outage)) + 1, OUTAGE
+            branch.record_run(run.costs[:kept].tolist())
+            self._pulls[run.start : run.start + kept] = arm_id
+            return kept, reason, None
         plan = branch.arm_space[arm_id].plan
         kept = 0
         for offset, cost in enumerate(run.costs.tolist()):
@@ -443,12 +458,8 @@ class _BanditPolicy(OrderingPolicy):
                 if decision != (full, arm_id):
                     self._decision = decision
                     break
-            if not full:
-                branch.record(arm_id, cost)
-                self._pulls[here] = arm_id
-            elif run.failed[offset]:
+            if run.failed[offset]:
                 branch.record_full_failure(cost)
-                self._pulls[here] = branch.served
             else:
                 seen = run.observed[offset]
                 values = {
@@ -457,9 +468,8 @@ class _BanditPolicy(OrderingPolicy):
                 }
                 replayed = _replay_costs(ensemble, branch, values, frozenset())
                 branch.record_full(cost, replayed)
-                self._pulls[here] = branch.served
+            self._pulls[here] = branch.served
             kept = offset + 1
-            self._decision = None
             changed = self._after_pull(here, branch)
             if run.outage is not None and run.outage[offset]:
                 return kept, OUTAGE, None

@@ -1,7 +1,7 @@
 """Planning algorithms: sequential baselines, the exhaustive optimum, and
 the greedy conditional heuristic."""
 
-from repro.planning.bounded import SizeAwareConditionalPlanner, plan_for_lifetime
+from repro.planning.bounded import SizeAwareConditionalPlanner
 from repro.planning.base import (
     Planner,
     PlannerStats,
@@ -35,7 +35,6 @@ __all__ = [
     "ExhaustivePlanner",
     "GreedyConditionalPlanner",
     "SizeAwareConditionalPlanner",
-    "plan_for_lifetime",
     "SplitChoice",
     "SplitPass",
     "greedy_split",

@@ -225,29 +225,3 @@ class SizeAwareConditionalPlanner(Planner):
             return
         heapq.heappush(queue, (-leaf.priority, next(counter), leaf))
 
-
-def plan_for_lifetime(
-    distribution: Distribution,
-    base_planner: SequentialPlanner,
-    query: ConjunctiveQuery,
-    radio_cost_per_byte: float,
-    lifetime_tuples: int,
-    split_policy: SplitPointPolicy | None = None,
-) -> PlanningResult:
-    """Convenience wrapper: derive alpha from the deployment parameters.
-
-    ``alpha = radio_cost_per_byte / lifetime_tuples`` per Section 2.4.
-    """
-    if lifetime_tuples < 1:
-        raise PlanningError(f"lifetime_tuples must be >= 1, got {lifetime_tuples}")
-    if radio_cost_per_byte < 0:
-        raise PlanningError(
-            f"radio_cost_per_byte must be >= 0, got {radio_cost_per_byte}"
-        )
-    planner = SizeAwareConditionalPlanner(
-        distribution,
-        base_planner,
-        alpha=radio_cost_per_byte / lifetime_tuples,
-        split_policy=split_policy,
-    )
-    return planner.plan(query)

@@ -39,10 +39,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.attributes import Schema
 from repro.core.cost import expected_cost
+from repro.core.cost_models import AcquisitionCostModel
 from repro.core.plan import PlanNode, VerdictLeaf
 from repro.core.predicates import Truth
 from repro.core.query import ConjunctiveQuery
@@ -59,7 +62,7 @@ from repro.probability.base import PredicateBinding
 from repro.probability.empirical import OutcomeCounter
 from repro.probability.joint import superset_sums
 
-__all__ = ["OptimalSequentialPlanner"]
+__all__ = ["OptimalSequentialPlanner", "charge_table", "replay_orders"]
 
 # 2**m DP states; past this the joint table and DP are impractical and the
 # caller should switch to GreedySeq (the paper does the same).
@@ -105,7 +108,9 @@ class OptimalSequentialPlanner(SequentialPlanner):
                 f"OptSeq over {count} predicates needs 2**{count} DP states; "
                 "use GreedySequentialPlanner for large queries"
             )
-        charges = _charges(self, bindings, ranges.acquired_indices())
+        charges = charge_table(
+            self.schema, self.cost_model, bindings, ranges.acquired_indices()
+        )
         sums = superset_sums(self.distribution.predicate_joint(bindings, ranges))
         starts = np.zeros(1, dtype=np.int64)
         order = _optimal_orders(sums[None, :], charges[None], starts)[0].tolist()
@@ -308,13 +313,13 @@ class _CountedScorer(SplitScorer):
         return store
 
     def _charge_tables(self, owners: np.ndarray, splits: np.ndarray) -> np.ndarray:
-        """Each DP row's :func:`_charges` table.
+        """Each DP row's :func:`charge_table`.
 
         Row ``r`` has acquired its subproblem's narrowed attributes and
         attribute ``splits[r]`` (-1: none).  Flat costs are one base table
         with the acquired attributes' rows zeroed; a conditional cost
         model's tables are built once per distinct acquired set, as
-        :func:`_charges` builds them.
+        :func:`charge_table` builds them.
         """
         planner = self._planner
         bindings = self._bindings
@@ -341,7 +346,9 @@ class _CountedScorer(SplitScorer):
             acquired = self.subproblems[owner].acquired_indices()
             if split:
                 acquired = acquired | {split - 1}
-            tables.append(_charges(planner, bindings, acquired))
+            tables.append(
+                charge_table(planner.schema, planner.cost_model, bindings, acquired)
+            )
         return np.stack(tables)[inverse.ravel()]
 
     def _optimal_sides(
@@ -349,35 +356,20 @@ class _CountedScorer(SplitScorer):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """OptSeq's order and its Equation 3 cost for each row of ``counts``.
 
-        ``charges[k]`` is row ``k``'s :func:`_charges` table.  Every row
+        ``charges[k]`` is row ``k``'s :func:`charge_table`.  Every row
         of set ``k`` satisfies the predicates in bitmask ``held[k]``, and
         the DP runs over the other predicates: their joint
         (:meth:`OutcomeCounter.joints`) sits on the states that hold them
         all, and that sub-lattice of the one DP does exactly the smaller
         DP's arithmetic.  Returns each row's cost, order and order length.
         """
-        counter = self._counter
         count = charges.shape[1]
-        joints = counter.joints(counts, held)
+        joints = self._counter.joints(counts, held)
         sums = superset_sums(np.stack([joints, counts]))
         orders = _optimal_orders(sums[0], charges, held)
-        # Equation 3 for each order, as expected_cost walks a sequential
-        # leaf: charge the survivors, then condition on the step passing.
-        # The running product and sum go left to right, so each side's
-        # floats are the walk's.  Once a survival reaches 0 it stays 0 and
-        # adds exactly +0.0, the same total as the walk that stops there.
-        bits = 1 << orders
-        reached = np.empty_like(bits)
-        reached[:, 0] = held
-        np.bitwise_or.accumulate(bits[:, :-1], axis=1, out=reached[:, 1:])
-        reached[:, 1:] |= held[:, None]
-        passed = counter.pass_probabilities(sums[1], reached, bits)
-        survival = np.ones(orders.shape)
-        np.cumprod(passed[:, :-1], axis=1, out=survival[:, 1:])
-        sets = np.arange(len(counts))
-        steps = survival * charges[sets[:, None], orders, reached]
+        costs, _ = replay_orders(self._counter, sums[1], orders, charges, held)
         lengths = count - ((held[:, None] >> np.arange(count)) & 1).sum(axis=1)
-        return np.cumsum(steps, axis=1)[sets, lengths - 1], orders, lengths
+        return costs[np.arange(len(counts)), lengths - 1], orders, lengths
 
 
 class _Segments:
@@ -463,9 +455,10 @@ class _CountedSides(SideScores):
         return self._store.plan((self._above if above else self._below) + position)
 
 
-def _charges(
-    planner: SequentialPlanner,
-    bindings: list[PredicateBinding],
+def charge_table(
+    schema: Schema,
+    cost_model: AcquisitionCostModel | None,
+    bindings: Sequence[PredicateBinding],
     acquired: frozenset[int],
 ) -> np.ndarray:
     """``charges[j, S]``: ``C'_j`` once the predicates in ``S`` held.
@@ -474,7 +467,6 @@ def _charges(
     model (Section 7) the acquired set is exactly ``acquired`` plus the
     state's attributes, so the DP remains exact.
     """
-    cost_model = planner.cost_model
     count = len(bindings)
     size = 1 << count
     attribute_of = [index for _, index in bindings]
@@ -483,13 +475,47 @@ def _charges(
         if index in acquired:
             continue
         if cost_model is None:
-            charges[j] = planner.schema[index].cost
+            charges[j] = schema[index].cost
             continue
         for state in range(size):
             if not state >> j & 1:
                 held = {attribute_of[k] for k in range(count) if state >> k & 1}
                 charges[j, state] = cost_model.cost(index, acquired | held)
     return charges
+
+
+def replay_orders(
+    counter: OutcomeCounter,
+    sums: np.ndarray,
+    orders: np.ndarray,
+    charges: np.ndarray,
+    held: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equation 3 of given predicate orders, replayed from outcome counts.
+
+    Row ``k`` evaluates predicates ``orders[k]`` (indices into the
+    counter's bindings) over a row set whose superset sums of outcome
+    counts are ``sums[k]`` and whose rows all hold the predicates in
+    bitmask ``held[k]``; ``charges[k]`` is its :func:`charge_table`.  As
+    :func:`~repro.core.cost.expected_cost` walks a sequential leaf, each
+    step charges the survivors and then conditions on passing: the
+    running product and sum go left to right, so the floats are the
+    walk's.  Once a survival reaches 0 it stays 0 and adds exactly +0.0,
+    the same total as the walk that stops there.  Returns each step's
+    running cost and its pass probability given the steps before it
+    (:meth:`OutcomeCounter.pass_probabilities`).
+    """
+    bits = 1 << orders
+    reached = np.empty_like(bits)
+    reached[:, 0] = held
+    np.bitwise_or.accumulate(bits[:, :-1], axis=1, out=reached[:, 1:])
+    reached[:, 1:] |= held[:, None]
+    passed = counter.pass_probabilities(sums, reached, bits)
+    survival = np.ones(orders.shape)
+    np.cumprod(passed[:, :-1], axis=1, out=survival[:, 1:])
+    sets = np.arange(len(orders))
+    steps = survival * charges[sets[:, None], orders, reached]
+    return np.cumsum(steps, axis=1), passed
 
 
 def _optimal_orders(
@@ -501,7 +527,7 @@ def _optimal_orders(
     joint.  ``P(phi_j | S)`` is their ratio, or the uninformative prior 0.5
     when no mass satisfies ``S`` (as
     :func:`~repro.probability.joint.conditional_from_superset_sums`).
-    ``charges[k]`` is row ``k``'s :func:`_charges` table; a single table
+    ``charges[k]`` is row ``k``'s :func:`charge_table`; a single table
     (first axis of length 1) serves every row.  Row ``k``'s order starts
     from state ``starts[k]`` (predicates already known to hold).  Returns
     an int array: row ``k`` lists predicate indices in plan order, with

@@ -439,6 +439,10 @@ class OutcomeCounter:
         self._size = 1 << len(bindings)
         self._smoothing = distribution.smoothing
 
+    def outcome_counts(self) -> np.ndarray:
+        """Rows per outcome bitmask over every cell (float64 integer counts)."""
+        return np.bincount(self._codes, weights=self._weights, minlength=self._size)
+
     def value_counts(self, lows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Outcome counts per value of each attribute in each subproblem.
 

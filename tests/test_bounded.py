@@ -13,7 +13,6 @@ from repro.planning import (
     GreedyConditionalPlanner,
     OptimalSequentialPlanner,
     SizeAwareConditionalPlanner,
-    plan_for_lifetime,
 )
 from repro.probability import EmpiricalDistribution
 from tests.conftest import correlated_dataset
@@ -92,29 +91,27 @@ class TestStoppingRule:
         assert own <= combined_objective(unbounded.plan, distribution, alpha) + 1e-6
 
 
-class TestLifetimeWrapper:
+class TestLifetimeAlpha:
+    """Section 2.4's alpha is the radio cost per byte over the lifetime."""
+
     def test_alpha_derivation(self, setup):
         _schema, _data, distribution, query = setup
         base = OptimalSequentialPlanner(distribution)
-        short = plan_for_lifetime(
-            distribution, base, query, radio_cost_per_byte=10.0, lifetime_tuples=1
-        )
-        long_lived = plan_for_lifetime(
-            distribution,
-            base,
-            query,
-            radio_cost_per_byte=10.0,
-            lifetime_tuples=10_000_000,
-        )
+        radio_cost_per_byte = 10.0
+
+        def plan_for(lifetime_tuples: int):
+            alpha = radio_cost_per_byte / lifetime_tuples
+            return SizeAwareConditionalPlanner(distribution, base, alpha=alpha).plan(
+                query
+            )
+
+        short = plan_for(1)
+        long_lived = plan_for(10_000_000)
         assert short.plan.size_bytes() <= long_lived.plan.size_bytes()
 
     def test_validation(self, setup):
         _schema, _data, distribution, query = setup
         base = OptimalSequentialPlanner(distribution)
-        with pytest.raises(PlanningError):
-            plan_for_lifetime(distribution, base, query, 1.0, 0)
-        with pytest.raises(PlanningError):
-            plan_for_lifetime(distribution, base, query, -1.0, 10)
         with pytest.raises(PlanningError):
             SizeAwareConditionalPlanner(distribution, base, alpha=-0.1)
 
