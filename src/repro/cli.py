@@ -891,7 +891,7 @@ def _report_chaos(args: argparse.Namespace) -> Report:
                 ):
                     unsound.append(row)
                     break
-    ledger_ok = outcome.ledger_conserved()
+    ledger_ok = outcome.ledger.conserved(outcome.total_cost)
     failed = bool(unsound) or not ledger_ok
 
     payload = {
@@ -1290,7 +1290,7 @@ def _command_serve_sharded(args: argparse.Namespace) -> int:
         f"coalescing: {coalescing['dispatched_requests']} dispatched, "
         f"{coalescing['coalesced_requests']} coalesced\n"
         f"admission: {front['admission']['requests_shed']} shed, "
-        f"{front['admission']['shed_cost_avoided']} Eq.3 cost avoided\n"
+        f"{round(front['admission']['shed_cost_avoided'], 4)} Eq.3 cost avoided\n"
         f"slo: {slo['requests']} requests, "
         f"latency burn {slo['latency']['burn_rate']:.2f}, "
         f"error burn {slo['errors']['burn_rate']:.2f}"

@@ -18,16 +18,19 @@ sound degrade-don't-lie contract:
 
 Joining an existing in-flight execution is always admitted: a coalesced
 request adds one future and zero shard work, so shedding it would save
-nothing.  Every shed is charged to the Eq. 3 ledger at the request's
-last-known expected WHERE cost — the energy the cluster *declined to
-spend* — so capacity planning can compare shed cost against served cost
-in the same currency the planner optimizes.
+nothing.  Every shed is booked on the ``shed_cost`` side of an Eq. 3
+:class:`~repro.core.ledger.Ledger` at the request's last-known expected
+WHERE cost — the energy the cluster *declined to spend* — so capacity
+planning can compare shed cost against served cost in the same currency
+the planner optimizes.  The snapshot reports that side unrounded, so
+the obs-report reconciliation compares like with like.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.ledger import Ledger
 from repro.exceptions import ClusterError
 from repro.faults.policy import DegradationMode
 
@@ -68,7 +71,7 @@ class AdmissionController:
         self.max_shard_depth = max_shard_depth
         self.shed_mode = shed_mode
         self.requests_shed = 0
-        self.shed_cost_avoided = 0.0
+        self.ledger = Ledger()
 
     def decide(
         self,
@@ -111,11 +114,7 @@ class AdmissionController:
         against this ledger).
         """
         self.requests_shed += 1
-        if expected_where_cost > 0.0 and rows > 0:
-            charge = expected_where_cost * rows
-            self.shed_cost_avoided += charge
-            return charge
-        return 0.0
+        return self.ledger.charge_shed(expected_where_cost, rows)
 
     def snapshot(self) -> dict:
         return {
@@ -124,5 +123,5 @@ class AdmissionController:
             "max_shard_depth": self.max_shard_depth,
             "shed_mode": self.shed_mode.value,
             "requests_shed": self.requests_shed,
-            "shed_cost_avoided": round(self.shed_cost_avoided, 4),
+            "shed_cost_avoided": self.ledger.shed_cost,
         }

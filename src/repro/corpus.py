@@ -38,7 +38,7 @@ from repro.core.query import ConjunctiveQuery
 from repro.lint.corpus import clean_cases, violation_cases
 from repro.lint.engine import lint_source
 from repro.probability.empirical import EmpiricalDistribution
-from repro.verify.diagnostics import Diagnostic
+from repro.verify.diagnostics import Diagnostic, Severity
 from repro.verify.mutations import (
     bytecode_mutations,
     canonical_conditional_plan,
@@ -52,13 +52,15 @@ __all__ = ["FAMILIES", "CorpusCase", "run_corpus"]
 
 @dataclass(frozen=True)
 class CorpusCase:
-    """One corpus entry, checked: the codes its checker fired and the
-    code that must be among them (``""`` for a clean control, which must
-    fire nothing)."""
+    """One corpus entry, checked: the codes its checker fired, the code
+    that must be among them (``""`` for a clean control, which must fire
+    nothing) and whether the checker passed the subject (``ok``: no
+    ERROR finding)."""
 
     name: str
     expected_code: str
     fired: frozenset[str]
+    ok: bool
 
 
 def _fixture() -> tuple[Schema, ConjunctiveQuery, EmpiricalDistribution]:
@@ -83,8 +85,16 @@ def _fixture() -> tuple[Schema, ConjunctiveQuery, EmpiricalDistribution]:
     return schema, query, EmpiricalDistribution(schema, data, smoothing=0.5)
 
 
-def _codes(diagnostics: Iterable[Diagnostic]) -> frozenset[str]:
-    return frozenset(d.code for d in diagnostics)
+def _case(
+    name: str, expected_code: str, diagnostics: Iterable[Diagnostic]
+) -> CorpusCase:
+    found = list(diagnostics)
+    return CorpusCase(
+        name,
+        expected_code,
+        frozenset(d.code for d in found),
+        not any(d.severity is Severity.ERROR for d in found),
+    )
 
 
 def _plan_cases() -> list[CorpusCase]:
@@ -96,7 +106,7 @@ def _plan_cases() -> list[CorpusCase]:
         else:
             assert case.code is not None
             report = verify_bytecode(case.code, schema)
-        cases.append(CorpusCase(case.name, case.expected_code, report.codes()))
+        cases.append(_case(case.name, case.expected_code, report.diagnostics))
     ghost = ConditionNode(
         attribute="ghost",
         attribute_index=len(schema) + 1,
@@ -105,12 +115,12 @@ def _plan_cases() -> list[CorpusCase]:
         above=VerdictLeaf(verdict=True),
     )
     cases.append(
-        CorpusCase("ghost-attribute", "STR002", verify_plan(ghost, schema).codes())
+        _case("ghost-attribute", "STR002", verify_plan(ghost, schema).diagnostics)
     )
     conditional = canonical_conditional_plan(query)
     inflated = expected_cost(conditional, distribution) * 2.0 + 1.0
     cases.append(
-        CorpusCase(
+        _case(
             "inflated-claim",
             "COST001",
             verify_plan(
@@ -119,7 +129,7 @@ def _plan_cases() -> list[CorpusCase]:
                 query=query,
                 distribution=distribution,
                 claimed_cost=inflated,
-            ).codes(),
+            ).diagnostics,
         )
     )
     for name, plan in (
@@ -134,7 +144,7 @@ def _plan_cases() -> list[CorpusCase]:
             claimed_cost=expected_cost(plan, distribution),
             check_compiled=True,
         )
-        cases.append(CorpusCase(name, "", report.codes()))
+        cases.append(_case(name, "", report.diagnostics))
     return cases
 
 
@@ -144,16 +154,12 @@ def _dataflow_cases() -> list[CorpusCase]:
     for case in dataflow_mutations(query):
         assert case.plan is not None
         found = check_dataflow(case.plan, schema, query=query)
-        cases.append(CorpusCase(case.name, case.expected_code, _codes(found)))
+        cases.append(_case(case.name, case.expected_code, found))
     cases += [
-        CorpusCase(
+        _case(
             case.name,
             case.expected_code,
-            _codes(
-                check_certificate(
-                    case.plan, case.certificate, distribution, query=query
-                )
-            ),
+            check_certificate(case.plan, case.certificate, distribution, query=query),
         )
         for case in certificate_mutations(query, distribution)
     ]
@@ -162,23 +168,21 @@ def _dataflow_cases() -> list[CorpusCase]:
         ("clean-sequential", canonical_sequential_plan(query)),
         ("clean-conditional", conditional),
     ):
-        cases.append(
-            CorpusCase(name, "", _codes(check_dataflow(plan, schema, query=query)))
-        )
+        cases.append(_case(name, "", check_dataflow(plan, schema, query=query)))
     honest = certify_plan(conditional, distribution)
     stray = check_certificate(conditional, honest, distribution, query=query)
-    cases.append(CorpusCase("honest-certificate", "", _codes(stray)))
+    cases.append(_case("honest-certificate", "", stray))
     return cases
 
 
 def _source_cases() -> list[CorpusCase]:
     return [
-        CorpusCase(
+        _case(
             case.name,
             case.expected_code,
             lint_source(
                 case.source, module=case.module, path=f"<{case.name}>"
-            ).codes(),
+            ).diagnostics,
         )
         for case in violation_cases() + clean_cases()
     ]

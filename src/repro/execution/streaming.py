@@ -24,7 +24,7 @@ from repro.core.attributes import Schema
 from repro.core.cost import ExecutionObserver, dataset_execution
 from repro.core.plan import PlanNode
 from repro.core.query import ConjunctiveQuery
-from repro.exceptions import FaultConfigError, LearningError, PlanningError
+from repro.exceptions import FaultConfigError, PlanningError
 from repro.planning.base import Planner
 from repro.probability.empirical import EmpiricalDistribution
 
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from repro.faults.model import FaultSchedule
     from repro.faults.policy import FaultPolicy
     from repro.learn.bandit import LearnedProvenance
-    from repro.learn.ledger import LedgerSnapshot
+    from repro.learn.ledger import RegretLedger
     from repro.obs.drift import DriftMonitor
     from repro.obs.profile import PlanProfile
 
@@ -98,7 +98,7 @@ class StreamReport:
     The bandit policy fills the learning fields.  ``pulls[i]`` is the arm
     id pulled for tuple ``i`` within its branch (-1 during warm-up);
     together with ``replans`` it is the full, byte-comparable decision
-    trace.  ``ledger`` is the regret ledger's final snapshot, ``plan`` the
+    trace.  ``ledger`` is a copy of the final regret ledger, ``plan`` the
     final served composite plan and, with ``provenance``, the pair the
     verifier's ``LRN`` rules audit; ``committed`` says whether every
     branch froze its incumbent.
@@ -110,7 +110,7 @@ class StreamReport:
     abstained: np.ndarray | None = None
     faults: StreamFaultStats | None = None
     pulls: np.ndarray | None = None
-    ledger: "LedgerSnapshot | None" = None
+    ledger: "RegretLedger | None" = None
     provenance: "LearnedProvenance | None" = None
     plan: PlanNode | None = None
     committed: bool | None = None
@@ -123,21 +123,9 @@ class StreamReport:
     def total_cost(self) -> float:
         return float(self.costs.sum())
 
-    def _ledger(self) -> "LedgerSnapshot":
-        if self.ledger is None:
-            raise LearningError("only a learned stream report carries a ledger")
-        return self.ledger
-
-    def ledger_gap(self) -> float:
-        """Absolute mismatch between metered costs and the ledger sides."""
-        return self._ledger().gap(self.total_cost)
-
-    def ledger_conserved(self, tolerance: float = 1e-6) -> bool:
-        return self._ledger().conserved(self.total_cost, tolerance)
-
-    def exploration_within_budget(self) -> bool:
-        ledger = self._ledger()
-        return ledger.exploration_cost <= ledger.budget
+    def ledger_conserved(self) -> bool:
+        assert self.ledger is not None, "only a learned stream carries a ledger"
+        return self.ledger.conserved(self.total_cost)
 
     def as_dict(self) -> dict[str, Any]:
         summary: dict[str, Any] = {

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.core.attributes import Schema
 from repro.core.cost import dataset_execution, predicate_mask
+from repro.core.ledger import Ledger
 from repro.core.plan import (
     ConditionNode,
     PlanNode,
@@ -125,9 +126,10 @@ class FaultedDatasetExecution:
     the delivered values there, zero elsewhere), which reads stayed
     unavailable after retries, and which conditioning reads were imputed.
 
-    The cost ledger satisfies ``total_cost == base_cost + retry_cost``
-    (the conservation law the chaos suite checks).  The fault counters
-    come from ``state`` and so cover the whole run the window belongs to.
+    The cost :attr:`ledger` books ``base_cost`` and ``retry_cost``, which
+    add up to ``total_cost`` (the conservation law the chaos suite
+    checks).  The fault counters come from ``state`` and so cover the
+    whole run the window belongs to.
     ``checkpoints`` pairs a row count ``k`` with the state after the
     first ``k`` rows, save that no clean read is yet counted in
     ``attempts``: the start state at 0, and a copy after each row the
@@ -210,19 +212,10 @@ class FaultedDatasetExecution:
         return float(self.retry_costs.sum())
 
     @property
-    def ledger_gap(self) -> float:
-        """The absolute Eq. 3 conservation gap: |total - (base + retry)|.
-
-        This is *the* audited derivation — the chaos CLI and the chaos
-        test matrix both call it rather than re-deriving the gap ad hoc
-        (repro-lint LED002 enforces that discipline outside the fault
-        modules).
-        """
-        return abs(self.total_cost - (self.base_cost + self.retry_cost))
-
-    def ledger_conserved(self, tolerance: float = 1e-6) -> bool:
-        """Does the two-sided ledger conserve within relative tolerance?"""
-        return self.ledger_gap <= tolerance * max(1.0, self.total_cost)
+    def ledger(self) -> Ledger:
+        """The base and retry sums as an Eq. 3 ledger: the chaos audit
+        checks ``ledger.conserved(total_cost)``."""
+        return Ledger(base_cost=self.base_cost, retry_cost=self.retry_cost)
 
     @property
     def acquisitions_failed(self) -> int:

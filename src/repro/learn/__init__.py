@@ -13,11 +13,11 @@ plan-action-optimization (Trummer & Koch, arXiv:1511.01782) and ADOPT
   branch-local predicate order as a bandit arm; per-tuple acquisition
   costs from the executor are the (negative) rewards;
 - exploration is charged into an explicit
-  :class:`~repro.learn.ledger.RegretLedger` that reuses the two-sided
-  base+retry ledger shape of the faults tier — every pull of a
-  non-served arm books its cost *excess over the served arm's posterior
-  mean* against a hard regret budget, and the ledger must reconcile
-  exactly with the stream's metered total;
+  :class:`~repro.learn.ledger.RegretLedger`, built on the Eq. 3
+  :class:`~repro.core.ledger.Ledger` the faults tier books on too —
+  every pull of a non-served arm books its cost *excess over the served
+  arm's posterior mean* against a hard regret budget, and the ledger
+  must reconcile exactly with the stream's metered total;
 - order changes are confidence-bound-triggered incremental swaps
   (challenger's UCB below incumbent's LCB), not full replans, and a
   branch *commits* (stops exploring) once the incumbent's UCB clears
@@ -49,7 +49,7 @@ from repro.learn.bandit import (
     StoredPosterior,
 )
 from repro.learn.bench import LearnedBenchReport, run_learned_bench
-from repro.learn.ledger import LedgerSnapshot, RegretLedger
+from repro.learn.ledger import RegretLedger
 from repro.learn.pao import (
     commit_warranted,
     confidence_radius,
@@ -84,7 +84,6 @@ __all__ = [
     "BanditState",
     "StoredBranch",
     "StoredPosterior",
-    "LedgerSnapshot",
     "RegretLedger",
     "confidence_radius",
     "detection_threshold",

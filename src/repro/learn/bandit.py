@@ -82,7 +82,7 @@ from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
 from repro.exceptions import LearningError
 from repro.learn.arms import DEFAULT_MAX_ARM_PREDICATES, Arm, ArmSpace
-from repro.learn.ledger import LedgerSnapshot, RegretLedger
+from repro.learn.ledger import RegretLedger
 from repro.learn.pao import (
     commit_warranted,
     confidence_radius,
@@ -159,7 +159,7 @@ class LearnedProvenance:
     """
 
     branches: tuple[BranchProvenance, ...]
-    ledger: LedgerSnapshot
+    ledger: RegretLedger
     observed_total: float
     delta: float
 

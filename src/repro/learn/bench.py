@@ -263,11 +263,13 @@ def run_learned_bench(
         for run in (never, refit, bandit)
     }
 
+    ledger = learned.ledger
+    assert ledger is not None
     gates = {
         "bandit_beats_never_replan": bandit.total_cost < never.total_cost,
         "bandit_beats_chi_square_refit": bandit.total_cost < refit.total_cost,
-        "ledger_conserved": learned.ledger_conserved(),
-        "exploration_within_budget": learned.exploration_within_budget(),
+        "ledger_conserved": ledger.conserved(learned.total_cost),
+        "exploration_within_budget": ledger.exploration_cost <= ledger.budget,
         "provenance_verified": report.ok,
         "verdicts_agree": bool(
             np.array_equal(bandit.verdicts, never.verdicts)
@@ -283,7 +285,7 @@ def run_learned_bench(
         strategies=(oracle, never, refit, bandit),
         curve_positions=positions,
         regret_curves=curves,
-        ledger=learned.ledger.as_dict(),
+        ledger=ledger.as_dict(),
         verification={
             "ok": report.ok,
             "errors": len(report.errors),

@@ -79,13 +79,9 @@ class LintConfig:
         "repro.core",
         "repro.planning",
         "repro.execution",
-        "repro.probability",
         "repro.faults",
-        "repro.analysis",
-        "repro.verify",
         "repro.engine",
         "repro.learn",
-        "repro.cluster.admission",
         # The trace-vs-ledger conservation audit re-derives Eq. 3 sums
         # from span attributions on purpose — that IS its job.
         "repro.obs.waterfall",

@@ -431,7 +431,7 @@ def clean_cases() -> list[LintCase]:
         _case(
             "clean-ledger-module",
             "approved ledger modules may do raw Eq. 3 arithmetic",
-            "repro.cluster.admission.example",
+            "repro.core.ledger.example",
             """
             class ShedLedger:
                 def __init__(self):

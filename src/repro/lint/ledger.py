@@ -2,10 +2,11 @@
 
 The paper's cost conservation (Equation 3) is only auditable because
 charges happen in a handful of places: the acquisition sources, the
-fault injector's charge-before-dice accounting, the retry ledger, and
-the admission controller's ``charge_shed``.  The verifier re-derives
-Eq. 3 from those ledgers; a stray ``total += cost * rows`` in the
-serving layer is a number the audit can never reconcile.
+fault injector's charge-before-dice accounting, and the sides of the
+one :class:`~repro.core.ledger.Ledger` (retries, exploration, sheds).
+The verifier re-derives Eq. 3 from those ledgers; a stray
+``total += cost * rows`` in the serving layer is a number the audit can
+never reconcile.
 
 - ``LED001`` — a cost/energy/ledger-named field is *mutated with
   arithmetic* outside the approved ledger modules.  Storing a received
@@ -97,7 +98,7 @@ def check_ledger(context: ModuleContext) -> list[Diagnostic]:
                         f"ledger field {name!r} computed with raw "
                         f"arithmetic outside the ledger modules",
                         hint="route the charge through a ledger helper "
-                        "(repro.faults / repro.cluster.admission / "
+                        "(repro.core.ledger / repro.faults / "
                         "repro.core.cost) so Eq. 3 stays auditable",
                     )
                 )

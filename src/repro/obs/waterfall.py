@@ -35,10 +35,11 @@ conservation check in the spirit of the verifier's COST rules: the
 acquisition cost attributed by ``shard-execute`` spans
 (``where_cost + projection_cost``, summed per shard) must equal each
 live shard's ``acquisition_cost_total`` gauge, and the ``cost_avoided``
-carried on shed events must equal the admission controller's
-``shed_cost_avoided`` ledger.  A shard that died mid-run has spans but
-no ledger; it is reported as unreconcilable rather than failing the
-check.
+carried on shed events must equal the ``shed_cost`` side of the
+admission controller's ledger (``shed_cost_avoided`` in its snapshot);
+both checks are :meth:`~repro.core.ledger.Ledger.conserved`.  A shard
+that died mid-run has spans but no ledger; it is reported as
+unreconcilable rather than failing the check.
 
 Determinism: pure functions of their inputs, no clocks, no RNG —
 this module is on the lint's deterministic path and is an approved
@@ -50,6 +51,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
+
+from repro.core.ledger import Ledger
 
 __all__ = [
     "SEGMENTS",
@@ -381,8 +384,7 @@ def reconcile_costs(
                 "note": "shard ledger unavailable (outage)",
             }
             continue
-        bound = tolerance * max(1.0, abs(ledger_side))
-        matched = abs(span_side - ledger_side) <= bound
+        matched = Ledger(base_cost=span_side).conserved(ledger_side, tolerance)
         shards[shard] = {
             "attributed": round(span_side, 6),
             "recorded": round(ledger_side, 6),
@@ -393,8 +395,9 @@ def reconcile_costs(
     if admission is not None:
         shed_attributed = shed_costs_avoided(trees)
         shed_recorded = float(admission.get("shed_cost_avoided", 0.0))
-        bound = tolerance * max(1.0, abs(shed_recorded))
-        shed_ok = abs(shed_attributed - shed_recorded) <= bound
+        shed_ok = Ledger(shed_cost=shed_attributed).conserved(
+            shed_recorded, tolerance
+        )
         report["shed"] = {
             "attributed": round(shed_attributed, 6),
             "recorded": round(shed_recorded, 6),

@@ -7,7 +7,7 @@ the provenance alone, the contracts the learning loop claims to uphold:
 
 - ``LRN001`` — the exploration side of the ledger never exceeds the
   regret budget (the bandit's hard gate actually held);
-- ``LRN002`` — the ledger's four sides (warmup, conditioning, base,
+- ``LRN002`` — the ledger's sides (warmup, conditioning, base,
   exploration) reconcile with the observed total cost, and no side is
   negative: every joule the stream metered landed on exactly one side;
 - ``LRN003`` — every arm posterior is well-formed: non-negative pulls
@@ -21,8 +21,8 @@ the provenance alone, the contracts the learning loop claims to uphold:
 
 Like every verifier family these are static checks over data the
 subject hands us — nothing is executed and nothing is trusted twice:
-the ledger's own ``conserved()`` helper is *not* called, the sums are
-re-derived here.
+the ledger's own ``total_cost`` is *not* read: the sides are added up here
+and only their sum is handed to the one conservation check.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from repro.core.ledger import Ledger
 from repro.core.plan import ConditionNode, PlanNode, SequentialNode, VerdictLeaf
 from repro.verify.diagnostics import Diagnostic, make_diagnostic
 
@@ -70,33 +71,29 @@ def _check_ledger(
                 f"the regret budget {ledger.budget:.6f}",
             )
         )
-    sides = {
-        "warmup": ledger.warmup_cost,
-        "conditioning": ledger.conditioning_cost,
-        "base": ledger.base_cost,
-        "exploration": ledger.exploration_cost,
-    }
-    for name, value in sides.items():
+    total = 0.0
+    for side in ledger.SIDES:
+        value = getattr(ledger, side)
         if not math.isfinite(value) or value < 0.0:
             findings.append(
                 make_diagnostic(
                     "LRN002",
                     "root",
-                    f"ledger side {name!r} is not a finite non-negative "
+                    f"ledger side {side!r} is not a finite non-negative "
                     f"charge: {value}",
                 )
             )
             return findings
-    total = sum(sides.values())
+        total += value
     observed = provenance.observed_total
-    scale = max(1.0, abs(observed))
-    if abs(total - observed) > tolerance * scale:
+    audit = Ledger(base_cost=total)
+    if not audit.conserved(observed, tolerance):
         findings.append(
             make_diagnostic(
                 "LRN002",
                 "root",
                 f"ledger sides sum to {total:.6f} but the stream metered "
-                f"{observed:.6f} (gap {abs(total - observed):.6f})",
+                f"{observed:.6f} (gap {audit.gap(observed):.6f})",
             )
         )
     return findings

@@ -1,11 +1,60 @@
-"""Unit tests for the two-sided regret ledger (repro.learn.ledger)."""
+"""Unit tests for the Eq. 3 ledger (repro.core.ledger) and the regret
+ledger built on it (repro.learn.ledger)."""
 
 import math
 
 import pytest
 
+from repro.core.ledger import Ledger
 from repro.exceptions import LearningError
 from repro.learn import RegretLedger
+
+
+class TestLedger:
+    def test_total_adds_every_side(self):
+        ledger = Ledger(
+            warmup_cost=1.0,
+            conditioning_cost=2.0,
+            base_cost=4.0,
+            exploration_cost=8.0,
+            retry_cost=16.0,
+            shed_cost=32.0,
+        )
+        assert ledger.total_cost == 63.0
+        assert Ledger().total_cost == 0.0
+
+    def test_two_sided_total_is_the_plain_sum(self):
+        # Zero sides add nothing, so the fault ledger's total is exactly
+        # base + retry, float for float.
+        base, retry = 0.1, 0.2
+        assert Ledger(base_cost=base, retry_cost=retry).total_cost == base + retry
+
+    def test_conserved_is_relative_to_the_observed_total(self):
+        ledger = Ledger(base_cost=1e9)
+        assert ledger.conserved(1e9 * (1 + 1e-9))
+        assert not ledger.conserved(1e9 * (1 + 1e-9), tolerance=1e-12)
+        # Below 1 the tolerance is absolute.
+        small = Ledger(base_cost=0.0)
+        assert small.conserved(5e-7)
+        assert not small.conserved(2e-6)
+        assert small.gap(2e-6) == 2e-6
+
+    def test_budget_remaining_defaults_to_unbounded(self):
+        assert Ledger().budget_remaining == math.inf
+        assert Ledger(budget=3.0, exploration_cost=1.0).budget_remaining == 2.0
+
+    def test_charge_shed_books_the_shed_side(self):
+        ledger = Ledger()
+        assert ledger.charge_shed(2.5, 4) == 10.0
+        assert ledger.charge_shed(0.0, 4) == 0.0
+        assert ledger.charge_shed(2.5, 0) == 0.0
+        assert ledger.shed_cost == 10.0
+        assert ledger.total_cost == 10.0
+
+    def test_as_dict_lists_budget_then_sides(self):
+        payload = Ledger(retry_cost=0.1234567).as_dict()
+        assert list(payload) == ["budget", *Ledger.SIDES]
+        assert payload["retry_cost"] == 0.123457
 
 
 class TestCharges:
@@ -85,6 +134,7 @@ class TestSnapshot:
         ledger.charge_exploit(5.0)
         snap = ledger.snapshot()
         ledger.charge_exploit(5.0)
+        assert isinstance(snap, Ledger)
         assert snap.base_cost == 5.0
         assert ledger.base_cost == 10.0
 
@@ -102,6 +152,12 @@ class TestSnapshot:
         ledger = RegretLedger(50.0)
         ledger.charge_exploit(4.0)
         payload = ledger.snapshot().as_dict()
+        assert list(payload) == [
+            "budget",
+            *RegretLedger.SIDES,
+            "exploration_pulls",
+            "exploit_pulls",
+        ]
         assert payload["budget"] == 50.0
         assert payload["base_cost"] == 4.0
         assert payload["exploit_pulls"] == 1

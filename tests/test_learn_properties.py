@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.ledger import Ledger
 from repro.exceptions import LearningError
 from repro.faults.model import AttributeFaults, FaultSchedule
 from repro.learn import (
@@ -170,7 +171,9 @@ class TestLedgerAlgebra:
                 ledger.charge_explore(cost, reference)
             total += cost
         snap = ledger.snapshot()
+        assert isinstance(snap, Ledger)
         assert snap.total_cost == pytest.approx(total, rel=1e-9, abs=1e-9)
+        assert snap.total_cost == sum(getattr(snap, side) for side in snap.SIDES)
         assert snap.conserved(total)
         assert snap.exploration_cost <= budget + 1e-9
 

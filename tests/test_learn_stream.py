@@ -94,8 +94,8 @@ class TestFaultFreeRun:
 
     def test_ledger_conserved_and_within_budget(self, report):
         assert report.ledger_conserved()
-        assert report.ledger_gap() == pytest.approx(0.0, abs=1e-6)
-        assert report.exploration_within_budget()
+        assert report.ledger.gap(report.total_cost) == pytest.approx(0.0, abs=1e-6)
+        assert report.ledger.exploration_cost <= report.ledger.budget
         assert report.ledger.total_cost == pytest.approx(report.total_cost)
 
     def test_provenance_passes_lrn_rules(self, report):
@@ -195,7 +195,7 @@ class TestFaultedRun:
 
     def test_ledger_survives_the_storm(self, faulted):
         assert faulted.ledger_conserved()
-        assert faulted.exploration_within_budget()
+        assert faulted.ledger.exploration_cost <= faulted.ledger.budget
 
     def test_provenance_still_verifies(self, faulted):
         assert check_learned(faulted.plan, faulted.provenance) == []

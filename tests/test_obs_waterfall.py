@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import AdmissionController
 from repro.obs import (
     SEGMENTS,
     assemble_traces,
@@ -265,6 +266,28 @@ class TestReconciliation:
             trees, {}, admission={"shed_cost_avoided": 4800.0}
         )
         assert not drifted["ok"] and not drifted["shed"]["ok"]
+
+    def test_small_shed_total_reconciles_unrounded(self):
+        # A shed total below ~50 is where a 4-decimal rounding of the
+        # admission snapshot exceeds the 1e-6 relative tolerance.
+        controller = AdmissionController()
+        charged = controller.charge_shed(2.00004, 1)
+        records = _request_tree("t1", 0.1)
+        records.append(
+            {
+                "ts": 1.0,
+                "phase": "shed",
+                "trace": "t1",
+                "parent": "t1-root",
+                "reason": "overload",
+                "cost_avoided": charged,
+            }
+        )
+        trees = list(assemble_traces(records).values())
+        admission = controller.snapshot()
+        assert admission["shed_cost_avoided"] == 2.00004
+        report = reconcile_costs(trees, {}, admission=admission)
+        assert report["ok"] and report["shed"]["ok"]
 
     def test_tolerance_is_relative(self):
         records = _request_tree(

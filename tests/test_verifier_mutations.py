@@ -3,7 +3,8 @@
 Each :func:`~repro.verify.plan_mutations` /
 :func:`~repro.verify.bytecode_mutations` case seeds one known defect
 class into an otherwise-correct plan; the verifier must flag every one
-with its documented error code.  This is the verifier's own regression
+with its documented error code.  The cases are run once, by the
+``plan`` family of :mod:`repro.corpus`.  This is the verifier's own regression
 harness: a rule that silently stops firing breaks these tests, not a
 production run.
 """
@@ -17,12 +18,12 @@ from repro.core import (
     Schema,
     expected_cost,
 )
+from repro.corpus import FAMILIES
 from repro.execution import compile_plan
 from repro.verify import (
     CODE_CATALOG,
     bytecode_mutations,
     plan_mutations,
-    verify_bytecode,
     verify_plan,
 )
 from repro.verify.mutations import (
@@ -87,60 +88,16 @@ def test_bytecode_mutation_corpus_covers_issue_classes(query):
 
 @pytest.mark.parametrize(
     "case",
-    plan_mutations(
-        ConjunctiveQuery(
-            Schema(
-                [
-                    Attribute("a", 8, 1.0),
-                    Attribute("b", 8, 2.0),
-                    Attribute("c", 8, 4.0),
-                ]
-            ),
-            [
-                RangePredicate("a", 3, 6),
-                RangePredicate("b", 2, 5),
-                RangePredicate("c", 4, 7),
-            ],
-        )
-    ),
+    [case for case in FAMILIES["plan"]() if case.expected_code],
     ids=lambda case: case.name,
 )
-def test_plan_mutation_detected_with_documented_code(case, schema, query):
-    report = verify_plan(case.plan, schema, query=query)
-    assert report.has(case.expected_code), (
-        f"{case.name}: expected {case.expected_code}, got "
-        f"{sorted(report.codes())}"
+def test_plan_mutation_detected_with_documented_code(case):
+    # The corpus's plan family: every plan and bytecode mutation plus the
+    # structural and cost-claim defects, each verified by the corpus.
+    assert case.expected_code in case.fired, (
+        f"{case.name}: expected {case.expected_code}, got {sorted(case.fired)}"
     )
-    assert not report.ok
-
-
-@pytest.mark.parametrize(
-    "case",
-    bytecode_mutations(
-        ConjunctiveQuery(
-            Schema(
-                [
-                    Attribute("a", 8, 1.0),
-                    Attribute("b", 8, 2.0),
-                    Attribute("c", 8, 4.0),
-                ]
-            ),
-            [
-                RangePredicate("a", 3, 6),
-                RangePredicate("b", 2, 5),
-                RangePredicate("c", 4, 7),
-            ],
-        )
-    ),
-    ids=lambda case: case.name,
-)
-def test_bytecode_mutation_detected_with_documented_code(case, schema):
-    report = verify_bytecode(case.code, schema)
-    assert report.has(case.expected_code), (
-        f"{case.name}: expected {case.expected_code}, got "
-        f"{sorted(report.codes())}"
-    )
-    assert not report.ok
+    assert not case.ok
 
 
 def test_mutated_plans_differ_from_canonical(schema, query):
