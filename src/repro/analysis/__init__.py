@@ -9,9 +9,10 @@ pass sit:
 
 - the verifier's structural, semantic and range rules
   (:func:`repro.verify.rules.check_facts`), which read each node's facts;
-- the ``DF001``–``DF004`` diagnostics (:mod:`~repro.analysis.checks`):
-  dead branches, decided step predicates, redundant re-acquisitions, and
-  infeasible split points — verifier-grade findings the plan verifier,
+- the ``DF002``–``DF004`` diagnostics (:mod:`~repro.analysis.checks`),
+  which ``check_facts`` runs on the same pass: decided step predicates,
+  redundant re-acquisitions, and infeasible split points (each with the
+  dead branch it implies) — verifier-grade findings the plan verifier,
   lint gate, and cache admission pick up automatically;
 - cost-bound certificates (:mod:`~repro.analysis.certificates`): per
   subtree Eq. 3 expected-cost claims read off the one Eq. 3 walk
@@ -20,8 +21,8 @@ pass sit:
   emitting ``DF101`` on any lie;
 - the rewriter (:mod:`~repro.analysis.rewrite`):
   :func:`~repro.analysis.rewrite.optimize_plan` eliminates dead branches
-  and subsumed predicates while provably preserving every tuple's
-  verdict;
+  and subsumed predicates from the same facts while provably preserving
+  every tuple's verdict;
 - the ``repro analyze`` CLI rendering (:mod:`~repro.analysis.render`)
   and the DF negative-control corpus (:mod:`~repro.analysis.mutations`).
 """

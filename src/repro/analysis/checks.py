@@ -3,19 +3,20 @@
 These rules consume a :class:`~repro.analysis.dataflow.PlanAnalysis`
 and report facts the abstract interpretation *proves* — unlike the
 model-relative ``COST004`` (a branch dead under the statistics), a
-``DF001`` branch is dead for every tuple, whatever the distribution.
+``DF004`` split leaves one branch dead for every tuple, whatever the
+distribution.  :func:`repro.verify.rules.check_facts` runs them on the
+verifier's own pass, so these are the only codes for these facts.
 
 ==========  ========  ====================================================
 Code        Severity  Meaning
 ==========  ========  ====================================================
-``DF001``   WARNING   dead branch: the interval facts prove no tuple
-                      reaches it (anchored at the topmost dead node)
 ``DF002``   WARNING   a step predicate is always-true or always-false
                       under the path facts — evaluating it is wasted work
 ``DF003``   WARNING   a node re-acquires an attribute already observed on
                       the path *and* learns nothing new from it
 ``DF004``   ERROR     a condition splits outside the feasible interval at
-                      the node, so the test cannot go both ways
+                      the node, so the test cannot go both ways: the
+                      branch it never takes is dead
 ==========  ========  ====================================================
 
 ``DF101`` (cost-bound certificates) lives in
@@ -42,7 +43,7 @@ def check_dataflow(
     ranges: RangeVector | None = None,
     analysis: PlanAnalysis | None = None,
 ) -> list[Diagnostic]:
-    """Run the DF001-DF004 rules over ``plan``.
+    """Run the DF002-DF004 rules over ``plan``.
 
     Pass a precomputed ``analysis`` to avoid re-walking the tree (the
     verifier and the rewriter share one pass).
@@ -52,9 +53,9 @@ def check_dataflow(
     findings: list[Diagnostic] = []
     for facts in analysis:
         if not facts.state.feasible:
-            continue  # diagnostics anchor at the topmost dead node only
+            continue  # no tuple gets here: the split above is DF004
         if isinstance(facts.node, ConditionNode):
-            findings.extend(_check_condition(facts, analysis, schema))
+            findings.extend(_check_condition(facts, schema))
         elif isinstance(facts.node, SequentialNode):
             findings.extend(_check_sequential(facts, schema))
     return findings
@@ -66,59 +67,38 @@ def _attribute_name(schema: Schema, index: int) -> str:
     return f"attribute[{index}]"
 
 
-def _check_condition(
-    facts: NodeFacts, analysis: PlanAnalysis, schema: Schema
-) -> list[Diagnostic]:
+def _check_condition(facts: NodeFacts, schema: Schema) -> list[Diagnostic]:
     node = facts.node
     assert isinstance(node, ConditionNode)
-    findings: list[Diagnostic] = []
     index = node.attribute_index
     if not 0 <= index < len(schema):
-        return findings  # STR002 territory: no interval to reason about
+        return []  # STR002 territory: no interval to reason about
     interval = facts.state.interval(index)
     assert interval is not None
+    if interval.low < node.split_value <= interval.high:
+        return []
     name = _attribute_name(schema, index)
-    decided = node.split_value <= interval.low or node.split_value > interval.high
-    if decided:
-        side = "above" if node.split_value <= interval.low else "below"
+    side = "above" if node.split_value <= interval.low else "below"
+    findings = [
+        make_diagnostic(
+            "DF004",
+            facts.path,
+            f"split T({name} >= {node.split_value}) lies outside the "
+            f"feasible interval [{interval.low}, {interval.high}]; every "
+            f"tuple routes {side}",
+            hint="remove the split and keep the live side",
+        )
+    ]
+    if index in facts.state.observed:
         findings.append(
             make_diagnostic(
-                "DF004",
+                "DF003",
                 facts.path,
-                f"split T({name} >= {node.split_value}) lies outside the "
-                f"feasible interval [{interval.low}, {interval.high}]; every "
-                f"tuple routes {side}",
-                hint="remove the split and keep the live side",
+                f"{name} was already observed on this path and the split "
+                "outcome is implied by the path facts",
+                hint="the re-test acquires nothing and decides nothing",
             )
         )
-        if index in facts.state.observed:
-            findings.append(
-                make_diagnostic(
-                    "DF003",
-                    facts.path,
-                    f"{name} was already observed on this path and the split "
-                    "outcome is implied by the path facts",
-                    hint="the re-test acquires nothing and decides nothing",
-                )
-            )
-    for branch in ("below", "above"):
-        child = analysis.at(f"{facts.path}/{branch}")
-        if child is not None and not child.state.feasible:
-            findings.append(
-                make_diagnostic(
-                    "DF001",
-                    child.path,
-                    f"no tuple can reach this branch: the feasible interval "
-                    f"for {name} is [{interval.low}, {interval.high}] but the "
-                    f"branch requires {name} "
-                    + (
-                        f"< {node.split_value}"
-                        if branch == "below"
-                        else f">= {node.split_value}"
-                    ),
-                    hint="dead code: splice in the live sibling",
-                )
-            )
     return findings
 
 

@@ -103,17 +103,13 @@ class AbstractState:
             return AbstractState.bottom(), AbstractState.bottom()
         interval = self.ranges[index]
         observed = self.observed | {index}
+        # A decided split passes the whole interval to its live side.
         if split_value <= interval.low:
-            below: AbstractState = AbstractState.bottom()
-        else:
-            clipped = Range(interval.low, min(interval.high, split_value - 1))
-            below = AbstractState(self.ranges.with_range(index, clipped), observed)
+            return AbstractState.bottom(), AbstractState(self.ranges, observed)
         if split_value > interval.high:
-            above: AbstractState = AbstractState.bottom()
-        else:
-            clipped = Range(max(interval.low, split_value), interval.high)
-            above = AbstractState(self.ranges.with_range(index, clipped), observed)
-        return below, above
+            return AbstractState(self.ranges, observed), AbstractState.bottom()
+        below, above = self.ranges.split(index, split_value)
+        return AbstractState(below, observed), AbstractState(above, observed)
 
     def assume_pass(self, predicate: Predicate, index: int) -> "AbstractState":
         """Transfer function for surviving a sequential step.
@@ -131,6 +127,8 @@ class AbstractState:
         narrowed = _pass_interval(predicate, interval)
         if narrowed is None:
             return AbstractState.bottom()
+        if narrowed == interval:
+            return AbstractState(self.ranges, observed)
         return AbstractState(self.ranges.with_range(index, narrowed), observed)
 
     def describe(self, schema: Schema | None = None) -> str:

@@ -42,7 +42,8 @@ class CertificateCase:
 
 
 def dataflow_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
-    """Seeded dataflow defects, one case per DF rule."""
+    """Seeded dataflow defects, one case per defect class (a dead branch
+    is reported as the ``DF004`` split above it)."""
     require_mutable_query(query)
     conditional = canonical_conditional_plan(query)
     index = conditional.attribute_index
@@ -50,9 +51,9 @@ def dataflow_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
     below_ranges, _ = full.split(index, conditional.split_value)
 
     # Re-splitting the below branch at the same value: the inner split
-    # falls outside its own [1, split-1] interval (DF004), its above
-    # side is unreachable (DF001), and the re-test of an observed
-    # attribute decides nothing (DF003).
+    # falls outside its own [1, split-1] interval, so its above side is
+    # unreachable (DF004), and the re-test of an observed attribute
+    # decides nothing (DF003).
     resplit = ConditionNode(
         attribute=conditional.attribute,
         attribute_index=index,
@@ -80,7 +81,7 @@ def dataflow_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
         MutationCase(
             name="dead-branch",
             description="inner re-split leaves its above side unreachable",
-            expected_code="DF001",
+            expected_code="DF004",
             plan=resplit,
         ),
         MutationCase(

@@ -1,10 +1,10 @@
 """The analysis-driven plan rewriter.
 
-:func:`optimize_plan` shrinks a plan using only facts the abstract
-interpretation proves, so every rewrite is behaviour-preserving: the
-optimized plan produces the same verdict as the original on **every**
-tuple (not just in expectation) and never acquires more than the
-original.  The rewrites:
+:func:`optimize_plan` shrinks a plan using only facts one
+:func:`~repro.analysis.dataflow.analyze_plan` pass proves, so every
+rewrite is behaviour-preserving: the optimized plan produces the same
+verdict as the original on **every** tuple (not just in expectation)
+and never acquires more than the original.  The rewrites:
 
 - *dead-branch elimination* — a condition whose split the interval facts
   decide routes every tuple one way; splice in the live side and skip
@@ -24,14 +24,15 @@ original.  The rewrites:
 The result is re-verified before return: if a rewrite would introduce
 any verifier ERROR the original plan did not have, the rewriter falls
 back to the unoptimized input — soundness is never traded for size.
+The input's findings come from the same pass, so the gate analyses only
+the candidate.
 Without a ``schema`` only the structural rewrites run (this mode backs
 :func:`repro.core.plan.simplify_plan`).
 """
 
 from __future__ import annotations
 
-from repro.analysis.dataflow import AnyQuery
-from repro.analysis.domain import AbstractState
+from repro.analysis.dataflow import AnyQuery, PlanAnalysis, StepFacts, analyze_plan
 from repro.core.attributes import Schema
 from repro.core.plan import (
     ConditionNode,
@@ -42,7 +43,7 @@ from repro.core.plan import (
 from repro.core.predicates import Truth
 from repro.core.ranges import RangeVector
 from repro.verify.diagnostics import Severity
-from repro.verify.rules import check_tree
+from repro.verify.rules import check_facts
 
 __all__ = ["optimize_plan"]
 
@@ -52,106 +53,79 @@ def optimize_plan(
     schema: Schema | None = None,
     query: AnyQuery | None = None,
     ranges: RangeVector | None = None,
-    verify: bool = True,
 ) -> PlanNode:
     """Rewrite ``plan`` into an equivalent, never-larger plan.
 
     With a ``schema`` the interval-dataflow rewrites run (dead branches,
     decided steps); ``query`` additionally enables query subsumption;
-    without a schema only the structural rewrites apply.  ``verify=True``
-    (the default) re-checks the candidate and falls back to ``plan``
-    when the rewrite would add a verifier ERROR the original lacked —
-    which the rewrites never should, so the gate is pure insurance.
+    without a schema only the structural rewrites apply.  A changed plan
+    is re-checked, and ``plan`` comes back unchanged when the rewrite
+    would add a verifier ERROR the original lacked — which the rewrites
+    never should, so the gate is pure insurance.
     """
     if schema is None:
-        return _rewrite(plan, None, None)
-    state = AbstractState.top(schema, ranges)
-    candidate = _rewrite(plan, state, _Context(schema, query))
+        return _rewrite(plan, None, "root", subsume=False)
+    analysis = analyze_plan(plan, schema, query=query, ranges=ranges)
+    candidate = _rewrite(plan, analysis, "root", subsume=True)
     if candidate == plan:
         return plan
-    if verify and not _no_new_errors(plan, candidate, schema, query, ranges):
+    if _adds_errors(candidate, analysis, ranges):
         if query is None:
             return plan
         # Retry without query subsumption before giving up entirely.
-        candidate = _rewrite(plan, state, _Context(schema, None))
-        if candidate == plan or not _no_new_errors(
-            plan, candidate, schema, query, ranges
-        ):
+        candidate = _rewrite(plan, analysis, "root", subsume=False)
+        if candidate == plan or _adds_errors(candidate, analysis, ranges):
             return plan
     return candidate
 
 
-class _Context:
-    """Immutable per-run parameters threaded through the rewrite walk."""
-
-    __slots__ = ("schema", "query")
-
-    def __init__(self, schema: Schema, query: AnyQuery | None) -> None:
-        self.schema = schema
-        self.query = query
+def _error_codes(analysis: PlanAnalysis) -> set[str]:
+    return {
+        finding.code
+        for finding in check_facts(analysis)
+        if finding.severity is Severity.ERROR
+    }
 
 
-def _no_new_errors(
-    original: PlanNode,
-    candidate: PlanNode,
-    schema: Schema,
-    query: AnyQuery | None,
-    ranges: RangeVector | None,
+def _adds_errors(
+    candidate: PlanNode, original: PlanAnalysis, ranges: RangeVector | None
 ) -> bool:
-    def error_codes(node: PlanNode) -> set[str]:
-        return {
-            finding.code
-            for finding in check_tree(node, schema, query=query, ranges=ranges)
-            if finding.severity is Severity.ERROR
-        }
-
+    errors = _error_codes(
+        analyze_plan(candidate, original.schema, query=original.query, ranges=ranges)
+    )
     # A clean candidate passes whatever the original holds.
-    errors = error_codes(candidate)
-    return not errors or errors <= error_codes(original)
+    return bool(errors) and not errors <= _error_codes(original)
 
 
 def _rewrite(
-    node: PlanNode, state: AbstractState | None, context: _Context | None
+    node: PlanNode, analysis: PlanAnalysis | None, path: str, subsume: bool
 ) -> PlanNode:
-    if (
-        context is not None
-        and context.query is not None
-        and state is not None
-        and state.ranges is not None
-    ):
-        truth = context.query.truth_under(state.ranges)
-        if truth is not Truth.UNDETERMINED:
-            return VerdictLeaf(verdict=truth is Truth.TRUE)
+    # No facts without a schema or below a broken node: only the
+    # structural rewrites apply there.
+    facts = None if analysis is None else analysis.facts.get(path)
+    if subsume and facts is not None:
+        if facts.query_truth not in (None, Truth.UNDETERMINED):
+            return VerdictLeaf(verdict=facts.query_truth is Truth.TRUE)
     if isinstance(node, ConditionNode):
-        return _rewrite_condition(node, state, context)
+        return _rewrite_condition(node, analysis, path, subsume)
     if isinstance(node, SequentialNode):
-        return _rewrite_sequential(node, state, context)
+        return _rewrite_sequential(node, None if facts is None else facts.steps)
     return node
 
 
 def _rewrite_condition(
-    node: ConditionNode, state: AbstractState | None, context: _Context | None
+    node: ConditionNode, analysis: PlanAnalysis | None, path: str, subsume: bool
 ) -> PlanNode:
-    index = node.attribute_index
-    analyzable = (
-        state is not None
-        and state.feasible
-        and context is not None
-        and 0 <= index < len(context.schema)
-    )
-    if analyzable:
-        assert state is not None
-        below_state, above_state = state.assume_split(index, node.split_value)
-        if not below_state.feasible:
-            # Every tuple routes above; the above context equals the
-            # parent's (same interval, and the read never happens).
-            return _rewrite(node.above, state, context)
-        if not above_state.feasible:
-            return _rewrite(node.below, state, context)
-    else:
-        below_state = above_state = None if state is None else AbstractState.bottom()
-    below = _rewrite(node.below, below_state, context)
-    above = _rewrite(node.above, above_state, context)
+    below_path, above_path = path + "/below", path + "/above"
+    if analysis is not None and below_path in analysis.facts:
+        # A side no tuple reaches: every tuple routes the other way, and
+        # the live side's interval context equals this node's.
+        if not analysis.facts[below_path].reachable:
+            return _rewrite(node.above, analysis, above_path, subsume)
+        if not analysis.facts[above_path].reachable:
+            return _rewrite(node.below, analysis, below_path, subsume)
+    below = _rewrite(node.below, analysis, below_path, subsume)
+    above = _rewrite(node.above, analysis, above_path, subsume)
     if below == above:
         return below
     if below is node.below and above is node.above:
@@ -166,23 +140,15 @@ def _rewrite_condition(
 
 
 def _rewrite_sequential(
-    node: SequentialNode, state: AbstractState | None, context: _Context | None
+    node: SequentialNode, steps: tuple[StepFacts, ...] | None
 ) -> PlanNode:
-    if state is None or not state.feasible or context is None:
-        if not node.steps:
-            return VerdictLeaf(verdict=True)
-        return node
     kept = []
-    current = state
-    analyzing = True
-    for step in node.steps:
-        index = step.attribute_index
-        if not analyzing or not 0 <= index < len(context.schema):
-            # Out-of-schema step: no facts — keep it and everything after.
-            analyzing = False
-            kept.append(step)
-            continue
-        truth = current.truth_of(step.predicate, index)
+    for position, step in enumerate(node.steps):
+        truth = None if steps is None else steps[position].truth
+        if truth is None:
+            # Out-of-schema step (or no facts): keep it and everything after.
+            kept.extend(node.steps[position:])
+            break
         if truth is Truth.TRUE:
             continue  # implied by the path facts: narrowing is a no-op
         if truth is Truth.FALSE:
@@ -191,7 +157,6 @@ def _rewrite_sequential(
             # tuple, and skipping the acquisitions only cheapens it.
             return VerdictLeaf(verdict=False)
         kept.append(step)
-        current = current.assume_pass(step.predicate, index)
     if not kept:
         return VerdictLeaf(verdict=True)
     if len(kept) == len(node.steps):

@@ -285,15 +285,17 @@ def validate_plan(
 
     - attribute indices out of schema range, or names disagreeing with the
       schema's name at that index;
-    - split values outside ``[2, K_i]`` or outside the reachable range
-      implied by ancestor splits (dead branches);
+    - split values outside ``[2, K_i]``, or outside the reachable range
+      implied by ancestor splits (the dataflow rule ``DF004``: one branch
+      is dead);
     - sequential-step predicate bounds outside the attribute's domain;
     - with ``query`` given: full semantic equivalence — predicates in
       leaves that are not the query's, dropped or duplicated conjuncts,
       verdict leaves unjustified by (or contradicting) their context.
 
     This is a thin wrapper over :func:`repro.verify.rules.check_tree`
-    that keeps the historical string-list interface; use
+    (the structural, semantic, range and dataflow rules over one
+    interval pass) that keeps the historical string-list interface; use
     :func:`repro.verify.verify_plan` directly for structured diagnostics
     (error codes, severities, node paths) and the cost/bytecode rules.
     """

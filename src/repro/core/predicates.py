@@ -93,11 +93,10 @@ class RangePredicate(Predicate):
         return self.low <= value <= self.high
 
     def truth_under(self, interval: Range) -> Truth:
-        window = Range(self.low, self.high)
-        if interval.is_subset_of(window):
-            return Truth.TRUE
-        if not interval.intersects(window):
-            return Truth.FALSE
+        if self.low <= interval.low and interval.high <= self.high:
+            return Truth.TRUE  # the interval lies inside the window
+        if interval.high < self.low or self.high < interval.low:
+            return Truth.FALSE  # the interval misses the window
         return Truth.UNDETERMINED
 
     def truths_under(
@@ -128,11 +127,10 @@ class NotRangePredicate(Predicate):
         return not self.low <= value <= self.high
 
     def truth_under(self, interval: Range) -> Truth:
-        window = Range(self.low, self.high)
-        if interval.is_subset_of(window):
-            return Truth.FALSE
-        if not interval.intersects(window):
-            return Truth.TRUE
+        if self.low <= interval.low and interval.high <= self.high:
+            return Truth.FALSE  # every value is excluded
+        if interval.high < self.low or self.high < interval.low:
+            return Truth.TRUE  # the window misses the interval
         return Truth.UNDETERMINED
 
     def truths_under(

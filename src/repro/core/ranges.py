@@ -95,7 +95,7 @@ class RangeVector:
                 )
         self._ranges = tuple(ranges)
         self._domain_sizes = tuple(int(size) for size in domain_sizes)
-        self._hash = hash(self._ranges)
+        self._hash: int | None = None
 
     @classmethod
     def full(cls, schema: Schema) -> "RangeVector":
@@ -124,6 +124,10 @@ class RangeVector:
         return isinstance(other, RangeVector) and self._ranges == other._ranges
 
     def __hash__(self) -> int:
+        # Computed on first use: most vectors (the dataflow pass's, a
+        # plan walk's) are never hashed.
+        if self._hash is None:
+            self._hash = hash(self._ranges)
         return self._hash
 
     def __repr__(self) -> str:
@@ -175,7 +179,7 @@ class RangeVector:
         vector = RangeVector.__new__(RangeVector)
         vector._ranges = tuple(ranges)
         vector._domain_sizes = self._domain_sizes
-        vector._hash = hash(vector._ranges)
+        vector._hash = None
         return vector
 
     def split_candidates(self, index: int) -> range:

@@ -138,8 +138,8 @@ def lint_paths(
     """Lint concrete files together (one shared lock graph)."""
     linter = ReproLinter(config)
     for path in paths:
-        if not path.exists():
-            raise ReproError(f"no such file: {path}")
+        if not path.is_file():
+            raise ReproError(f"not a file: {path}")
         linter.add_path(path, root=root)
     return linter.report(subject=subject)
 

@@ -15,9 +15,9 @@ Six rule families:
 
 - **semantic equivalence** — every root-to-leaf path decides exactly
   the query's conjuncts (``SEM*``);
-- **range soundness** — condition splits partition the reachable range
-  context; dead and degenerate branches are flagged (``RNG*``,
-  ``STR*``);
+- **range soundness** — degenerate splits and splits under a context
+  that already decides the query are flagged (``RNG*``, ``STR*``); a
+  split that cannot partition its context is ``DF004``;
 - **cost conservation** — the claimed expected cost matches an
   independent Equation 3 recomputation and branch probabilities are
   sound (``COST*``);
@@ -35,9 +35,8 @@ Six rule families:
   posteriors that agree with the emitted tree (``LRN*``,
   :mod:`repro.verify.learn`).
 
-Entry points: :func:`verify_plan`, :func:`verify_bytecode`,
-:func:`assert_valid_plan`, and :class:`PlanVerifier` for callers that
-verify many plans against one schema/distribution.  A mutation corpus
+Entry points: :func:`verify_plan`, :func:`verify_bytecode` and
+:func:`assert_valid_plan`.  A mutation corpus
 for self-testing the verifier lives in :mod:`repro.verify.mutations`;
 :mod:`repro.corpus` runs it alongside the dataflow and source corpora.
 """
@@ -52,19 +51,13 @@ from repro.verify.ft import check_fault_tolerance
 from repro.verify.learn import check_learned
 from repro.verify.mutations import MutationCase, bytecode_mutations, plan_mutations
 from repro.verify.paths import ROOT_PATH, iter_plan_paths, step_path
-from repro.verify.verifier import (
-    PlanVerifier,
-    assert_valid_plan,
-    verify_bytecode,
-    verify_plan,
-)
+from repro.verify.verifier import assert_valid_plan, verify_bytecode, verify_plan
 
 __all__ = [
     "Severity",
     "Diagnostic",
     "VerificationReport",
     "CODE_CATALOG",
-    "PlanVerifier",
     "verify_plan",
     "verify_bytecode",
     "assert_valid_plan",

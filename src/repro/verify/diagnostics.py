@@ -58,7 +58,9 @@ class Severity(enum.Enum):
 
 # code -> (severity, title) for every rule the verifier, the dataflow
 # analyzer and repro-lint implement.  Stable: codes are never renumbered
-# or reused for a different rule.
+# or reused for a different rule.  Retired, so never reused: RNG001 (now
+# DF004), SEM004 (now DF002) and DF001 (now DF004 on the dead branch's
+# parent) reported the same facts twice.
 CATALOG: dict[str, tuple[Severity, str]] = {
     # Structural soundness (plan tree vs schema)
     "STR001": (Severity.ERROR, "unknown plan node type"),
@@ -69,12 +71,10 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "SEM001": (Severity.ERROR, "dropped conjunct: undetermined predicate missing from leaf"),
     "SEM002": (Severity.ERROR, "duplicate predicate step on one attribute"),
     "SEM003": (Severity.ERROR, "leaf evaluates a predicate that is not the query's"),
-    "SEM004": (Severity.WARNING, "leaf step re-tests a predicate the range context already decides"),
     "SEM005": (Severity.ERROR, "verdict leaf not justified by its range context"),
     "SEM006": (Severity.ERROR, "verdict leaf contradicts its range context"),
     "SEM007": (Severity.ERROR, "sequential leaf under a non-conjunctive query"),
     # Range soundness (condition splits vs reachable context)
-    "RNG001": (Severity.ERROR, "split unreachable: value outside the parent range context"),
     "RNG002": (Severity.WARNING, "condition split below an already-decided context"),
     "RNG003": (Severity.ERROR, "degenerate split below the domain minimum"),
     # Cost conservation (Equation 3, given a probability model)
@@ -83,7 +83,6 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "COST003": (Severity.ERROR, "leaf reach probabilities do not partition the context"),
     "COST004": (Severity.WARNING, "dead branch: reach probability is zero under the model"),
     # Dataflow analysis (interval abstract interpretation over the tree)
-    "DF001": (Severity.WARNING, "dead branch: no tuple can reach it"),
     "DF002": (Severity.WARNING, "step predicate already decided by the path facts"),
     "DF003": (Severity.WARNING, "redundant re-acquisition of an already-observed attribute"),
     "DF004": (Severity.ERROR, "split value outside the feasible interval at the node"),

@@ -181,7 +181,7 @@ def plan_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
             name="overlapping-split",
             description="below branch re-splits the same attribute at the "
             "same value, outside its own range context",
-            expected_code="RNG001",
+            expected_code="DF004",
             plan=ConditionNode(
                 attribute=conditional.attribute,
                 attribute_index=conditional.attribute_index,

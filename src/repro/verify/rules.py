@@ -8,8 +8,11 @@ condition splits on the path from the root (Section 3.2) — and the
 query's truth there.  The context is what makes the checks static: a
 leaf is judged against what the splits above it *prove* about the
 tuple, never by executing the plan.  A node the rules cannot look below
-(``STR002``, ``RNG003``, ``RNG001``) hides its subtree: nothing below it
-is reported.
+(``STR002``, ``RNG003``, or a split the context already decides, which
+``DF004`` reports) hides its subtree from these rules: nothing below it
+is reported.  The ``DF002``-``DF004`` rules
+(:func:`repro.analysis.checks.check_dataflow`) run on the same pass, so
+each proven fact has one code.
 
 The semantic rules accept both query classes.  For a
 :class:`~repro.core.query.ConjunctiveQuery` the leaf contract is exact:
@@ -67,10 +70,11 @@ def check_tree(
     query: AnyQuery | None = None,
     ranges: RangeVector | None = None,
 ) -> list[Diagnostic]:
-    """Structural, range-soundness, and (with ``query``) semantic rules.
+    """Structural, range, dataflow and (with ``query``) semantic rules.
 
-    ``ranges`` narrows the root context for verifying subtrees; it
-    defaults to the full attribute space.
+    One :func:`~repro.analysis.dataflow.analyze_plan` pass feeds
+    :func:`check_facts`.  ``ranges`` narrows the root context for
+    verifying subtrees; it defaults to the full attribute space.
     """
     # Imported lazily: repro.analysis imports this module.
     from repro.analysis.dataflow import analyze_plan
@@ -79,7 +83,12 @@ def check_tree(
 
 
 def check_facts(analysis: "PlanAnalysis") -> list[Diagnostic]:
-    """The STR/SEM/RNG rules over one dataflow pass, node by node."""
+    """Every tree rule over one dataflow pass: the STR/SEM/RNG rules node
+    by node (a broken or decided node hides its subtree), then the
+    DF002-DF004 rules on every reachable node."""
+    # Imported lazily: repro.analysis imports this module.
+    from repro.analysis.checks import check_dataflow
+
     findings: list[Diagnostic] = []
     hidden: set[str] = set()
     for facts in analysis:
@@ -87,6 +96,7 @@ def check_facts(analysis: "PlanAnalysis") -> list[Diagnostic]:
             facts, analysis.schema, analysis.query, findings
         ):
             hidden.add(facts.path)
+    findings.extend(check_dataflow(analysis.plan, analysis.schema, analysis=analysis))
     return findings
 
 
@@ -149,18 +159,7 @@ def _check_node(
         return False
     interval = ranges[index]
     if not interval.low < node.split_value <= interval.high:
-        findings.append(
-            make_diagnostic(
-                "RNG001",
-                path,
-                f"split {attribute.name} >= {node.split_value} is "
-                f"unreachable given ancestor range "
-                f"[{interval.low}, {interval.high}]: the branches do "
-                "not partition the context",
-                hint="an ancestor split already decided this test",
-            )
-        )
-        return False
+        return False  # decided: DF004
     if facts.query_truth not in (None, Truth.UNDETERMINED):
         findings.append(
             make_diagnostic(
@@ -304,15 +303,6 @@ def _check_sequential(
             continue
         if index in proven_false:
             tests_proven_false = True
-        if index not in undetermined:
-            findings.append(
-                make_diagnostic(
-                    "SEM004",
-                    step_path,
-                    f"context already decides {predicate.describe()!r}; "
-                    "re-testing it wastes an acquisition",
-                )
-            )
 
     if query_predicates is None:
         return
@@ -361,7 +351,7 @@ def check_cost(
     costs must agree with the root's conditional bound — a guard that
     the per-node ledger stays exact — and so must ``claimed_cost`` when
     given (COST001).  The verifier runs these rules only on plans the
-    tree rules found structurally sound (no STR/RNG finding); a broken
+    tree rules found structurally sound (no STR/RNG/DF004 finding); a broken
     node raises :class:`~repro.exceptions.PlanError`.
     """
     findings: list[Diagnostic] = []

@@ -5,9 +5,6 @@ plus — when a distribution is supplied — cost conservation, and
 optionally cross-checks the compiled form.  :func:`verify_bytecode`
 starts from the wire format instead: the layout must pass the ``BC*``
 safety rules before the decoded tree is put through the same tree rules.
-:class:`PlanVerifier` binds a schema/query/distribution once for callers
-that verify plans in a loop (the engine's debug mode, the cache
-admission gate, the CLI suite).
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ if TYPE_CHECKING:
     from repro.learn.bandit import LearnedProvenance
 
 __all__ = [
-    "PlanVerifier",
     "verify_plan",
     "verify_bytecode",
     "assert_valid_plan",
@@ -65,7 +61,7 @@ def verify_plan(
     the cost-conservation rules (with ``claimed_cost`` compared when
     given, within the relative ``tolerance``), and ``check_compiled``
     additionally compiles the plan and runs the bytecode safety rules
-    over the result.  The dataflow rules (``DF001``-``DF004``) always
+    over the result.  The dataflow rules (``DF002``-``DF004``) always
     run; a ``certificate`` (with a distribution) additionally re-derives
     its cost-bound claims (``DF101``, within the same ``tolerance``).
     The plan is walked twice: one dataflow pass feeds the tree and
@@ -80,15 +76,10 @@ def verify_plan(
     """
     # Imported lazily: repro.analysis imports this package's submodules.
     from repro.analysis.certificates import certificate_findings
-    from repro.analysis.checks import check_dataflow
     from repro.analysis.dataflow import analyze_plan
 
     # One interval walk feeds the tree rules and the dataflow rules.
-    analysis = analyze_plan(plan, schema, query=query, ranges=ranges)
-    findings = check_facts(analysis)
-    findings.extend(
-        check_dataflow(plan, schema, query=query, ranges=ranges, analysis=analysis)
-    )
+    findings = check_facts(analyze_plan(plan, schema, query=query, ranges=ranges))
     if fault_policy is not None:
         from repro.verify.ft import check_fault_tolerance
 
@@ -96,8 +87,10 @@ def verify_plan(
         findings.extend(
             check_fault_tolerance(plan, schema, fault_policy, query=ft_query)
         )
+    # A broken or decided split leaves no sound Eq. 3 walk to check.
     structurally_sound = not any(
-        finding.code.startswith(("STR", "RNG")) for finding in findings
+        finding.code.startswith(("STR", "RNG")) or finding.code == "DF004"
+        for finding in findings
     )
     if distribution is not None and structurally_sound:
         # One Eq. 3 walk feeds the cost rules and the certificate rule.
@@ -197,81 +190,3 @@ def assert_valid_plan(
     if not report.ok:
         raise PlanVerificationError(report.format(), report=report)
     return report
-
-
-class PlanVerifier:
-    """A verifier bound to one schema and (optionally) one distribution.
-
-    The serving layer verifies every admitted plan against the same
-    statistics snapshot; binding the context once keeps call sites to
-    ``verifier.verify(plan, query, claimed_cost=...)``.
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        distribution: Distribution | None = None,
-        cost_model: AcquisitionCostModel | None = None,
-        tolerance: float = DEFAULT_COST_TOLERANCE,
-        check_compiled: bool = False,
-    ) -> None:
-        self.schema = schema
-        self.distribution = distribution
-        self.cost_model = cost_model
-        self.tolerance = tolerance
-        self.check_compiled = check_compiled
-
-    def verify(
-        self,
-        plan: PlanNode,
-        query: AnyQuery | None = None,
-        claimed_cost: float | None = None,
-        subject: str = "plan",
-        certificate: "CostCertificate | None" = None,
-        fault_policy: "FaultPolicy | None" = None,
-        provenance: "LearnedProvenance | None" = None,
-    ) -> VerificationReport:
-        return verify_plan(
-            plan,
-            self.schema,
-            query=query,
-            distribution=self.distribution,
-            claimed_cost=claimed_cost,
-            cost_model=self.cost_model,
-            check_compiled=self.check_compiled,
-            tolerance=self.tolerance,
-            subject=subject,
-            certificate=certificate,
-            fault_policy=fault_policy,
-            provenance=provenance,
-        )
-
-    def verify_bytecode(
-        self,
-        code: bytes,
-        query: AnyQuery | None = None,
-        claimed_cost: float | None = None,
-        subject: str = "bytecode",
-    ) -> VerificationReport:
-        return verify_bytecode(
-            code,
-            self.schema,
-            query=query,
-            distribution=self.distribution,
-            claimed_cost=claimed_cost,
-            cost_model=self.cost_model,
-            tolerance=self.tolerance,
-            subject=subject,
-        )
-
-    def admit(
-        self,
-        plan: PlanNode,
-        query: AnyQuery | None = None,
-        claimed_cost: float | None = None,
-        certificate: "CostCertificate | None" = None,
-    ) -> bool:
-        """Admission predicate for :class:`~repro.service.cache.PlanCache`."""
-        return self.verify(
-            plan, query=query, claimed_cost=claimed_cost, certificate=certificate
-        ).ok

@@ -210,7 +210,7 @@ class TestValidatePlan:
             above=VerdictLeaf(True),
         )
         problems = validate_plan(outer, schema)
-        assert any("unreachable" in p for p in problems)
+        assert any("outside the feasible interval" in p for p in problems)
 
     def test_out_of_domain_step_flagged(self):
         from repro.core import validate_plan

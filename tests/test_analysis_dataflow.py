@@ -129,8 +129,8 @@ class TestMutationsFire:
             above=VerdictLeaf(True),
         )
         findings = check_dataflow(plan, schema)
-        dead = [f for f in findings if f.code == "DF001"]
-        assert [f.path for f in dead] == ["root/below/above"]
+        dead = [f for f in findings if f.code == "DF004"]
+        assert [f.path for f in dead] == ["root/below"]
 
     def test_df002_decided_step(self, schema, query):
         # Below pressure < 3 the pressure predicate is always false.
@@ -250,7 +250,7 @@ class TestVerifierIntegration:
     def test_verify_plan_runs_dataflow_rules(self, schema, query):
         case = {c.name: c for c in dataflow_mutations(query)}["dead-branch"]
         report = verify_plan(case.plan, schema, query=query)
-        assert "DF001" in codes(report.diagnostics)
+        assert "DF004" in codes(report.diagnostics)
 
     def test_clean_plan_report_still_ok(self, schema, query):
         report = verify_plan(canonical_conditional_plan(query), schema, query=query)

@@ -101,7 +101,7 @@ class TestFileMode:
         )
         assert code == 1
         out = capsys.readouterr().out
-        assert "DF004" in out and "DF001" in out
+        assert "DF004" in out
 
     def test_query_enables_truth_annotations(self, artifacts, capsys):
         code = main(

@@ -77,6 +77,10 @@ class TestFileMode:
         assert main(["lint-code", str(tmp_path / "nope.py")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["lint-code", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_no_files_is_a_usage_error(self, capsys):
         assert main(["lint-code"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -23,7 +23,6 @@ from repro.execution import compile_plan
 from repro.probability import EmpiricalDistribution
 from repro.verify import (
     CODE_CATALOG,
-    PlanVerifier,
     Severity,
     assert_valid_plan,
     verify_bytecode,
@@ -180,7 +179,7 @@ class TestSemanticRules:
             ),
         )
         report = verify_plan(plan, schema, query=query)
-        assert report.has("SEM004")
+        assert report.has("DF002")
         assert report.ok  # warning only
 
     def test_unjustified_verdict(self, schema, query):
@@ -262,7 +261,7 @@ class TestRangeRules:
             below=inner,
             above=canonical_sequential_plan(query),
         )
-        assert verify_plan(plan, schema, query=query).has("RNG001")
+        assert verify_plan(plan, schema, query=query).has("DF004")
 
     def test_split_below_decided_context_is_warning(self, schema):
         # One-predicate query: the below branch already proves it false,
@@ -378,11 +377,6 @@ class TestEntryPoints:
             assert_valid_plan(VerdictLeaf(verdict=True), schema, query=query)
         assert excinfo.value.report is not None
         assert excinfo.value.report.has("SEM005")
-
-    def test_plan_verifier_admit(self, schema, query, distribution):
-        verifier = PlanVerifier(schema, distribution=distribution)
-        assert verifier.admit(canonical_sequential_plan(query), query=query)
-        assert not verifier.admit(VerdictLeaf(verdict=True), query=query)
 
     def test_report_formatting_and_dict(self, schema, query):
         report = verify_plan(VerdictLeaf(verdict=True), schema, query=query)

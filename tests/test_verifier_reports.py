@@ -17,11 +17,14 @@
 
 Regenerate only on purpose, with
 ``PYTHONPATH=src python -m tests.test_verifier_reports``, and say why.
+It prints, per code, how many rows the new file gains or loses against
+the committed one.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -459,6 +462,25 @@ def test_plan_reports_match_golden(reports):
     )
 
 
+def code_counts(golden: dict[str, Any]) -> Counter:
+    """Rows per diagnostic code, over every report of a golden file."""
+    counts: Counter = Counter()
+    for cases in [*golden["fixtures"].values(), golden["plans"]]:
+        for entry in cases.values():
+            rows = entry["report"] if isinstance(entry, dict) else entry
+            counts.update(row[1] for row in rows)
+    return counts
+
+
 if __name__ == "__main__":
+    fresh = compute_reports()
+    before = code_counts(json.loads(GOLDEN.read_text())) if GOLDEN.exists() else Counter()
+    after = code_counts(fresh)
+    print("| code | rows before | rows after | change |")
+    print("|---|---|---|---|")
+    for code in sorted(before | after):
+        if before[code] != after[code]:
+            change = after[code] - before[code]
+            print(f"| {code} | {before[code]} | {after[code]} | {change:+d} |")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(compute_reports(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")

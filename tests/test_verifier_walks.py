@@ -2,8 +2,10 @@
 
 ``verify_plan`` runs one dataflow pass (the tree and DF rules read its
 facts) and one Eq. 3 walk (``cost_decomposition``: the COST rules, DF101
-and the certificate bounds read its records).  Counting wrappers pin
-those numbers; the edge cases pin what the one walk must still get right:
+and the certificate bounds read its records).  ``optimize_plan`` rewrites
+from one dataflow pass of its input and analyses only a changed
+candidate.  Counting wrappers pin those numbers; the edge cases pin what
+the one walk must still get right:
 model-dead branches keep their bounds, broken nodes hide their subtrees,
 a narrowed root context and a boolean query.
 """
@@ -22,7 +24,12 @@ import repro.analysis.domain
 import repro.core.cost
 import repro.planning.greedy_conditional
 import repro.service.service
-from repro.analysis import CostCertificate, certify_plan
+from repro.analysis import (
+    CostCertificate,
+    certify_plan,
+    dataflow_mutations,
+    optimize_plan,
+)
 from repro.core import (
     Attribute,
     ConditionNode,
@@ -123,9 +130,18 @@ def _contexts(plan, context: RangeVector) -> dict[str, RangeVector]:
     return found
 
 
+def _patch_everywhere(monkeypatch, function: Callable, replacement: Callable) -> None:
+    """Replace ``function`` under every name a ``repro`` module binds it to."""
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        for name, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, name, replacement)
+
+
 def _spy(monkeypatch, *functions: Callable) -> list[tuple[str, Any]]:
-    """Record ``(name, first argument)`` of every call to each function,
-    under every name a ``repro`` module binds it to."""
+    """Record ``(name, first argument)`` of every call to each function."""
     calls: list[tuple[str, Any]] = []
     for function in functions:
 
@@ -133,12 +149,7 @@ def _spy(monkeypatch, *functions: Callable) -> list[tuple[str, Any]]:
             calls.append((__function.__name__, args[0] if args else None))
             return __function(*args, **kwargs)
 
-        for module in list(sys.modules.values()):
-            if not getattr(module, "__name__", "").startswith("repro"):
-                continue
-            for name, value in list(vars(module).items()):
-                if value is function:
-                    monkeypatch.setattr(module, name, spying)
+        _patch_everywhere(monkeypatch, function, spying)
     return calls
 
 
@@ -262,6 +273,48 @@ class TestWalkCounts:
         ).hex()
 
 
+class TestRewriterWalks:
+    def _counters(self, monkeypatch) -> Counter:
+        """Count ``analyze_plan`` calls, and ``assume_split`` calls made
+        outside any of them."""
+        counts: Counter = Counter()
+        depth = [0]
+        analyze = repro.analysis.dataflow.analyze_plan
+        split = repro.analysis.domain.AbstractState.assume_split
+
+        def analyzing(*args, **kwargs):
+            counts["analyze_plan"] += 1
+            depth[0] += 1
+            try:
+                return analyze(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def splitting(*args, **kwargs):
+            if not depth[0]:
+                counts["assume_split outside analyze_plan"] += 1
+            return split(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, analyze, analyzing)
+        monkeypatch.setattr(
+            repro.analysis.domain.AbstractState, "assume_split", splitting
+        )
+        return counts
+
+    @pytest.mark.parametrize("rewritten", [True, False])
+    def test_optimize_plan_analyses_its_input_once(
+        self, monkeypatch, schema, query, rewritten
+    ):
+        cases = {case.name: case.plan for case in dataflow_mutations(query)}
+        plan = cases["dead-branch"] if rewritten else canonical_conditional_plan(query)
+        counts = self._counters(monkeypatch)
+        optimized = optimize_plan(plan, schema, query=query)
+        assert (optimized != plan) == rewritten
+        # The input's one pass feeds the rewrite and the gate's view of
+        # the input; only a changed candidate is analysed again.
+        assert counts == Counter(analyze_plan=2 if rewritten else 1)
+
+
 class TestSharedTolerance:
     def _report(self, schema, query, distribution, drift: float):
         plan = canonical_conditional_plan(query)
@@ -360,7 +413,7 @@ class TestBrokenNodes:
         plan = _split(schema, 0, 2, VerdictLeaf(verdict=True), VerdictLeaf(verdict=True))
         object.__setattr__(plan, "split_value", 1)  # as a decoded byte string may
         findings = check_tree(plan, schema, query=query)
-        assert [d.code for d in findings] == ["RNG003"]
+        assert sorted(d.code for d in findings) == ["DF004", "RNG003"]
         assert self._below(findings, "root") == []
 
     def test_unreachable_split_hides_its_subtree(self, schema, query):
@@ -369,7 +422,7 @@ class TestBrokenNodes:
         )
         plan = _split(schema, 0, 5, repeated, VerdictLeaf(verdict=False))
         findings = check_tree(plan, schema, query=query)
-        assert ("RNG001", "root/below") in [(d.code, d.path) for d in findings]
+        assert ("DF004", "root/below") in [(d.code, d.path) for d in findings]
         assert self._below(findings, "root/below") == []
 
     def test_broken_node_in_dead_subtree(self, schema, query, dead_model):
@@ -383,7 +436,7 @@ class TestBrokenNodes:
         assert set(predictions) == {path for path, _node in iter_plan_paths(plan)}
         assert predictions["root/below"].reach == 0.0
         report = verify_plan(plan, schema, query=query, distribution=dead_model)
-        assert report.has("RNG001") and not report.ok
+        assert report.has("DF004") and not report.ok
 
 
 class TestNarrowedContext:
@@ -406,13 +459,14 @@ class TestNarrowedContext:
         assert certificate.bounds["root"].hex() == expected_cost(
             plan, distribution, ranges=narrowed
         ).hex()
-        # Splitting at the narrowed context's minimum decides nothing.
+        # Splitting at the narrowed context's minimum decides nothing, and
+        # re-reads an attribute the narrowed root counts as observed.
         edge = _split(schema, 0, 3, VerdictLeaf(verdict=False), plan)
         codes = {
             (d.code, d.path)
             for d in check_tree(edge, schema, query=query, ranges=narrowed)
         }
-        assert codes == {("RNG001", "root")}
+        assert codes == {("DF004", "root"), ("DF003", "root")}
         assert check_tree(edge, schema, query=query) == []
 
 
