@@ -132,7 +132,6 @@ from repro.obs import (
     DriftReport,
     PlanProfile,
     Tracer,
-    predict_plan,
     render_prometheus,
 )
 
@@ -226,7 +225,6 @@ __all__ = [
     "DriftMonitor",
     "DriftReport",
     "Tracer",
-    "predict_plan",
     "render_prometheus",
     # exceptions
     "ReproError",

@@ -79,12 +79,6 @@ def dataflow_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
     )
     return [
         MutationCase(
-            name="dead-branch",
-            description="inner re-split leaves its above side unreachable",
-            expected_code="DF004",
-            plan=resplit,
-        ),
-        MutationCase(
             name="decided-step",
             description="leaf re-tests a predicate the split already refuted",
             expected_code="DF002",
@@ -99,7 +93,8 @@ def dataflow_mutations(query: ConjunctiveQuery) -> list[MutationCase]:
         ),
         MutationCase(
             name="infeasible-split",
-            description="inner split value outside its feasible interval",
+            description="inner re-split outside its feasible interval "
+            "leaves its above side dead",
             expected_code="DF004",
             plan=resplit,
         ),

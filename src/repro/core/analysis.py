@@ -6,7 +6,8 @@ plan, in the spirit of the paper's Section 6.1.1 detailed plan study:
 - :func:`plan_summary` — structural statistics (splits, depth, bytes,
   attributes conditioned on, distinct leaf orders);
 - :func:`annotate_plan` — Figure 3-style rendering with branch
-  probabilities and reach probabilities from a probability model;
+  probabilities and reach probabilities: the plan's Eq. 3 records
+  (:func:`~repro.core.cost.cost_decomposition`);
 - :func:`attribute_acquisition_rates` — how often each attribute is
   actually acquired when the plan runs over a dataset (the quantity that
   maps directly to per-sensor energy);
@@ -17,19 +18,24 @@ plan, in the spirit of the paper's Section 6.1.1 detailed plan study:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.attributes import Schema
-from repro.core.cost import dataset_execution
+from repro.core.cost import (
+    NodeCostContribution,
+    cost_decomposition,
+    dataset_execution,
+    root_bound,
+)
 from repro.core.plan import (
     ConditionNode,
     PlanNode,
     SequentialNode,
     VerdictLeaf,
 )
-from repro.core.ranges import RangeVector
 from repro.exceptions import PlanError
 from repro.probability.base import Distribution
 
@@ -106,87 +112,66 @@ def annotate_plan(
 ) -> str:
     """Pretty-print a plan with branch and reach probabilities.
 
-    Probabilities come from ``distribution`` conditioned on the ranges each
-    branch implies — the numbers that appear on the edges of the paper's
-    Figure 3.
+    The numbers are the Eq. 3 records of
+    :func:`~repro.core.cost.cost_decomposition` under ``distribution`` —
+    the ones on the edges of the paper's Figure 3, and the predictions
+    ``repro profile`` prints.  A value the walk leaves undefined is
+    printed as the record holds it: ``-`` for the split probability of
+    a zero-reach condition and for the steps of a zero-reach leaf, and
+    ``0.00`` for a step after an all-pass of 0.  Raises
+    :class:`~repro.exceptions.PlanError` naming the first broken node.
     """
+    records = cost_decomposition(plan, distribution)
+    root_bound(records)  # raises on a broken node
     lines: list[str] = []
-    _annotate(
-        plan,
-        distribution,
-        RangeVector.full(distribution.schema),
-        reach=1.0,
-        indent=indent,
-        lines=lines,
-    )
+    _annotate(plan, records, "root", indent, lines)
     return "\n".join(lines)
+
+
+def _fmt(value: float | None, digits: int = 3) -> str:
+    """A figure as EXPLAIN and ``repro profile`` print it: ``-`` for None."""
+    return "-" if value is None else f"{value:.{digits}f}"
 
 
 def _annotate(
     node: PlanNode,
-    distribution: Distribution,
-    ranges: RangeVector,
-    reach: float,
+    records: dict[str, NodeCostContribution],
+    path: str,
     indent: str,
     lines: list[str],
 ) -> None:
+    record = records[path]
+    reach = f"reach={record.reach:.3f}"
     if isinstance(node, ConditionNode):
-        probability_below = distribution.split_probability(
-            node.attribute_index, node.split_value, ranges
-        )
-        below_ranges, above_ranges = ranges.split(
-            node.attribute_index, node.split_value
-        )
+        below = record.probability_below
+        above = None if below is None else 1 - below
         lines.append(
             f"{indent}if {node.attribute} < {node.split_value}:  "
-            f"[p={probability_below:.3f}, reach={reach:.3f}]"
+            f"[p={_fmt(below)}, {reach}]"
         )
-        _annotate(
-            node.below,
-            distribution,
-            below_ranges,
-            reach * probability_below,
-            indent + "    ",
-            lines,
-        )
+        _annotate(node.below, records, path + "/below", indent + "    ", lines)
         lines.append(
             f"{indent}else ({node.attribute} >= {node.split_value}):  "
-            f"[p={1 - probability_below:.3f}]"
+            f"[p={_fmt(above)}]"
         )
-        _annotate(
-            node.above,
-            distribution,
-            above_ranges,
-            reach * (1.0 - probability_below),
-            indent + "    ",
-            lines,
-        )
-        return
-    if isinstance(node, SequentialNode):
+        _annotate(node.above, records, path + "/above", indent + "    ", lines)
+    elif isinstance(node, SequentialNode):
         if not node.steps:
-            lines.append(f"{indent}=> T  [reach={reach:.3f}]")
+            lines.append(f"{indent}=> T  [{reach}]")
             return
-        survival = 1.0
-        conditioner = distribution.sequential_conditioner(ranges)
-        parts = []
-        for step in node.steps:
-            binding = (step.predicate, step.attribute_index)
-            passed = conditioner.pass_probability(binding)
-            parts.append(f"{step.predicate.describe()} [pass={passed:.2f}]")
-            conditioner.condition_on(binding)
-            survival *= passed
-        lines.append(
-            f"{indent}seq: "
-            + " -> ".join(parts)
-            + f"  [reach={reach:.3f}, all-pass={survival:.3f}]"
+        # A zero-reach leaf's record holds no pass probabilities.
+        passes = record.step_passes or (None,) * len(node.steps)
+        chain = " -> ".join(
+            f"{step.predicate.describe()} [pass={_fmt(passed, 2)}]"
+            for step, passed in zip(node.steps, passes)
         )
-        return
-    if isinstance(node, VerdictLeaf):
+        survival = math.prod(record.step_passes) if record.step_passes else None
         lines.append(
-            f"{indent}=> {'T' if node.verdict else 'F'}  [reach={reach:.3f}]"
+            f"{indent}seq: {chain}  [{reach}, all-pass={_fmt(survival)}]"
         )
-        return
-    raise PlanError(f"unknown plan node type {type(node).__name__}")
+    else:
+        verdict = "T" if node.verdict else "F"
+        lines.append(f"{indent}=> {verdict}  [{reach}]")
 
 
 def attribute_acquisition_rates(
@@ -195,45 +180,18 @@ def attribute_acquisition_rates(
     """Fraction of tuples for which the plan acquires each attribute.
 
     The per-attribute analogue of Equation 4: multiplying each rate by the
-    attribute's cost and summing recovers the plan's empirical cost.
+    attribute's cost and summing recovers the plan's empirical cost.  The
+    rates are the column means of the walker's ``reads`` matrix
+    (:func:`~repro.core.cost.dataset_execution`).
     """
     matrix = np.asarray(data)
-    counts = {name: 0 for name in schema.names}
-
-    def walk(node: PlanNode, rows: np.ndarray, acquired: frozenset[int]) -> None:
-        if rows.size == 0 or isinstance(node, VerdictLeaf):
-            return
-        if isinstance(node, ConditionNode):
-            index = node.attribute_index
-            if index not in acquired:
-                counts[schema[index].name] += int(rows.size)
-                acquired = acquired | {index}
-            column = matrix[rows, index]
-            below = column < node.split_value
-            walk(node.below, rows[below], acquired)
-            walk(node.above, rows[~below], acquired)
-            return
-        if isinstance(node, SequentialNode):
-            from repro.core.cost import predicate_mask
-
-            alive = rows
-            local = set(acquired)
-            for step in node.steps:
-                if alive.size == 0:
-                    break
-                if step.attribute_index not in local:
-                    counts[schema[step.attribute_index].name] += int(alive.size)
-                    local.add(step.attribute_index)
-                satisfied = predicate_mask(
-                    step.predicate, matrix[alive, step.attribute_index]
-                )
-                alive = alive[satisfied]
-            return
-        raise PlanError(f"unknown plan node type {type(node).__name__}")
-
-    walk(plan, np.arange(matrix.shape[0]), frozenset())
+    reads = np.zeros(matrix.shape, dtype=bool)
+    dataset_execution(plan, matrix, schema, reads=reads)
     total = max(matrix.shape[0], 1)
-    return {name: count / total for name, count in counts.items()}
+    return {
+        name: int(count) / total
+        for name, count in zip(schema.names, reads.sum(axis=0))
+    }
 
 
 def plan_to_dot(plan: PlanNode, name: str = "plan") -> str:

@@ -13,8 +13,10 @@ Implements the paper's three cost quantities plus the Section 2.4 extension:
   node (keyed by the verifier's node paths): each node's reach-weighted
   share and its subtree's conditional cost, over zero-reach subtrees
   too.  The verifier's cost and certificate rules, the cost certificate
-  (:func:`repro.analysis.certify_plan`) and the drift predictions
-  (:func:`repro.obs.drift.predict_plan`) all read this one walk.
+  (:func:`repro.analysis.certify_plan`), EXPLAIN
+  (:func:`repro.core.analysis.annotate_plan`) and the drift monitor's
+  predictions (:class:`repro.obs.drift.DriftMonitor`, which
+  ``repro profile`` prints) all read this one walk.
 - :func:`expected_cost` — the scalar: the walk's root cost, which the
   planners price sequential leaves with.
 - :func:`combined_objective` — Section 2.4: ``C(P) + alpha * zeta(P)``,

@@ -48,7 +48,7 @@ _KIND_CONDITION = 0
 _KIND_SEQUENTIAL = 1
 _KIND_VERDICT = 2
 
-_MAX_CONDITION_ATTR = 0x3F  # 6 payload bits
+_PAYLOAD_MASK = 0x3F  # the 6 payload bits of a node's head byte
 _MAX_OFFSET = 0xFFFF
 _MAX_STEPS = 0xFF
 _FLAG_NEGATED = 0x01
@@ -106,7 +106,7 @@ def _emit(node: PlanNode, buffer: bytearray, address: int) -> int:
             cursor += 6
         return cursor
     if isinstance(node, ConditionNode):
-        if node.attribute_index > _MAX_CONDITION_ATTR:
+        if node.attribute_index > _PAYLOAD_MASK:
             raise PlanError(
                 f"condition attribute index {node.attribute_index} exceeds "
                 f"the format's 6-bit field"
@@ -168,7 +168,7 @@ def _parse(bytecode: bytes, address: int, schema: Schema) -> tuple[PlanNode, int
             cursor += 6
         return SequentialNode(steps=tuple(steps)), cursor
     if kind == _KIND_CONDITION:
-        attribute_index = head & _MAX_CONDITION_ATTR
+        attribute_index = head & _PAYLOAD_MASK
         split_value, below_address, above_address = struct.unpack_from(
             ">HHH", bytecode, address + 1
         )
@@ -232,7 +232,7 @@ class ByteCodeInterpreter:
             if kind == _KIND_VERDICT:
                 return bool(head & 0x01)
             if kind == _KIND_CONDITION:
-                attribute_index = head & _MAX_CONDITION_ATTR
+                attribute_index = head & _PAYLOAD_MASK
                 split_value, below_address, above_address = struct.unpack_from(
                     ">HHH", code, address + 1
                 )

@@ -60,7 +60,9 @@ class PlanExecutor:
 
     ``profile_sink`` (usually a :class:`repro.obs.PlanProfile`) receives
     per-node visit/branch/acquisition events from every execution this
-    executor performs; when ``None`` (the default) no bookkeeping happens.
+    executor performs, all produced by the vectorized walker
+    (:func:`~repro.core.cost.dataset_execution`); when ``None`` (the
+    default) no bookkeeping happens.
     Meaningful per-node counters assume the executor runs one plan — use
     one sink per plan, or a fresh executor per plan.
     """
@@ -95,13 +97,15 @@ class PlanExecutor:
         """
         if source.schema is not self._schema:
             raise PlanError("source schema differs from executor schema")
-        values = _SourceView(source)
-        if self._profile_sink is None:
-            verdict = plan.evaluate(values)
-        else:
-            from repro.obs.profile import profiled_evaluate
-
-            verdict = profiled_evaluate(plan, values, self._profile_sink)
+        verdict = plan.evaluate(_SourceView(source))
+        if self._profile_sink is not None:
+            # The walker replays the tuple from the values the plan read
+            # (cached by the source, so not charged again): the sink sees
+            # the events of a one-row dataset run.
+            row = np.zeros((1, len(self._schema)), dtype=np.int64)
+            for index in source.acquired_indices:
+                row[0, index] = source.acquire(index)
+            dataset_execution(plan, row, self._schema, observer=self._profile_sink)
         return ExecutionResult(
             verdict=verdict,
             cost=source.total_cost,

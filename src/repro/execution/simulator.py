@@ -318,47 +318,15 @@ class SensorNetworkSimulator:
     ) -> SimulationReport:
         """Answer an EXISTS query each epoch, stopping at the first match.
 
-        Motes are polled in descending historical match rate (supplied or
-        estimated from the fleet's own readings), so in correlated
-        deployments most epochs touch only the most promising mote —
-        Section 7's acquisition-saving generalization.
+        EXISTS is LIMIT 1 (:meth:`run_limit`): motes are polled in
+        descending historical match rate (supplied or estimated from the
+        fleet's own readings), so in correlated deployments most epochs
+        touch only the most promising mote — Section 7's
+        acquisition-saving generalization.
         """
-        horizon = self.epochs if epochs is None else min(int(epochs), self.epochs)
-        rates = training_match_rates or self._estimate_match_rates(query.inner)
-        order = sorted(
-            self._motes,
-            key=lambda mote: rates.get(mote.mote_id, 0.0),
-            reverse=True,
+        return self.run_limit(
+            plan, LimitQuery(query.inner, 1), training_match_rates, epochs
         )
-        report = SimulationReport(epochs=horizon)
-        dissemination = self.dissemination_cost(plan)
-        result_cost = self._result_bytes * self._radio_cost_per_byte
-        for mote in order:
-            report.dissemination_energy[mote.mote_id] = dissemination
-
-        # Pre-compute per-mote verdicts and costs; the polling loop then only
-        # charges the motes actually consulted each epoch.
-        executions = {
-            mote.mote_id: dataset_execution(
-                plan, mote.readings[:horizon], self._schema
-            )
-            for mote in order
-        }
-        for epoch in range(horizon):
-            for mote in order:
-                outcome = executions[mote.mote_id]
-                report.acquisition_energy[mote.mote_id] = (
-                    report.acquisition_energy.get(mote.mote_id, 0.0)
-                    + float(outcome.costs[epoch])
-                )
-                report.acquisitions_performed += 1
-                if outcome.verdicts[epoch]:
-                    report.matches += 1
-                    report.result_energy[mote.mote_id] = (
-                        report.result_energy.get(mote.mote_id, 0.0) + result_cost
-                    )
-                    break
-        return report
 
     def run_limit(
         self,
@@ -369,10 +337,11 @@ class SensorNetworkSimulator:
     ) -> SimulationReport:
         """Answer a LIMIT-k query each epoch with early termination.
 
-        Like :meth:`run_existential`, motes are polled in descending
-        historical match rate, but polling continues until ``k`` matches
-        are collected (or the fleet is exhausted) — the Section 7 "LIMIT
-        clause" generalization.
+        Motes are polled in descending historical match rate (supplied or
+        estimated from the fleet's own readings) until ``k`` matches are
+        collected (or the fleet is exhausted) — the Section 7 "LIMIT
+        clause" generalization.  Per-mote verdicts and costs are computed
+        up front; the polling loop only charges the motes consulted.
         """
         horizon = self.epochs if epochs is None else min(int(epochs), self.epochs)
         rates = training_match_rates or self._estimate_match_rates(query.inner)

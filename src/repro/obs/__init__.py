@@ -8,9 +8,10 @@ they run.  This package watches what plans *actually do*:
   (:class:`PlanProfile`) keyed by the verifier's stable node paths,
   collected through the pluggable
   :class:`~repro.core.cost.ExecutionObserver` hook;
-- :mod:`repro.obs.drift` — Eq. 3 decomposed per node
-  (:func:`predict_plan`) and scored against observations
-  (:class:`DriftMonitor`), the signal behind profile-drift replans;
+- :mod:`repro.obs.drift` — the plan's per-node Eq. 3 records
+  (:func:`repro.core.cost.cost_decomposition`) scored against
+  observations (:class:`DriftMonitor`), the signal behind profile-drift
+  replans;
 - :mod:`repro.obs.trace` — JSON-lines trace events from the serving
   layer (:class:`Tracer`), plus the distributed-tracing primitives the
   sharded tier propagates across processes (:class:`TraceContext`,
@@ -31,16 +32,9 @@ from repro.obs.drift import (
     CellDrift,
     DriftMonitor,
     DriftReport,
-    NodePrediction,
-    predict_plan,
 )
 from repro.obs.exposition import parse_prometheus, render_prometheus
-from repro.obs.profile import (
-    NodeCounters,
-    PlanProfile,
-    StepCounters,
-    profiled_evaluate,
-)
+from repro.obs.profile import NodeCounters, PlanProfile, StepCounters
 from repro.obs.report import profile_report_dict, render_profile_report
 from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.obs.trace import (
@@ -68,14 +62,11 @@ __all__ = [
     "CellDrift",
     "DriftMonitor",
     "DriftReport",
-    "NodePrediction",
-    "predict_plan",
     "parse_prometheus",
     "render_prometheus",
     "NodeCounters",
     "PlanProfile",
     "StepCounters",
-    "profiled_evaluate",
     "profile_report_dict",
     "render_profile_report",
     "TRACE_PHASES",

@@ -7,11 +7,12 @@ down the cheap branch starts sending 40%, a sequential step that used to
 kill most tuples stops killing them.  This module turns a
 :class:`~repro.obs.profile.PlanProfile` into exactly that comparison:
 
-- :func:`predict_plan` decomposes the Eq. 3 expected cost into per-node
-  predictions (reach probability, split probability, per-step pass
-  probability, and the node's expected cost contribution) keyed by the
-  verifier's node paths.  The per-node cost contributions sum to
-  ``expected_cost(plan, distribution)`` — the decomposition is exact.
+- the predictions are the plan's Eq. 3 records
+  (:func:`repro.core.cost.cost_decomposition`): per node, keyed by the
+  verifier's node paths, the reach probability, split probability,
+  per-step pass probabilities and expected cost contribution.  The
+  per-node cost contributions sum to ``expected_cost(plan,
+  distribution)`` — the decomposition is exact.
 - :class:`DriftMonitor` scores the divergence between those predictions
   and a profile's observed frequencies with a chi-square-style statistic,
   and reports the observed-vs-predicted cost ratio.
@@ -40,8 +41,6 @@ from repro.probability.base import Distribution
 from repro.verify.paths import step_path
 
 __all__ = [
-    "NodePrediction",
-    "predict_plan",
     "CellDrift",
     "DriftReport",
     "DriftMonitor",
@@ -51,70 +50,6 @@ __all__ = [
 
 PROBABILITY_CLAMP = 1e-3
 DEFAULT_DRIFT_THRESHOLD = 25.0
-
-
-@dataclass(frozen=True)
-class NodePrediction:
-    """What the planner's model expects of one plan node.
-
-    ``reach`` is the probability a tuple entering the root reaches this
-    node; ``cost`` is the node's expected acquisition-cost contribution
-    per root tuple (so all nodes' costs sum to the plan's Eq. 3 cost).
-    ``p_below`` is the split probability for condition nodes; for
-    sequential nodes ``step_pass[i]`` is the conditional pass probability
-    of step ``i`` given all earlier steps passed, and ``step_cost[i]``
-    its share of ``cost``.
-    """
-
-    reach: float
-    cost: float
-    p_below: float | None = None
-    step_pass: tuple[float, ...] = ()
-    step_cost: tuple[float, ...] = ()
-
-
-def predict_plan(
-    plan: PlanNode, distribution: Distribution
-) -> dict[str, NodePrediction]:
-    """Per-node Eq. 3 decomposition of a plan under ``distribution``.
-
-    A thin adapter over the shared
-    :func:`repro.core.cost.cost_decomposition` helper (the same ledger
-    the verifier's cost-conservation rules consume).  Returns
-    predictions keyed by the verifier's node paths.  Subtrees with zero
-    reach probability are recorded with zero reach/cost and no
-    probability predictions (the model has nothing to say about them —
-    but the *parent's* split probability still flags tuples arriving
-    there as drift).  Raises :class:`~repro.exceptions.PlanError` for
-    plans whose reachable nodes are structurally broken (infeasible
-    splits, out-of-range indices).
-    """
-    return _predictions(cost_decomposition(plan, distribution))
-
-
-def _predictions(
-    records: dict[str, NodeCostContribution]
-) -> dict[str, NodePrediction]:
-    predictions: dict[str, NodePrediction] = {}
-    for path, record in records.items():
-        if not record.feasible and record.reach > 0.0:
-            raise PlanError(record.detail)
-        if record.kind == "sequential":
-            predictions[path] = NodePrediction(
-                reach=record.reach,
-                cost=record.cost,
-                step_pass=record.step_passes,
-                step_cost=record.step_costs,
-            )
-        elif record.kind == "condition" and record.reach > 0.0:
-            predictions[path] = NodePrediction(
-                reach=record.reach,
-                cost=record.cost,
-                p_below=record.probability_below,
-            )
-        else:
-            predictions[path] = NodePrediction(reach=record.reach, cost=record.cost)
-    return predictions
 
 
 @dataclass(frozen=True)
@@ -200,7 +135,12 @@ class DriftMonitor:
     Predictions are computed once at construction (against the statistics
     the plan was built from), by one Eq. 3 walk that also supplies the
     plan's expected cost when ``expected`` is not given; :meth:`assess`
-    may then be called as often as desired against a live profile.  ``min_visits`` suppresses cells
+    may then be called as often as desired against a live profile.  A
+    zero-reach subtree has no probability predictions (the model has
+    nothing to say about it — but the parent's split probability still
+    flags tuples arriving there as drift); a reachable broken node
+    (infeasible split, out-of-range index) raises
+    :class:`~repro.exceptions.PlanError`.  ``min_visits`` suppresses cells
     with too few observations to be meaningful; ``threshold`` is compared
     against the *normalized* score (per-cell mean chi-square term, ~1
     under no drift).
@@ -225,7 +165,10 @@ class DriftMonitor:
     ) -> None:
         self._plan = plan
         records = cost_decomposition(plan, distribution)
-        self._predictions = _predictions(records)
+        for record in records.values():
+            if not record.feasible and record.reach > 0.0:
+                raise PlanError(record.detail)
+        self._predictions = records
         self._expected = expected if expected is not None else root_bound(records)
         self._min_visits = min_visits
         self._threshold = threshold
@@ -237,7 +180,8 @@ class DriftMonitor:
         return self._plan
 
     @property
-    def predictions(self) -> dict[str, NodePrediction]:
+    def predictions(self) -> dict[str, NodeCostContribution]:
+        """The plan's Eq. 3 records, keyed by node path."""
         return self._predictions
 
     @property
@@ -265,19 +209,19 @@ class DriftMonitor:
             if counters is None:
                 continue
             if (
-                prediction.p_below is not None
+                prediction.probability_below is not None
                 and counters.visits >= self._min_visits
             ):
                 cells.append(
                     self._cell(
                         path,
                         "split",
-                        prediction.p_below,
+                        prediction.probability_below,
                         counters.below_fraction,
                         counters.visits,
                     )
                 )
-            for position, passed in enumerate(prediction.step_pass):
+            for position, passed in enumerate(prediction.step_passes):
                 if position >= len(counters.steps):
                     break
                 step = counters.steps[position]

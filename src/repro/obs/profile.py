@@ -23,19 +23,16 @@ per tuple), which keeps the overhead bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core.attributes import Schema
-from repro.core.cost import ExecutionObserver
 from repro.core.plan import ConditionNode, PlanNode, SequentialNode, VerdictLeaf
-from repro.exceptions import PlanError
 from repro.verify.paths import ROOT_PATH
 
 __all__ = [
     "StepCounters",
     "NodeCounters",
     "PlanProfile",
-    "profiled_evaluate",
 ]
 
 
@@ -281,44 +278,3 @@ class PlanProfile:
             },
         }
 
-
-def profiled_evaluate(
-    plan: PlanNode, values: Sequence[int], sink: ExecutionObserver
-) -> bool:
-    """Per-tuple plan evaluation that feeds ``sink`` node-by-node.
-
-    Mirrors :meth:`repro.core.plan.PlanNode.evaluate` — same traversal,
-    same first-read-per-tuple acquisition semantics — while emitting the
-    same event stream the vectorized walker produces with batch size 1.
-    ``values`` may be any indexable (including the executor's metered
-    acquisition-source view).
-    """
-    acquired: set[int] = set()
-
-    def walk(node: PlanNode, path: str) -> bool:
-        if isinstance(node, ConditionNode):
-            index = node.attribute_index
-            newly = index not in acquired
-            acquired.add(index)
-            below = values[index] < node.split_value
-            sink.on_condition(path, node, 1, 1 if below else 0, newly)
-            if below:
-                return walk(node.below, path + "/below")
-            return walk(node.above, path + "/above")
-        if isinstance(node, SequentialNode):
-            sink.on_sequential(path, node, 1)
-            for position, step in enumerate(node.steps):
-                index = step.attribute_index
-                newly = index not in acquired
-                acquired.add(index)
-                passed = step.predicate.satisfied_by(values[index])
-                sink.on_step(path, node, position, 1, 1 if passed else 0, newly)
-                if not passed:
-                    return False
-            return True
-        if isinstance(node, VerdictLeaf):
-            sink.on_verdict(path, node, 1)
-            return node.verdict
-        raise PlanError(f"unknown plan node type {type(node).__name__}")
-
-    return walk(plan, ROOT_PATH)

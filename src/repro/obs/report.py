@@ -3,8 +3,9 @@
 Combines three sources into one annotated plan tree:
 
 - the plan structure itself;
-- the planner's per-node Eq. 3 predictions
-  (:func:`repro.obs.drift.predict_plan`);
+- the planner's per-node Eq. 3 predictions: the records of
+  :func:`repro.core.cost.cost_decomposition`, as
+  :attr:`repro.obs.drift.DriftMonitor.predictions` holds them;
 - a :class:`~repro.obs.profile.PlanProfile` of what actually happened.
 
 Every line shows predicted-vs-observed side by side — reach and split
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.analysis import _fmt
+from repro.core.cost import NodeCostContribution
 from repro.core.plan import (
     ConditionNode,
     PlanNode,
@@ -24,7 +27,7 @@ from repro.core.plan import (
     VerdictLeaf,
 )
 from repro.exceptions import PlanError
-from repro.obs.drift import DriftMonitor, NodePrediction
+from repro.obs.drift import DriftMonitor
 from repro.obs.profile import NodeCounters, PlanProfile
 from repro.probability.base import Distribution
 from repro.verify.paths import ROOT_PATH, step_path
@@ -34,10 +37,6 @@ __all__ = ["render_profile_report", "profile_report_dict"]
 
 def _fraction(numerator: int, denominator: int) -> float | None:
     return numerator / denominator if denominator else None
-
-
-def _fmt(value: float | None, digits: int = 3) -> str:
-    return "-" if value is None else f"{value:.{digits}f}"
 
 
 class _ReportBuilder:
@@ -68,7 +67,7 @@ class _ReportBuilder:
     def counters(self, path: str) -> NodeCounters | None:
         return self.profile.counters(path)
 
-    def prediction(self, path: str) -> NodePrediction | None:
+    def prediction(self, path: str) -> NodeCostContribution | None:
         return self.predictions.get(path)
 
     def observed_reach(self, path: str) -> float | None:
@@ -126,7 +125,9 @@ class _ReportBuilder:
         reach_obs = self.observed_reach(path)
         visits = counters.visits if counters is not None else 0
         if isinstance(node, ConditionNode):
-            p_pred = prediction.p_below if prediction is not None else None
+            p_pred = (
+                prediction.probability_below if prediction is not None else None
+            )
             p_obs = (
                 _fraction(counters.below, counters.visits)
                 if counters is not None
@@ -160,9 +161,9 @@ class _ReportBuilder:
             )
             for position, step in enumerate(node.steps):
                 pass_pred = (
-                    prediction.step_pass[position]
+                    prediction.step_passes[position]
                     if prediction is not None
-                    and position < len(prediction.step_pass)
+                    and position < len(prediction.step_passes)
                     else None
                 )
                 if counters is not None and position < len(counters.steps):
@@ -231,16 +232,16 @@ def profile_report_dict(
                 round(cost_obs, 6) if cost_obs is not None else None
             ),
         }
-        if prediction.p_below is not None:
-            entry["p_below_predicted"] = round(prediction.p_below, 6)
+        if prediction.probability_below is not None:
+            entry["p_below_predicted"] = round(prediction.probability_below, 6)
             entry["p_below_observed"] = (
                 _fraction(counters.below, counters.visits)
                 if counters is not None
                 else None
             )
-        if prediction.step_pass:
+        if prediction.step_passes:
             entry["step_pass_predicted"] = [
-                round(value, 6) for value in prediction.step_pass
+                round(value, 6) for value in prediction.step_passes
             ]
             entry["step_pass_observed"] = [
                 (

@@ -15,9 +15,10 @@ Six rule families:
 
 - **semantic equivalence** — every root-to-leaf path decides exactly
   the query's conjuncts (``SEM*``);
-- **range soundness** — degenerate splits and splits under a context
-  that already decides the query are flagged (``RNG*``, ``STR*``); a
-  split that cannot partition its context is ``DF004``;
+- **range soundness** — splits under a context that already decides
+  the query are flagged (``RNG*``, ``STR*``); a split that cannot
+  partition its context, one below the domain minimum included, is
+  ``DF004`` (a byte string's degenerate split is ``RNG003``);
 - **cost conservation** — the claimed expected cost matches an
   independent Equation 3 recomputation and branch probabilities are
   sound (``COST*``);

@@ -21,17 +21,19 @@ import struct
 
 from repro.core.attributes import Schema
 from repro.core.plan import PlanNode
-from repro.execution.bytecode import compile_plan, decompile_plan
+from repro.execution.bytecode import (
+    _FLAG_NEGATED,
+    _KIND_CONDITION,
+    _KIND_SEQUENTIAL,
+    _KIND_VERDICT,
+    _PAYLOAD_MASK,
+    compile_plan,
+    decompile_plan,
+)
 from repro.exceptions import ReproError
 from repro.verify.diagnostics import Diagnostic, Severity, make_diagnostic
 
 __all__ = ["check_bytecode", "MAX_VERIFIABLE_DEPTH"]
-
-_KIND_CONDITION = 0
-_KIND_SEQUENTIAL = 1
-_KIND_VERDICT = 2
-_PAYLOAD_MASK = 0x3F
-_FLAG_NEGATED = 0x01
 
 # Guard for the checker's (and decompiler's) recursion; far above any plan a
 # planner emits, far below Python's recursion limit.

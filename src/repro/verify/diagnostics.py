@@ -60,7 +60,8 @@ class Severity(enum.Enum):
 # analyzer and repro-lint implement.  Stable: codes are never renumbered
 # or reused for a different rule.  Retired, so never reused: RNG001 (now
 # DF004), SEM004 (now DF002) and DF001 (now DF004 on the dead branch's
-# parent) reported the same facts twice.
+# parent) reported the same facts twice.  RNG003 is the bytecode check's
+# only: in a tree a split below the domain minimum is DF004.
 CATALOG: dict[str, tuple[Severity, str]] = {
     # Structural soundness (plan tree vs schema)
     "STR001": (Severity.ERROR, "unknown plan node type"),
@@ -76,7 +77,7 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "SEM007": (Severity.ERROR, "sequential leaf under a non-conjunctive query"),
     # Range soundness (condition splits vs reachable context)
     "RNG002": (Severity.WARNING, "condition split below an already-decided context"),
-    "RNG003": (Severity.ERROR, "degenerate split below the domain minimum"),
+    "RNG003": (Severity.ERROR, "degenerate split below the domain minimum (bytecode only)"),
     # Cost conservation (Equation 3, given a probability model)
     "COST001": (Severity.ERROR, "claimed expected cost disagrees with Eq. 3 recomputation"),
     "COST002": (Severity.ERROR, "branch probability outside [0, 1]"),

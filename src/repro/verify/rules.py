@@ -8,9 +8,9 @@ condition splits on the path from the root (Section 3.2) — and the
 query's truth there.  The context is what makes the checks static: a
 leaf is judged against what the splits above it *prove* about the
 tuple, never by executing the plan.  A node the rules cannot look below
-(``STR002``, ``RNG003``, or a split the context already decides, which
-``DF004`` reports) hides its subtree from these rules: nothing below it
-is reported.  The ``DF002``-``DF004`` rules
+(``STR002``, or a split the context already decides, which ``DF004``
+reports — a split below the domain minimum among them) hides its subtree
+from these rules: nothing below it is reported.  The ``DF002``-``DF004`` rules
 (:func:`repro.analysis.checks.check_dataflow`) run on the same pass, so
 each proven fact has one code.
 
@@ -26,7 +26,7 @@ time), while verdict leaves are still checked against ``truth_under``.
 
 The cost rules read the per-node Equation 3 decomposition
 (:func:`repro.core.cost.cost_decomposition` — the same walk behind the
-cost certificate and :func:`repro.obs.drift.predict_plan`):
+cost certificate, EXPLAIN and the drift monitor's predictions):
 probability-sanity checks run over its per-node records, and the summed
 reach-weighted costs must agree with the root's conditional bound, as
 must any claimed cost the planner reported.
@@ -147,19 +147,11 @@ def _check_node(
                 f"{index} is {attribute.name!r}",
             )
         )
-    if node.split_value < 2:
-        findings.append(
-            make_diagnostic(
-                "RNG003",
-                path,
-                f"split at {node.split_value} is below the 1-based "
-                "domain minimum; the below branch is empty",
-            )
-        )
-        return False
     interval = ranges[index]
     if not interval.low < node.split_value <= interval.high:
-        return False  # decided: DF004
+        # Decided: DF004, which also covers a split below the 1-based
+        # domain minimum.
+        return False
     if facts.query_truth not in (None, Truth.UNDETERMINED):
         findings.append(
             make_diagnostic(

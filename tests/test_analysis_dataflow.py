@@ -104,8 +104,7 @@ class TestMutationsFire:
     """Each seeded mutation fires its documented code."""
 
     @pytest.mark.parametrize(
-        "name",
-        ["dead-branch", "decided-step", "redundant-reacquisition", "infeasible-split"],
+        "name", ["decided-step", "redundant-reacquisition", "infeasible-split"]
     )
     def test_case_fires_expected_code(self, query, schema, name):
         case = {c.name: c for c in dataflow_mutations(query)}[name]
@@ -248,7 +247,7 @@ class TestRender:
 
 class TestVerifierIntegration:
     def test_verify_plan_runs_dataflow_rules(self, schema, query):
-        case = {c.name: c for c in dataflow_mutations(query)}["dead-branch"]
+        case = {c.name: c for c in dataflow_mutations(query)}["infeasible-split"]
         report = verify_plan(case.plan, schema, query=query)
         assert "DF004" in codes(report.diagnostics)
 

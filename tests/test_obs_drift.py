@@ -13,12 +13,7 @@ from repro.core import (
     dataset_execution,
     expected_cost,
 )
-from repro.obs import (
-    DEFAULT_DRIFT_THRESHOLD,
-    DriftMonitor,
-    PlanProfile,
-    predict_plan,
-)
+from repro.obs import DEFAULT_DRIFT_THRESHOLD, DriftMonitor, PlanProfile
 from repro.planning import CorrSeqPlanner, GreedyConditionalPlanner
 from repro.probability import EmpiricalDistribution
 from repro.verify import ROOT_PATH
@@ -70,8 +65,10 @@ def planned(query, distribution):
 
 
 class TestPredictPlan:
+    """The monitor's predictions: the plan's Eq. 3 records."""
+
     def test_per_node_costs_sum_to_eq3(self, planned, distribution):
-        predictions = predict_plan(planned.plan, distribution)
+        predictions = DriftMonitor(planned.plan, distribution).predictions
         total = sum(prediction.cost for prediction in predictions.values())
         assert total == pytest.approx(
             expected_cost(planned.plan, distribution), abs=1e-9
@@ -79,22 +76,23 @@ class TestPredictPlan:
         assert total == pytest.approx(planned.expected_cost, abs=1e-9)
 
     def test_root_reach_is_one(self, planned, distribution):
-        predictions = predict_plan(planned.plan, distribution)
+        predictions = DriftMonitor(planned.plan, distribution).predictions
         assert predictions[ROOT_PATH].reach == pytest.approx(1.0)
 
     def test_covers_every_plan_node(self, planned, distribution):
         from repro.verify import iter_plan_paths
 
-        predictions = predict_plan(planned.plan, distribution)
+        predictions = DriftMonitor(planned.plan, distribution).predictions
         assert set(predictions) == {
             path for path, _node in iter_plan_paths(planned.plan)
         }
 
     def test_probabilities_are_valid(self, planned, distribution):
-        for prediction in predict_plan(planned.plan, distribution).values():
-            if prediction.p_below is not None:
-                assert 0.0 <= prediction.p_below <= 1.0
-            for passed in prediction.step_pass:
+        predictions = DriftMonitor(planned.plan, distribution).predictions
+        for prediction in predictions.values():
+            if prediction.probability_below is not None:
+                assert 0.0 <= prediction.probability_below <= 1.0
+            for passed in prediction.step_passes:
                 assert 0.0 <= passed <= 1.0
 
 

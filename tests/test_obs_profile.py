@@ -10,7 +10,8 @@ from repro.core import (
     Schema,
     dataset_execution,
 )
-from repro.obs import PlanProfile, profiled_evaluate
+from repro.execution import PlanExecutor
+from repro.obs import PlanProfile
 from repro.planning import CorrSeqPlanner, GreedyConditionalPlanner
 from repro.probability import EmpiricalDistribution
 from repro.verify import ROOT_PATH
@@ -128,16 +129,19 @@ class TestPlanProfile:
 
 
 class TestProfiledEvaluate:
+    """Per-tuple profiling: a PlanExecutor with a profile sink."""
+
     def test_matches_vectorized_event_stream(self, schema, plan, train):
         rows = train[:400]
         vectorized = PlanProfile(schema)
         dataset_execution(plan, rows, schema, observer=vectorized)
         per_tuple = PlanProfile(schema)
+        executor = PlanExecutor(schema, profile_sink=per_tuple)
         for row in rows:
-            profiled_evaluate(plan, row, per_tuple)
+            executor.execute(plan, row)
         assert per_tuple.as_dict() == vectorized.as_dict()
 
     def test_verdicts_match_plan_evaluate(self, schema, plan, train):
-        profile = PlanProfile(schema)
+        executor = PlanExecutor(schema, profile_sink=PlanProfile(schema))
         for row in train[:200]:
-            assert profiled_evaluate(plan, row, profile) == plan.evaluate(row)
+            assert executor.execute(plan, row).verdict == plan.evaluate(row)

@@ -227,3 +227,20 @@ class TestLimitQueries:
         )
         report = sim.run_limit(temp_plan(), query)
         assert report.matches == epochs  # one match per epoch available
+
+    @pytest.mark.parametrize("rates", [None, {1: 0.9, 2: 0.1, 3: 0.5}])
+    def test_exists_is_limit_one(self, schema, rates):
+        from repro.core import LimitQuery
+
+        sim = SensorNetworkSimulator(
+            schema, make_motes(schema, seed=4, epochs=40), radio_cost_per_byte=0.5
+        )
+        inner = ConjunctiveQuery(schema, [RangePredicate("temp", 4, 4)])
+        exists = sim.run_existential(
+            temp_plan(), ExistentialQuery(inner), training_match_rates=rates, epochs=30
+        )
+        limit = sim.run_limit(
+            temp_plan(), LimitQuery(inner, 1), training_match_rates=rates, epochs=30
+        )
+        assert exists == limit
+        assert exists.matches > 0 and exists.result_energy

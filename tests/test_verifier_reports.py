@@ -232,7 +232,7 @@ def _edge_reports(schema, query, distribution) -> dict[str, list[list[str]]]:
         above=VerdictLeaf(verdict=True),
     )
     # The constructor rejects a split at the domain minimum; a decoded
-    # byte string can still carry one (RNG003).
+    # byte string can still carry one (DF004).
     object.__setattr__(degenerate, "split_value", 1)
     repeated = ConditionNode(
         attribute=name,

@@ -47,7 +47,7 @@ from repro.engine import AcquisitionalEngine
 from repro.engine.language import parse_query
 from repro.exceptions import PlanError
 from repro.learn.workloads import adversarial_stream
-from repro.obs.drift import predict_plan
+from repro.obs.drift import DriftMonitor
 from repro.planning import CorrSeqPlanner, ExhaustivePlanner, GreedyConditionalPlanner
 from repro.probability import EmpiricalDistribution
 from repro.service import AcquisitionalService
@@ -306,7 +306,9 @@ class TestRewriterWalks:
         self, monkeypatch, schema, query, rewritten
     ):
         cases = {case.name: case.plan for case in dataflow_mutations(query)}
-        plan = cases["dead-branch"] if rewritten else canonical_conditional_plan(query)
+        plan = (
+            cases["infeasible-split"] if rewritten else canonical_conditional_plan(query)
+        )
         counts = self._counters(monkeypatch)
         optimized = optimize_plan(plan, schema, query=query)
         assert (optimized != plan) == rewritten
@@ -413,7 +415,7 @@ class TestBrokenNodes:
         plan = _split(schema, 0, 2, VerdictLeaf(verdict=True), VerdictLeaf(verdict=True))
         object.__setattr__(plan, "split_value", 1)  # as a decoded byte string may
         findings = check_tree(plan, schema, query=query)
-        assert sorted(d.code for d in findings) == ["DF004", "RNG003"]
+        assert sorted(d.code for d in findings) == ["DF004"]
         assert self._below(findings, "root") == []
 
     def test_unreachable_split_hides_its_subtree(self, schema, query):
@@ -432,7 +434,9 @@ class TestBrokenNodes:
         plan = _split(schema, 0, 5, below, leaf_for(query, RangeVector.full(schema)))
         with pytest.raises(PlanError, match="outside the reachable range"):
             certify_plan(plan, dead_model)
-        predictions = predict_plan(plan, dead_model)
+        # Given its expected cost, the monitor raises only for a broken
+        # node a tuple can reach.
+        predictions = DriftMonitor(plan, dead_model, expected=1.0).predictions
         assert set(predictions) == {path for path, _node in iter_plan_paths(plan)}
         assert predictions["root/below"].reach == 0.0
         report = verify_plan(plan, schema, query=query, distribution=dead_model)
