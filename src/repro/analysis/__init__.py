@@ -15,7 +15,8 @@ pass sit:
   dead branch it implies) — verifier-grade findings the plan verifier,
   lint gate, and cache admission pick up automatically;
 - cost-bound certificates (:mod:`~repro.analysis.certificates`): per
-  subtree Eq. 3 expected-cost claims read off the one Eq. 3 walk
+  subtree Eq. 3 expected-cost claims, issued by the planners' own
+  searches or read off the one Eq. 3 walk
   (:func:`repro.core.cost.cost_decomposition`), which
   :func:`~repro.analysis.certificates.check_certificate` re-derives,
   emitting ``DF101`` on any lie;
@@ -30,6 +31,7 @@ pass sit:
 from repro.analysis.certificates import (
     CostCertificate,
     admissible_lower_bound,
+    carry_certificate,
     certify_plan,
     check_certificate,
 )
@@ -58,6 +60,7 @@ __all__ = [
     "check_dataflow",
     "CostCertificate",
     "certify_plan",
+    "carry_certificate",
     "admissible_lower_bound",
     "check_certificate",
     "optimize_plan",

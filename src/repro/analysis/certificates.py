@@ -3,14 +3,25 @@
 A :class:`CostCertificate` attaches to a plan a claimed Equation 3
 expected cost for every subtree, keyed by the verifier's node paths and
 conditioned on the subtree's range context (the cost is *per tuple
-reaching the node*).  Producers:
+reaching the node*).  Each certificate has one producer:
 
-- :meth:`repro.planning.ExhaustivePlanner` exports the bounds straight
-  from its dynamic-programming cache — the claims really are the DP
-  optima;
+- :class:`repro.planning.GreedyConditionalPlanner` (Heuristic-k) reads
+  the bounds off its own scoring passes (``source="greedy-passes"``): a
+  leaf's bound is the cost its pass priced its sequential plan at, a
+  split's sums its children with the probability the pass chose it with;
+- :class:`repro.planning.ExhaustivePlanner` exports them straight from
+  its dynamic-programming cache (``"exhaustive-dp"``) — the claims
+  really are the DP optima;
 - :func:`certify_plan` reads them off the one Eq. 3 walk,
-  :func:`~repro.core.cost.cost_decomposition` (the fallback used by the
-  heuristic planners, the service's re-certification and the CLI).
+  :func:`~repro.core.cost.cost_decomposition` (``"eq3"``: the corpora,
+  the CLI and tests).
+
+Both planners sum a split with :func:`~repro.core.cost.condition_bound`,
+the walk's own operation order, and carry their claims over a rewrite
+with :func:`carry_certificate`, which prices only the rewritten
+subtrees.  The service's refit re-costs a cached plan with its own
+:func:`~repro.core.cost.cost_decomposition` walk and issues no
+certificate.
 
 :func:`check_certificate` then re-derives every claim from that walk and
 emits ``DF101`` (ERROR) when a claim diverges from the Eq. 3
@@ -29,9 +40,15 @@ from typing import Any, Mapping
 
 from repro.analysis.dataflow import AnyQuery
 from repro.core.attributes import Schema
-from repro.core.cost import NodeCostContribution, cost_decomposition, root_bound
+from repro.core.cost import (
+    NodeCostContribution,
+    acquisition_charge,
+    condition_bound,
+    cost_decomposition,
+    root_bound,
+)
 from repro.core.cost_models import AcquisitionCostModel
-from repro.core.plan import PlanNode
+from repro.core.plan import ConditionNode, PlanNode
 from repro.core.predicates import Truth
 from repro.core.ranges import RangeVector
 from repro.exceptions import PlanError
@@ -42,6 +59,7 @@ from repro.verify.rules import DEFAULT_COST_TOLERANCE
 __all__ = [
     "CostCertificate",
     "certify_plan",
+    "carry_certificate",
     "admissible_lower_bound",
     "check_certificate",
     "certificate_findings",
@@ -54,8 +72,9 @@ class CostCertificate:
 
     ``bounds[path]`` is the claimed Eq. 3 expected cost of the subtree
     rooted at ``path``, conditioned on the subtree's range context.
-    ``source`` records who issued the claims (``"eq3"`` for the
-    recomputation fallback, ``"exhaustive-dp"`` for the DP cache).
+    ``source`` records who issued the claims (``"greedy-passes"`` for
+    the Heuristic-k scoring passes, ``"exhaustive-dp"`` for the DP cache,
+    ``"eq3"`` for :func:`certify_plan`).
     """
 
     bounds: Mapping[str, float] = field(default_factory=dict)
@@ -94,6 +113,85 @@ def certify_plan(
     root_bound(records)  # raises on a broken node
     bounds = {path: r.bound for path, r in records.items() if r.bound is not None}
     return CostCertificate(bounds=bounds, source="eq3")
+
+
+def carry_certificate(
+    plan: PlanNode,
+    certificate: CostCertificate,
+    rewritten: PlanNode,
+    distribution: Distribution,
+    ranges: RangeVector | None = None,
+    cost_model: AcquisitionCostModel | None = None,
+) -> CostCertificate:
+    """Carry ``certificate``, issued for ``plan``, over to its rewrite.
+
+    A subtree of ``rewritten`` equal to ``plan``'s subtree at the same
+    path, under the same ancestor splits, has the same range context, so
+    it keeps its claims.  Each rewritten subtree is priced by one
+    :func:`~repro.core.cost.cost_decomposition` under its context, and
+    each ancestor kept above one is re-summed with
+    :func:`~repro.core.cost.condition_bound`.  The claims thus equal
+    :func:`certify_plan`'s on ``rewritten`` wherever ``certificate``'s
+    equal them on ``plan``.  Raises :class:`~repro.exceptions.PlanError`
+    when a re-priced subtree holds a broken node.
+    """
+    schema = distribution.schema
+    bounds: dict[str, float] = {}
+
+    def keep(node: PlanNode, path: str) -> None:
+        claim = certificate.bounds.get(path)
+        if claim is not None:
+            bounds[path] = claim
+        if isinstance(node, ConditionNode):
+            keep(node.below, path + "/below")
+            keep(node.above, path + "/above")
+
+    def price(node: PlanNode, context: RangeVector, path: str) -> float:
+        records = cost_decomposition(node, distribution, context, cost_model)
+        bound = root_bound(records)
+        for key, record in records.items():
+            assert record.bound is not None  # root_bound found no broken node
+            bounds[path + key[4:]] = record.bound
+        return bound
+
+    def walk(
+        old: PlanNode, new: PlanNode, context: RangeVector, path: str
+    ) -> float | None:
+        if new == old:
+            keep(new, path)
+            return bounds.get(path)
+        if not (
+            isinstance(old, ConditionNode)
+            and isinstance(new, ConditionNode)
+            and (old.attribute_index, old.split_value)
+            == (new.attribute_index, new.split_value)
+        ):
+            return price(new, context, path)
+        bounds[path] = 0.0  # holds the pre-order slot until the sum below
+        index = new.attribute_index
+        below_context, above_context = context.split(index, new.split_value)
+        below = walk(old.below, new.below, below_context, path + "/below")
+        above = walk(old.above, new.above, above_context, path + "/above")
+        probability = distribution.split_probability(
+            index, new.split_value, context
+        )
+        if (probability > 0.0 and below is None) or (
+            probability < 1.0 and above is None
+        ):
+            # A live side the certificate made no claim for: price it all.
+            return price(new, context, path)
+        bound = condition_bound(
+            acquisition_charge(index, context, schema, cost_model),
+            probability,
+            0.0 if below is None else below,
+            0.0 if above is None else above,
+        )
+        bounds[path] = bound
+        return bound
+
+    context = ranges if ranges is not None else RangeVector.full(schema)
+    walk(plan, rewritten, context, "root")
+    return CostCertificate(bounds=bounds, source=certificate.source)
 
 
 def admissible_lower_bound(

@@ -49,6 +49,8 @@ __all__ = [
     "expected_cost",
     "cost_decomposition",
     "root_bound",
+    "condition_bound",
+    "acquisition_charge",
     "NodeCostContribution",
     "combined_objective",
     "DatasetExecution",
@@ -423,7 +425,7 @@ def cost_decomposition(
                 walk(node.above, None, 0.0, path + "/above")
             return None
         index = node.attribute_index
-        acquisition = _charge(index, node_ranges, schema, cost_model)
+        acquisition = acquisition_charge(index, node_ranges, schema, cost_model)
         probability = distribution.split_probability(
             index, node.split_value, node_ranges
         )
@@ -434,11 +436,7 @@ def cost_decomposition(
         )
         bound = None
         if below is not None and above is not None:
-            bound = acquisition
-            if probability > 0.0:
-                bound += probability * below
-            if probability < 1.0:
-                bound += (1.0 - probability) * above
+            bound = condition_bound(acquisition, probability, below, above)
         records[path] = NodeCostContribution(
             path=path, kind="condition", reach=reach,
             acquisition=acquisition if live else 0.0, cost=reach * acquisition,
@@ -465,11 +463,29 @@ def root_bound(records: dict[str, NodeCostContribution]) -> float:
     return bound
 
 
-def _charge(
+def condition_bound(
+    acquisition: float, probability: float, below: float, above: float
+) -> float:
+    """A condition node's Eq. 3 bound from its children's bounds.
+
+    ``acquisition + p * below + (1 - p) * above`` in this one operation
+    order, leaving out a branch whose probability is 0; every producer
+    of a subtree bound (the walk, the planners' certificates) sums here,
+    so equal inputs give bit-equal bounds.
+    """
+    bound = acquisition
+    if probability > 0.0:
+        bound += probability * below
+    if probability < 1.0:
+        bound += (1.0 - probability) * above
+    return bound
+
+
+def acquisition_charge(
     index: int,
     ranges: RangeVector,
     schema: Schema,
-    cost_model: AcquisitionCostModel | None,
+    cost_model: AcquisitionCostModel | None = None,
 ) -> float:
     """What a condition node pays to read attribute ``index`` in ``ranges``."""
     if ranges.is_acquired(index):

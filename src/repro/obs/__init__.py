@@ -35,7 +35,7 @@ from repro.obs.drift import (
 )
 from repro.obs.exposition import parse_prometheus, render_prometheus
 from repro.obs.profile import NodeCounters, PlanProfile, StepCounters
-from repro.obs.report import profile_report_dict, render_profile_report
+from repro.obs.report import profile_report
 from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.obs.trace import (
     TRACE_PHASES,
@@ -67,8 +67,7 @@ __all__ = [
     "NodeCounters",
     "PlanProfile",
     "StepCounters",
-    "profile_report_dict",
-    "render_profile_report",
+    "profile_report",
     "TRACE_PHASES",
     "TraceEvent",
     "Tracer",

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.cost import NodeCostContribution, cost_decomposition, root_bound
+from repro.core.cost import NodeCostContribution, cost_decomposition
 from repro.core.plan import PlanNode
 from repro.exceptions import PlanError
 from repro.obs.profile import PlanProfile
@@ -81,7 +81,11 @@ class CellDrift:
 
 @dataclass(frozen=True)
 class DriftReport:
-    """Outcome of one :meth:`DriftMonitor.assess` call."""
+    """Outcome of one :meth:`DriftMonitor.assess` call.
+
+    ``drifts`` holds every scored cell, in prediction order (what a
+    profile report flags per node); :attr:`worst` the three largest.
+    """
 
     score: float
     cells: int
@@ -91,8 +95,13 @@ class DriftReport:
     cost_ratio: float
     tuples: int
     drifted: bool
-    worst: tuple[CellDrift, ...] = field(default=())
+    drifts: tuple[CellDrift, ...] = field(default=())
     debounced: bool = False
+
+    @property
+    def worst(self) -> tuple[CellDrift, ...]:
+        """The three cells with the largest terms, largest first."""
+        return tuple(sorted(self.drifts, key=lambda cell: cell.term, reverse=True)[:3])
 
     def describe(self) -> str:
         if self.debounced:
@@ -134,7 +143,9 @@ class DriftMonitor:
 
     Predictions are computed once at construction (against the statistics
     the plan was built from), by one Eq. 3 walk that also supplies the
-    plan's expected cost when ``expected`` is not given; :meth:`assess`
+    plan's expected cost when ``expected`` is not given (the root's bound;
+    the summed live record costs when a broken node no tuple reaches
+    leaves the root without one); :meth:`assess`
     may then be called as often as desired against a live profile.  A
     zero-reach subtree has no probability predictions (the model has
     nothing to say about it — but the parent's split probability still
@@ -169,7 +180,11 @@ class DriftMonitor:
             if not record.feasible and record.reach > 0.0:
                 raise PlanError(record.detail)
         self._predictions = records
-        self._expected = expected if expected is not None else root_bound(records)
+        if expected is None:
+            expected = records["root"].bound
+            if expected is None:
+                expected = sum(record.cost for record in records.values())
+        self._expected = expected
         self._min_visits = min_visits
         self._threshold = threshold
         self._debounce = debounce
@@ -247,9 +262,6 @@ class DriftMonitor:
             ratio = observed / self._expected
         else:
             ratio = float("inf") if observed > 0.0 else 1.0
-        worst = tuple(
-            sorted(cells, key=lambda cell: cell.term, reverse=True)[:3]
-        )
         crossed = bool(cells) and normalized > self._threshold
         debounced = crossed and self._debounce and self._fired
         drifted = crossed and not debounced
@@ -265,7 +277,7 @@ class DriftMonitor:
             tuples=profile.tuples,
             drifted=drifted,
             debounced=debounced,
-            worst=worst,
+            drifts=tuple(cells),
         )
 
     @staticmethod

@@ -32,7 +32,7 @@ from repro.obs.profile import NodeCounters, PlanProfile
 from repro.probability.base import Distribution
 from repro.verify.paths import ROOT_PATH, step_path
 
-__all__ = ["render_profile_report", "profile_report_dict"]
+__all__ = ["profile_report"]
 
 
 def _fraction(numerator: int, denominator: int) -> float | None:
@@ -53,10 +53,10 @@ class _ReportBuilder:
         self.predictions = monitor.predictions
         self.schema = distribution.schema
         self.tuples = profile.tuples
-        self.drift_terms = {
-            cell.path: cell.term for cell in monitor.cell_drifts(profile)
-        }
+        # One assessment per report: it scores every cell once, and the
+        # monitor's debounce latch sees one crossing.
         self.report = monitor.assess(profile)
+        self.drift_terms = {cell.path: cell.term for cell in self.report.drifts}
 
     def flag(self, path: str) -> str:
         term = self.drift_terms.get(path)
@@ -91,6 +91,49 @@ class _ReportBuilder:
             )
         return predicted, observed
 
+    def as_dict(self) -> dict[str, Any]:
+        nodes: dict[str, Any] = {}
+        for path, prediction in self.predictions.items():
+            counters = self.counters(path)
+            cost_pred, cost_obs = self.node_costs(path)
+            entry: dict[str, Any] = {
+                "reach_predicted": round(prediction.reach, 6),
+                "reach_observed": self.observed_reach(path),
+                "cost_predicted": (
+                    round(cost_pred, 6) if cost_pred is not None else None
+                ),
+                "cost_observed": (
+                    round(cost_obs, 6) if cost_obs is not None else None
+                ),
+            }
+            if prediction.probability_below is not None:
+                entry["p_below_predicted"] = round(prediction.probability_below, 6)
+                entry["p_below_observed"] = (
+                    _fraction(counters.below, counters.visits)
+                    if counters is not None
+                    else None
+                )
+            if prediction.step_passes:
+                entry["step_pass_predicted"] = [
+                    round(value, 6) for value in prediction.step_passes
+                ]
+                entry["step_pass_observed"] = [
+                    (
+                        _fraction(tallies.passed, tallies.evaluated)
+                        if counters is not None
+                        else None
+                    )
+                    for tallies in (counters.steps if counters is not None else [])
+                ]
+            if counters is not None:
+                entry["observed"] = counters.as_dict()
+            nodes[path] = entry
+        return {
+            "drift": self.report.as_dict(),
+            "tuples": self.tuples,
+            "nodes": nodes,
+        }
+
     # ------------------------------------------------------------------
 
     def header_lines(self) -> list[str]:
@@ -110,6 +153,9 @@ class _ReportBuilder:
             ),
         ]
         return lines
+
+    def text(self) -> str:
+        return "\n".join(self.header_lines() + [""] + self.tree_lines())
 
     def tree_lines(self) -> list[str]:
         lines: list[str] = []
@@ -191,71 +237,18 @@ class _ReportBuilder:
         raise PlanError(f"unknown plan node type {type(node).__name__}")
 
 
-def render_profile_report(
+def profile_report(
     plan: PlanNode,
     distribution: Distribution,
     profile: PlanProfile,
     *,
     expected: float | None = None,
     monitor: DriftMonitor | None = None,
-) -> str:
-    """Annotated predicted-vs-observed plan tree as display text."""
+) -> tuple[dict[str, Any], str]:
+    """The report as a JSON-friendly dict and as the annotated
+    predicted-vs-observed plan tree, both from one drift assessment, so
+    the two always give the same verdict."""
     if monitor is None:
         monitor = DriftMonitor(plan, distribution, expected=expected)
     builder = _ReportBuilder(plan, distribution, profile, monitor)
-    return "\n".join(builder.header_lines() + [""] + builder.tree_lines())
-
-
-def profile_report_dict(
-    plan: PlanNode,
-    distribution: Distribution,
-    profile: PlanProfile,
-    *,
-    expected: float | None = None,
-    monitor: DriftMonitor | None = None,
-) -> dict[str, Any]:
-    """JSON-friendly variant of :func:`render_profile_report`."""
-    if monitor is None:
-        monitor = DriftMonitor(plan, distribution, expected=expected)
-    builder = _ReportBuilder(plan, distribution, profile, monitor)
-    nodes: dict[str, Any] = {}
-    for path, prediction in monitor.predictions.items():
-        counters = profile.counters(path)
-        cost_pred, cost_obs = builder.node_costs(path)
-        entry: dict[str, Any] = {
-            "reach_predicted": round(prediction.reach, 6),
-            "reach_observed": builder.observed_reach(path),
-            "cost_predicted": (
-                round(cost_pred, 6) if cost_pred is not None else None
-            ),
-            "cost_observed": (
-                round(cost_obs, 6) if cost_obs is not None else None
-            ),
-        }
-        if prediction.probability_below is not None:
-            entry["p_below_predicted"] = round(prediction.probability_below, 6)
-            entry["p_below_observed"] = (
-                _fraction(counters.below, counters.visits)
-                if counters is not None
-                else None
-            )
-        if prediction.step_passes:
-            entry["step_pass_predicted"] = [
-                round(value, 6) for value in prediction.step_passes
-            ]
-            entry["step_pass_observed"] = [
-                (
-                    _fraction(tallies.passed, tallies.evaluated)
-                    if counters is not None
-                    else None
-                )
-                for tallies in (counters.steps if counters is not None else [])
-            ]
-        if counters is not None:
-            entry["observed"] = counters.as_dict()
-        nodes[path] = entry
-    return {
-        "drift": builder.report.as_dict(),
-        "tuples": profile.tuples,
-        "nodes": nodes,
-    }
+    return builder.as_dict(), builder.text()

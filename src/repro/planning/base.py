@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from repro.core.cost import acquisition_charge
 from repro.core.cost_models import AcquisitionCostModel
 from repro.core.plan import PlanNode, SequentialNode, SequentialStep, VerdictLeaf
 from repro.core.predicates import Truth
@@ -78,7 +79,7 @@ class PlanningResult:
     whether a plan is worth caching.  ``certificate`` (when the planner
     issues one) carries per-subtree Eq. 3 cost-bound claims the verifier
     re-derives independently (``DF101``); the exhaustive planner exports
-    it straight from its DP cache.  ``provenance`` is populated by the
+    it straight from its DP cache, the heuristic from its scoring passes.  ``provenance`` is populated by the
     learned planner (:class:`repro.learn.BanditPlanner`): the arm
     posteriors and regret-ledger snapshot behind the emitted plan, which
     the verifier's ``LRN`` rule family audits.
@@ -315,12 +316,9 @@ def effective_cost(
     Zero when the attribute was already acquired (its range is narrowed);
     otherwise the schema cost ``C_i`` — or, under a conditional cost model,
     the cost given the attributes the subproblem has acquired so far.
+    This is the charge the Eq. 3 walk prices a condition node with.
     """
-    if ranges.is_acquired(attribute_index):
-        return 0.0
-    if cost_model is None:
-        return schema[attribute_index].cost
-    return cost_model.cost(attribute_index, ranges.acquired_indices())
+    return acquisition_charge(attribute_index, ranges, schema, cost_model)
 
 
 def resolved_leaf(query: ConjunctiveQuery, ranges: RangeVector) -> VerdictLeaf | None:

@@ -112,7 +112,7 @@ class SizeAwareConditionalPlanner(Planner):
         scored = self._score(query, full, policy, stats)
         root_cost, root_plan = scored.sequence(0)
         stats.sequential_plans_built += 1
-        root = _TreeNode(root_plan)
+        root = _TreeNode(root_plan, root_cost)
         counter = itertools.count()
         queue: list[tuple[float, int, _Frontier]] = []
         self._push(
@@ -121,7 +121,6 @@ class SizeAwareConditionalPlanner(Planner):
             _Frontier(
                 node=root,
                 ranges=full,
-                sequential_cost=root_cost,
                 split=scored.splits[0],
                 reach_probability=1.0,
             ),
@@ -161,33 +160,8 @@ class SizeAwareConditionalPlanner(Planner):
                 stats,
                 at=(split.attribute_index, split.split_value),
             )
-            below_node = _TreeNode(split.below_plan)
-            above_node = _TreeNode(split.above_plan)
-            leaf.node.expand(
-                attribute=schema[split.attribute_index].name,
-                attribute_index=split.attribute_index,
-                split_value=split.split_value,
-                below=below_node,
-                above=above_node,
-            )
-            for node, ranges, cost, child_split, probability in zip(
-                (below_node, above_node),
-                scored.subproblems,
-                (split.below_cost, split.above_cost),
-                scored.splits,
-                (split.probability_below, 1.0 - split.probability_below),
-            ):
-                self._push(
-                    queue,
-                    counter,
-                    _Frontier(
-                        node=node,
-                        ranges=ranges,
-                        sequential_cost=cost,
-                        split=child_split,
-                        reach_probability=leaf.reach_probability * probability,
-                    ),
-                )
+            for child in leaf.expand(scored, schema, self.cost_model):
+                self._push(queue, counter, child)
             execution_cost -= saving
             splits_used += 1
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.certificates import CostCertificate, certify_plan
+from repro.analysis.certificates import CostCertificate, carry_certificate
 from repro.analysis.rewrite import optimize_plan
 from repro.core.plan import ConditionNode, PlanNode, VerdictLeaf
 from repro.core.query import ConjunctiveQuery
@@ -100,14 +100,19 @@ class ExhaustivePlanner(Planner):
         cost, plan = result
         certificate = search.certificate(plan, full)
         optimized = optimize_plan(plan, schema, query=query)
-        if optimized != plan:
+        if optimized is not plan:
             # The rewriter only ever shrinks (free-split ties, subsumed
-            # fallback steps); re-derive the cost and certificate for the
-            # new shape so both stay verifier-exact.
-            plan = optimized
-            certificate = certify_plan(
-                plan, self.distribution, cost_model=self.cost_model
+            # fallback steps); carry the certificate over to the new shape,
+            # pricing only the rewritten subtrees, so cost and claims stay
+            # verifier-exact.
+            certificate = carry_certificate(
+                plan,
+                certificate,
+                optimized,
+                self.distribution,
+                cost_model=self.cost_model,
             )
+            plan = optimized
             cost = certificate.bounds["root"]
         return PlanningResult(
             plan=plan,

@@ -20,6 +20,14 @@ one for the root, which also yields the root's sequential plan, and one per
 expansion for both new leaves together.  A Heuristic-k plan therefore
 scores in ``1 + expansions`` passes; over an empirical distribution each is
 one counting pass and one OptSeq DP.
+
+The plan's cost certificate is read off those passes: a leaf's bound is
+the cost its pass priced its sequential plan at, and a condition node's
+is its acquisition plus its children's bounds weighted by the split
+probability its pass chose it with
+(:func:`~repro.core.cost.condition_bound`).  When the rewriter changes
+the plan, :func:`~repro.analysis.certificates.carry_certificate` prices
+only the rewritten subtrees.
 """
 
 from __future__ import annotations
@@ -28,18 +36,22 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from repro.analysis.certificates import certify_plan
+from repro.analysis.certificates import CostCertificate, carry_certificate
 from repro.analysis.rewrite import optimize_plan
+from repro.core.attributes import Schema
+from repro.core.cost import condition_bound
+from repro.core.cost_models import AcquisitionCostModel
 from repro.core.plan import ConditionNode, PlanNode
 from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
 from repro.exceptions import PlanningError
 from repro.planning.base import (
-    require_conjunctive,
     Planner,
     PlannerStats,
     PlanningResult,
     SequentialPlanner,
+    effective_cost,
+    require_conjunctive,
 )
 from repro.planning.greedy_split import SplitChoice, SplitPass, greedy_splits
 from repro.planning.split_points import SplitPointPolicy
@@ -51,25 +63,33 @@ __all__ = ["GreedyConditionalPlanner"]
 class _TreeNode:
     """Mutable node of the plan under construction.
 
-    Starts life as a leaf wrapping a sequential plan; expansion converts it
-    in place into an internal split node.  :meth:`freeze` emits the final
-    immutable plan tree.
+    Starts life as a leaf wrapping a sequential plan and the cost its
+    scoring pass priced it at; expansion converts it in place into an
+    internal split node that keeps its acquisition charge and split
+    probability.  :meth:`freeze` emits the final immutable plan tree and
+    :meth:`certify` its bounds.
     """
 
     __slots__ = (
         "plan",
+        "cost",
         "attribute",
         "attribute_index",
         "split_value",
+        "acquisition",
+        "probability_below",
         "below",
         "above",
     )
 
-    def __init__(self, plan: PlanNode) -> None:
+    def __init__(self, plan: PlanNode, cost: float) -> None:
         self.plan: PlanNode | None = plan
+        self.cost = cost
         self.attribute = ""
         self.attribute_index = -1
         self.split_value = 0
+        self.acquisition = 0.0
+        self.probability_below = 0.0
         self.below: "_TreeNode | None" = None
         self.above: "_TreeNode | None" = None
 
@@ -78,6 +98,8 @@ class _TreeNode:
         attribute: str,
         attribute_index: int,
         split_value: int,
+        acquisition: float,
+        probability_below: float,
         below: "_TreeNode",
         above: "_TreeNode",
     ) -> None:
@@ -85,8 +107,24 @@ class _TreeNode:
         self.attribute = attribute
         self.attribute_index = attribute_index
         self.split_value = split_value
+        self.acquisition = acquisition
+        self.probability_below = probability_below
         self.below = below
         self.above = above
+
+    def certify(self, bounds: dict[str, float], path: str) -> float:
+        """Record this subtree's Eq. 3 bound at every path, in pre-order."""
+        if self.plan is not None:
+            bounds[path] = self.cost
+            return self.cost
+        assert self.below is not None and self.above is not None
+        bounds[path] = 0.0  # holds the pre-order slot until the sum below
+        below = self.below.certify(bounds, path + "/below")
+        above = self.above.certify(bounds, path + "/above")
+        bounds[path] = condition_bound(
+            self.acquisition, self.probability_below, below, above
+        )
+        return bounds[path]
 
     def freeze(self) -> PlanNode:
         if self.plan is not None:
@@ -107,7 +145,6 @@ class _Frontier:
 
     node: _TreeNode
     ranges: RangeVector
-    sequential_cost: float
     split: SplitChoice | None
     reach_probability: float
 
@@ -116,7 +153,48 @@ class _Frontier:
         """Expected saving of applying the stored split at this leaf."""
         if self.split is None:
             return 0.0
-        return self.reach_probability * (self.sequential_cost - self.split.cost)
+        return self.reach_probability * (self.node.cost - self.split.cost)
+
+    def expand(
+        self,
+        scored: SplitPass,
+        schema: Schema,
+        cost_model: AcquisitionCostModel | None,
+    ) -> tuple["_Frontier", ...]:
+        """Apply the stored split; ``scored`` is the pass over its children.
+
+        The node becomes a condition node keeping the split's acquisition
+        charge and probability; returns the two new frontier leaves.
+        """
+        split = self.split
+        assert split is not None
+        below = _TreeNode(split.below_plan, split.below_cost)
+        above = _TreeNode(split.above_plan, split.above_cost)
+        self.node.expand(
+            attribute=schema[split.attribute_index].name,
+            attribute_index=split.attribute_index,
+            split_value=split.split_value,
+            acquisition=effective_cost(
+                schema, self.ranges, split.attribute_index, cost_model
+            ),
+            probability_below=split.probability_below,
+            below=below,
+            above=above,
+        )
+        return tuple(
+            _Frontier(
+                node=node,
+                ranges=ranges,
+                split=child_split,
+                reach_probability=self.reach_probability * probability,
+            )
+            for node, ranges, child_split, probability in zip(
+                (below, above),
+                scored.subproblems,
+                scored.splits,
+                (split.probability_below, 1.0 - split.probability_below),
+            )
+        )
 
 
 class GreedyConditionalPlanner(Planner):
@@ -178,7 +256,7 @@ class GreedyConditionalPlanner(Planner):
         scored = self._score(query, full, policy, stats)
         root_cost, root_plan = scored.sequence(0)
         stats.sequential_plans_built += 1
-        root = _TreeNode(root_plan)
+        root = _TreeNode(root_plan, root_cost)
         counter = itertools.count()
         queue: list[tuple[float, int, _Frontier]] = []
         self._push(
@@ -187,7 +265,6 @@ class GreedyConditionalPlanner(Planner):
             _Frontier(
                 node=root,
                 ranges=full,
-                sequential_cost=root_cost,
                 split=scored.splits[0],
                 reach_probability=1.0,
             ),
@@ -209,43 +286,25 @@ class GreedyConditionalPlanner(Planner):
                 stats,
                 at=(split.attribute_index, split.split_value),
             )
-            below_node = _TreeNode(split.below_plan)
-            above_node = _TreeNode(split.above_plan)
-            leaf.node.expand(
-                attribute=schema[split.attribute_index].name,
-                attribute_index=split.attribute_index,
-                split_value=split.split_value,
-                below=below_node,
-                above=above_node,
-            )
-            for node, ranges, cost, child_split, probability in zip(
-                (below_node, above_node),
-                scored.subproblems,
-                (split.below_cost, split.above_cost),
-                scored.splits,
-                (split.probability_below, 1.0 - split.probability_below),
-            ):
-                self._push(
-                    queue,
-                    counter,
-                    _Frontier(
-                        node=node,
-                        ranges=ranges,
-                        sequential_cost=cost,
-                        split=child_split,
-                        reach_probability=leaf.reach_probability * probability,
-                    ),
-                )
+            for child in leaf.expand(scored, schema, self.cost_model):
+                self._push(queue, counter, child)
             expected_total -= saving
             splits_used += 1
 
         plan = root.freeze()
+        bounds: dict[str, float] = {}
+        root.certify(bounds, "root")
+        certificate = CostCertificate(bounds=bounds, source="greedy-passes")
         optimized = optimize_plan(plan, schema, query=query)
-        certificate = certify_plan(
-            optimized, self.distribution, cost_model=self.cost_model
-        )
-        if optimized != plan:
+        if optimized is not plan:
             # The rewrite changed the plan: its certificate prices it.
+            certificate = carry_certificate(
+                plan,
+                certificate,
+                optimized,
+                self.distribution,
+                cost_model=self.cost_model,
+            )
             expected_total = certificate.bounds["root"]
         return PlanningResult(
             plan=optimized,

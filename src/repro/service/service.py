@@ -50,8 +50,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.certificates import certify_plan
 from repro.core.attributes import Schema
+from repro.core.cost import NodeCostContribution, cost_decomposition, root_bound
 from repro.core.plan import ConditionNode, PlanNode, SequentialNode
 from repro.engine.engine import (
     AcquisitionalEngine,
@@ -72,7 +72,8 @@ from repro.service.fingerprint import (
 )
 from repro.service.metrics import MetricsRegistry
 
-from repro.verify import verify_plan
+from repro.verify import VerificationReport, verify_plan
+from repro.verify.rules import check_cost
 
 if TYPE_CHECKING:
     from repro.faults.model import FaultSchedule
@@ -273,6 +274,11 @@ class AcquisitionalService:
         # Row count of the statistics a running refit replaces; set only
         # while :meth:`refit` is inside the engine's version bump.
         self._rows_before_refit: int | None = None
+        # The plan a refit is re-stamping and the records of its one
+        # re-certification walk, which the admission gate reads next.
+        self._restamp: (
+            tuple[PreparedQuery, dict[str, NodeCostContribution]] | None
+        ) = None
         engine.add_statistics_listener(self._on_statistics_version)
 
     def _timer(self) -> "Callable[[], float]":
@@ -291,16 +297,28 @@ class AcquisitionalService:
     def _admit_plan(
         self, _fingerprint: QueryFingerprint, prepared: PreparedQuery
     ) -> bool:
-        """Cache-admission gate: statically verify the prepared plan."""
+        """Cache-admission gate: statically verify the prepared plan.
+
+        A refit's re-stamp passed the structural rules when it was first
+        admitted, and they read no statistics: only the cost rules run
+        again, on the records of its re-certification walk.
+        """
         timer = self._timer()
         start = timer()
-        report = verify_plan(
-            prepared.plan,
-            self._engine.schema,
-            query=prepared.parsed.query,
-            distribution=self._engine.distribution,
-            claimed_cost=prepared.expected_where_cost,
-        )
+        restamp = self._restamp
+        if restamp is not None and restamp[0] is prepared:
+            self._restamp = None
+            report = VerificationReport.from_findings(
+                check_cost(restamp[1], claimed_cost=prepared.expected_where_cost)
+            )
+        else:
+            report = verify_plan(
+                prepared.plan,
+                self._engine.schema,
+                query=prepared.parsed.query,
+                distribution=self._engine.distribution,
+                claimed_cost=prepared.expected_where_cost,
+            )
         if self._tracer is not None:
             self._emit(
                 "verify",
@@ -624,16 +642,17 @@ class AcquisitionalService:
     ) -> int:
         """Refit engine statistics and re-certify every cached plan.
 
-        Each cached plan is re-costed under the new distribution with
-        :func:`~repro.analysis.certify_plan`.  It is kept when
-        ``|cost_new - cost_claimed|`` is within
+        Each cached plan is re-costed under the new distribution by one
+        Eq. 3 walk (:func:`~repro.core.cost.cost_decomposition`).  It is
+        kept when ``|cost_new - cost_claimed|`` is within
         :func:`~repro.learn.pao.recertify_radius` of the plan's
         acquisition span and the two histories' row counts: it is then
         re-stamped with the new version and the new cost, and goes back
-        through the cache's admission gate.  Otherwise it is dropped and
-        the next request plans it again.  Each decision counts in
-        ``plans_recertified`` or ``plans_replanned`` and emits one
-        ``recertify`` trace event.  Returns the new version.
+        through the cache's admission gate, whose cost rules read that
+        same walk.  Otherwise it is dropped and the next request plans it
+        again.  Each decision counts in ``plans_recertified`` or
+        ``plans_replanned`` and emits one ``recertify`` trace event.
+        Returns the new version.
         """
         self._rows_before_refit = self._engine.distribution.row_total
         try:
@@ -771,7 +790,8 @@ class AcquisitionalService:
     ) -> PreparedQuery | None:
         """Re-stamp ``prepared`` for ``version`` if its cost moved only by noise."""
         distribution = self._engine.distribution
-        cost = certify_plan(prepared.plan, distribution).bounds["root"]
+        records = cost_decomposition(prepared.plan, distribution)
+        cost = root_bound(records)
         radius = recertify_radius(
             _acquisition_span(prepared.plan, self._engine.schema),
             rows_before,
@@ -792,9 +812,12 @@ class AcquisitionalService:
             )
         if not kept:
             return None
-        return dataclasses.replace(
+        restamped = dataclasses.replace(
             prepared, expected_where_cost=cost, statistics_version=version
         )
+        if self._verify_admission:
+            self._restamp = (restamped, records)
+        return restamped
 
     # ------------------------------------------------------------------
     # Drift monitoring

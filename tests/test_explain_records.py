@@ -4,7 +4,7 @@ A plan's predicted per-node numbers have one producer, the Eq. 3 walk
 (:func:`repro.core.cost.cost_decomposition`).  For every plan of
 ``tests/test_plan_digests.py`` EXPLAIN's ``p``, ``reach`` and ``pass``
 figures must be the records' values, and the predicted fields of
-``profile_report_dict`` must be the same values.  The set holds plans
+``profile_report``'s dict must be the same values.  The set holds plans
 with a sequential leaf whose all-pass reaches 0 before its last step;
 the walk leaves the later steps at 0.0, and EXPLAIN prints that.
 """
@@ -22,7 +22,7 @@ from repro.data import generate_lab_dataset
 from repro.engine.language import parse_query
 from repro.learn.workloads import adversarial_stream
 from repro.obs import DriftMonitor, PlanProfile
-from repro.obs.report import profile_report_dict
+from repro.obs.report import profile_report
 from repro.planning import CorrSeqPlanner, GreedyConditionalPlanner
 from repro.probability import EmpiricalDistribution
 from tests.test_plan_digests import _LAB_DOMAINS, _STREAM_TEXT, _lab_texts
@@ -92,7 +92,9 @@ def _check_plan(plan, distribution) -> int:
     records = cost_decomposition(plan, distribution)
     explained = _explained(annotate_plan(plan, distribution))
     assert len(explained) == len(records)
-    report = profile_report_dict(plan, distribution, PlanProfile(distribution.schema))
+    report, _text = profile_report(
+        plan, distribution, PlanProfile(distribution.schema)
+    )
     assert list(report["nodes"]) == list(records)
     after_zero = 0
     for (path, record), printed in zip(records.items(), explained):

@@ -13,7 +13,7 @@ from repro.core import (
     dataset_execution,
     expected_cost,
 )
-from repro.obs import DEFAULT_DRIFT_THRESHOLD, DriftMonitor, PlanProfile
+from repro.obs import DEFAULT_DRIFT_THRESHOLD, DriftMonitor, PlanProfile, profile_report
 from repro.planning import CorrSeqPlanner, GreedyConditionalPlanner
 from repro.probability import EmpiricalDistribution
 from repro.verify import ROOT_PATH
@@ -243,3 +243,76 @@ class TestDebounce:
             assert not report.drifted
             assert not report.debounced
         assert not monitor.fired
+
+
+class TestProfileReportVerdict:
+    """One assessment per profile report: its JSON and its text agree."""
+
+    @pytest.fixture
+    def cell_drift_calls(self, monkeypatch) -> list[int]:
+        calls: list[int] = []
+        genuine = DriftMonitor.cell_drifts
+
+        def counting(self, profile):
+            calls.append(1)
+            return genuine(self, profile)
+
+        monkeypatch.setattr(DriftMonitor, "cell_drifts", counting)
+        return calls
+
+    def test_library_report_scores_once(
+        self, schema, planned, distribution, cell_drift_calls
+    ):
+        profile = PlanProfile(schema)
+        dataset_execution(
+            planned.plan,
+            regime_data(3000, flipped=True, seed=3),
+            schema,
+            observer=profile,
+        )
+        monitor = DriftMonitor(
+            planned.plan, distribution, expected=planned.expected_cost
+        )
+        payload, text = profile_report(
+            planned.plan, distribution, profile, monitor=monitor
+        )
+        assert len(cell_drift_calls) == 1
+        assert payload["drift"]["drifted"] is True
+        assert "-> DRIFTED" in text
+        flagged = [line for line in text.splitlines() if "<< DRIFT" in line]
+        assert len(flagged) == sum(
+            cell["term"] > monitor.threshold
+            for cell in (c.as_dict() for c in monitor.cell_drifts(profile))
+        )
+
+    def test_cli_text_and_json_agree_on_a_flipped_regime(
+        self, schema, train, tmp_path, capsys, cell_drift_calls
+    ):
+        from repro.cli import main
+        from repro.data.trace_io import save_schema, save_trace
+
+        save_schema(schema, tmp_path / "schema.json")
+        save_trace(train, schema, tmp_path / "train.csv")
+        save_trace(
+            regime_data(3000, flipped=True, seed=3), schema, tmp_path / "test.csv"
+        )
+        artifact = tmp_path / "profile.json"
+        code = main(
+            [
+                "profile",
+                "--schema", str(tmp_path / "schema.json"),
+                "--trace", str(tmp_path / "train.csv"),
+                "--test", str(tmp_path / "test.csv"),
+                "--query", "SELECT * WHERE p >= 2 AND q >= 2",
+                "--max-splits", "3",
+                "--smoothing", "0.5",
+                "--out", str(artifact),
+            ]
+        )
+        assert code == 0
+        text = capsys.readouterr().out
+        payload = json.loads(artifact.read_text())
+        assert payload["drift"]["drifted"] is True
+        assert payload["drift"]["debounced"] is False
+        assert "-> DRIFTED" in text
+        assert len(cell_drift_calls) == 1

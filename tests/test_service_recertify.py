@@ -3,11 +3,11 @@
 The contract under test: a refit re-costs every cached plan under the
 new distribution.  A plan whose Eq. 3 cost moved by less than the PAO
 radius (``repro.learn.pao.recertify_radius``) is kept, re-stamped with
-the new version and cost, and re-admitted through the verifier; every
-other plan is dropped and planned again.  Any other statistics bump
-still empties the cache.  Whatever the interleaving, no plan is served
-under a statistics version it was neither planned nor re-certified
-under.
+the new version and cost, and re-admitted through the verifier's cost
+rules over that same re-costing walk; every other plan is dropped and
+planned again.  Any other statistics bump still empties the cache.
+Whatever the interleaving, no plan is served under a statistics version
+it was neither planned nor re-certified under.
 """
 
 from __future__ import annotations
@@ -188,13 +188,14 @@ class TestRefitRecertifies:
         service = new_service(schema)
         for text in QUERIES:
             service.plan_for(text)
-        genuine = service_module.verify_plan
+        # A re-stamp is re-admitted by the cost rules over its
+        # re-certification walk; make them see an overclaimed cost.
+        genuine = service_module.check_cost
 
-        def overclaiming(plan, schema, **kwargs):
-            kwargs["claimed_cost"] = kwargs["claimed_cost"] + 1000.0
-            return genuine(plan, schema, **kwargs)
+        def overclaiming(records, claimed_cost=None, **kwargs):
+            return genuine(records, claimed_cost=claimed_cost + 1000.0, **kwargs)
 
-        monkeypatch.setattr(service_module, "verify_plan", overclaiming)
+        monkeypatch.setattr(service_module, "check_cost", overclaiming)
         service.refit(make_history(schema))
         monkeypatch.undo()
         assert counter(service, "plans_recertified") == len(QUERIES)

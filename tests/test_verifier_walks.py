@@ -4,7 +4,10 @@
 facts) and one Eq. 3 walk (``cost_decomposition``: the COST rules, DF101
 and the certificate bounds read its records).  ``optimize_plan`` rewrites
 from one dataflow pass of its input and analyses only a changed
-candidate.  Counting wrappers pin those numbers; the edge cases pin what
+candidate.  GreedyPlan reads its certificate off its scoring passes (no
+Eq. 3 walk for an unrewritten plan, one per rewritten subtree), and a
+refit re-admits a kept plan from its one re-certification walk.
+Counting wrappers pin those numbers; the edge cases pin what
 the one walk must still get right:
 model-dead branches keep their bounds, broken nodes hide their subtrees,
 a narrowed root context and a boolean query.
@@ -161,6 +164,29 @@ _WALKS = (
 )
 
 
+def _record_rewrites(monkeypatch) -> list[bool]:
+    """Whether each of the greedy planner's rewrites changed its plan."""
+    rewritten: list[bool] = []
+    optimize = repro.planning.greedy_conditional.optimize_plan
+
+    def recording(plan, *args, **kwargs):
+        optimized = optimize(plan, *args, **kwargs)
+        rewritten.append(optimized != plan)
+        return optimized
+
+    monkeypatch.setattr(repro.planning.greedy_conditional, "optimize_plan", recording)
+    return rewritten
+
+
+def _assert_eq3_certificate(result, distribution) -> None:
+    """The planner's certificate is :func:`certify_plan`'s, bit for bit."""
+    hexed = {path: bound.hex() for path, bound in result.certificate.bounds.items()}
+    assert hexed == {
+        path: bound.hex()
+        for path, bound in certify_plan(result.plan, distribution).bounds.items()
+    }
+
+
 def _count_method(monkeypatch, counts: Counter, cls: type, name: str) -> None:
     method = getattr(cls, name)
 
@@ -234,7 +260,25 @@ class TestWalkCounts:
         service.execute(text, stream.data[:64])
         assert during == [Counter(analyze_plan=1, cost_decomposition=1)]
 
-    def test_greedy_prices_a_rewritten_plan_once(self, monkeypatch):
+    def test_greedy_certifies_an_unrewritten_plan_without_a_walk(
+        self, monkeypatch, query, distribution
+    ):
+        planner = GreedyConditionalPlanner(
+            distribution, CorrSeqPlanner(distribution), max_splits=5
+        )
+        rewritten = _record_rewrites(monkeypatch)
+        calls = _spy(monkeypatch, *_WALKS)
+        result = planner.plan(query)
+        assert rewritten == [False]
+        # The scoring passes priced every leaf and split: only the
+        # rewriter's interval pass walks the plan.
+        assert Counter(name for name, _plan in calls) == Counter(analyze_plan=1)
+        assert set(result.certificate.bounds) == {
+            path for path, _node in iter_plan_paths(result.plan)
+        }
+        _assert_eq3_certificate(result, distribution)
+
+    def test_greedy_reprices_only_the_rewritten_subtrees(self, monkeypatch):
         stream = adversarial_stream(3, 90, seed=21)
         distribution = EmpiricalDistribution(stream.schema, stream.data[114:210])
         planner = GreedyConditionalPlanner(
@@ -245,32 +289,49 @@ class TestWalkCounts:
             "AND q BETWEEN 1 AND 2",
             stream.schema,
         ).query
-        rewritten: list[bool] = []
-        optimize = repro.planning.greedy_conditional.optimize_plan
-
-        def recording(plan, *args, **kwargs):
-            optimized = optimize(plan, *args, **kwargs)
-            rewritten.append(optimized != plan)
-            return optimized
-
-        monkeypatch.setattr(
-            repro.planning.greedy_conditional, "optimize_plan", recording
-        )
+        rewritten = _record_rewrites(monkeypatch)
         calls = _spy(monkeypatch, *_WALKS)
         result = planner.plan(query)
         assert rewritten == [True]
-        # The rewriter's safety gate runs the interval analysis on the new
-        # shape; Eq. 3 prices it once, through its certificate.
-        priced = Counter(
-            name
-            for name, plan in calls
-            if plan == result.plan and name != "analyze_plan"
+        # The rewrite collapsed the identical sides of ``root/below`` into
+        # their leaf, now under a wider context: the one subtree Eq. 3
+        # prices.  The root keeps its split and is re-summed; its verdict
+        # side keeps its pass bound.
+        priced = [plan for name, plan in calls if name != "analyze_plan"]
+        assert priced == [dict(iter_plan_paths(result.plan))["root/below"]]
+        assert Counter(name for name, _plan in calls) == Counter(
+            analyze_plan=2, cost_decomposition=1
         )
-        assert priced == Counter(certify_plan=1, cost_decomposition=1)
         assert result.expected_cost == result.certificate.bounds["root"]
-        assert result.expected_cost.hex() == expected_cost(
-            result.plan, distribution
-        ).hex()
+        _assert_eq3_certificate(result, distribution)
+
+
+class TestRefitWalks:
+    TEXTS = (
+        "SELECT * WHERE a BETWEEN 3 AND 6 AND b BETWEEN 2 AND 5",
+        "SELECT * WHERE b BETWEEN 2 AND 5 AND c BETWEEN 4 AND 7",
+        "SELECT a WHERE a BETWEEN 3 AND 6 AND c BETWEEN 4 AND 7",
+    )
+
+    def test_refit_walks_each_kept_plan_once(self, monkeypatch, schema):
+        data = np.random.default_rng(0).integers(1, 9, size=(500, 3))
+        service = AcquisitionalService(AcquisitionalEngine(schema, data))
+        for text in self.TEXTS:
+            service.plan_for(text)
+        calls = _spy(monkeypatch, *_WALKS, verify_plan)
+        service.refit(data)
+        counters = service.stats()["counters"]
+        assert counters["plans_recertified"] == len(self.TEXTS)
+        assert counters.get("plans_rejected", 0) == 0
+        assert len(service.cache) == len(self.TEXTS)
+        # One Eq. 3 walk per kept plan: its cost and the re-admission's
+        # cost rules both read it; the structural rules do not run again.
+        assert Counter(name for name, _plan in calls) == Counter(
+            cost_decomposition=len(self.TEXTS)
+        )
+        assert {id(plan) for _name, plan in calls} == {
+            id(service.plan_for(text).plan) for text in self.TEXTS
+        }
 
 
 class TestRewriterWalks:
@@ -434,11 +495,21 @@ class TestBrokenNodes:
         plan = _split(schema, 0, 5, below, leaf_for(query, RangeVector.full(schema)))
         with pytest.raises(PlanError, match="outside the reachable range"):
             certify_plan(plan, dead_model)
-        # Given its expected cost, the monitor raises only for a broken
-        # node a tuple can reach.
-        predictions = DriftMonitor(plan, dead_model, expected=1.0).predictions
+        # The monitor raises only for a broken node a tuple can reach; the
+        # root has no bound, so its expected cost is the live records' sum.
+        monitor = DriftMonitor(plan, dead_model)
+        predictions = monitor.predictions
         assert set(predictions) == {path for path, _node in iter_plan_paths(plan)}
         assert predictions["root/below"].reach == 0.0
+        assert predictions["root"].bound is None
+        assert monitor.expected_cost == sum(r.cost for r in predictions.values())
+        # Every tuple reads ``a`` at the root and goes above.
+        assert monitor.expected_cost == pytest.approx(
+            schema[0].cost
+            + expected_cost(
+                plan.above, dead_model, ranges=RangeVector.full(schema).split(0, 5)[1]
+            )
+        )
         report = verify_plan(plan, schema, query=query, distribution=dead_model)
         assert report.has("DF004") and not report.ok
 
