@@ -25,10 +25,22 @@ attribute of every subproblem in the pass, every split probability and
 each subproblem's own unsplit order from one counting pass over the
 parent's count-table cells, then runs one DP over all of them.  A side or
 child whose ranges decide predicates true runs on the sub-lattice of
-states that hold them, which does exactly the smaller DP's arithmetic; the
-charge tables, side truths and split probabilities are array work too, so
-a pass makes a fixed number of numpy calls however many attributes and
-candidates it scores.
+states that hold them, which does exactly the smaller DP's arithmetic.
+
+A pass has two parts.  Its *layout* is what it derives from the schema,
+the cost model, the query, its ranges and its candidate splits without
+counting a row: the count table's segments and the cumulative rows each
+side's counts are read from, side truths, verdicts and held predicates,
+charge tables, order lengths, and where the joints and the split
+probabilities' padded rows go.  ``_pass_layout`` builds a layout once
+per distinct input and keeps the most recent ``_LAYOUTS`` of them in a
+bounded LRU memo, read-only and shared by every planner, because the
+Sec. 7 stream loop builds a new planner for every refit and its windows
+keep meeting the same layouts.  The counted part runs on every pass: the
+counter's tables, the joints, the DP and the Equation 3 replay.  Both
+parts are array work, so a pass makes a fixed number of numpy calls
+however many attributes and candidates it scores, and fewer when its
+layout is warm.
 
 Finding the optimal sequential plan is NP-hard in general (Munagala et al.),
 so this planner guards against large ``m``; the evaluation uses it for small
@@ -68,6 +80,12 @@ __all__ = ["OptimalSequentialPlanner", "charge_table", "replay_orders"]
 # caller should switch to GreedySeq (the paper does the same).
 _MAX_PREDICATES = 18
 
+# Scoring-pass layouts kept by ``_pass_layout``, about 8 KiB each.  The
+# benchmark's stream refits meet 18 distinct layouts; its plan churn
+# meets 326 in 12,000 requests, and 128 entries keep 74 % of those
+# passes warm (64 entries: 24 %).
+_LAYOUTS = 128
+
 
 class OptimalSequentialPlanner(SequentialPlanner):
     """Exact sequential ordering via subset DP on rediscretized predicates."""
@@ -91,7 +109,7 @@ class OptimalSequentialPlanner(SequentialPlanner):
         if len(bindings) <= _MAX_PREDICATES:
             counter = self.distribution.outcome_counter(bindings, ranges, at)
             if counter is not None:
-                return _CountedScorer(self, query, ranges, at, leaf, bindings, counter)
+                return _CountedScorer(self, query, ranges, at, counter)
         return super().split_scorer(query, ranges, at)
 
     def plan_sequence(
@@ -137,7 +155,9 @@ class _CountedScorer(SplitScorer):
     replayed from integer superset sums in the order
     :func:`~repro.core.cost.expected_cost` multiplies it.  So costs, plans
     and probabilities equal the per-side planner's bit for bit.  A decided
-    subproblem keeps its verdict on every side.
+    subproblem keeps its verdict on every side.  Everything a pass derives
+    from its inputs without counting a row is its :class:`_PassLayout`,
+    which :func:`_pass_layout` memoises; a pass itself only counts.
     """
 
     def __init__(
@@ -146,33 +166,12 @@ class _CountedScorer(SplitScorer):
         query: ConjunctiveQuery,
         ranges: RangeVector,
         at: tuple[int, int] | None,
-        leaf: VerdictLeaf | None,
-        bindings: list[PredicateBinding],
         counter: OutcomeCounter,
     ) -> None:
         super().__init__(planner, query, ranges, at)
-        self._bindings = bindings
+        self._ranges = ranges
+        self._at = at
         self._counter = counter
-        # Each subproblem's verdict and the predicates it proves true;
-        # every predicate outside ``bindings`` holds throughout ``ranges``.
-        self._leaves: list[VerdictLeaf | None] = []
-        held: list[int] = []
-        for subproblem in self.subproblems:
-            truths = [
-                predicate.truth_under(subproblem[index])
-                for predicate, index in bindings
-            ]
-            if leaf is None and Truth.FALSE in truths:
-                self._leaves.append(VerdictLeaf(verdict=False))
-            elif leaf is None and all(truth is Truth.TRUE for truth in truths):
-                self._leaves.append(VerdictLeaf(verdict=True))
-            else:
-                self._leaves.append(leaf)
-            held.append(
-                sum(1 << bit for bit, truth in enumerate(truths) if truth is Truth.TRUE)
-            )
-        self._held = np.array(held, dtype=np.int64)
-        self._resolved = np.array([leaf is not None for leaf in self._leaves])
         self._store: _SideStore | None = None
 
     def sequence(self, subproblem: int) -> tuple[float, PlanNode]:
@@ -184,28 +183,24 @@ class _CountedScorer(SplitScorer):
     def score_all(
         self, candidates: list[list[list[int]]]
     ) -> list[list[SideScores | None]]:
-        # Segments: every attribute's interval in each subproblem,
-        # subproblem by subproblem.
-        wanted = [values for per_attribute in candidates for values in per_attribute]
-        sizes = [len(values) for values in wanted]
-        segments = _Segments(
-            np.array(
-                [
-                    [(interval.low, interval.high) for interval in ranges]
-                    for ranges in self.subproblems
-                ]
-            ),
-            sizes,
-            np.fromiter(
-                itertools.chain.from_iterable(wanted), dtype=np.int64, count=sum(sizes)
-            ),
-        )
+        planner = self._planner
         counter = self._counter
-        table = counter.value_counts(segments.lows, segments.lengths)
+        wanted = [values for per_attribute in candidates for values in per_attribute]
+        layout = _pass_layout(
+            planner.schema,
+            planner.cost_model,
+            self._query,
+            self._ranges,
+            self._at,
+            tuple(len(values) for values in wanted),
+            tuple(itertools.chain.from_iterable(wanted)),
+            counter.smoothing > 0.0,
+        )
+        table = counter.value_counts(layout.shifts, layout.values)
         probabilities = counter.split_probabilities(
-            table, segments.lengths.ravel(), segments.of_candidate, segments.offsets
+            table, layout.padding, layout.of_candidate, layout.offsets
         ).tolist()
-        store = self._store = self._price(table, segments)
+        store = self._store = self._price(table, layout)
         scores: list[list[SideScores | None]] = []
         first = 0
         for per_attribute in candidates:
@@ -221,155 +216,318 @@ class _CountedScorer(SplitScorer):
                 first = last
         return scores
 
-    def _price(self, table: np.ndarray, segments: "_Segments") -> "_SideStore":
-        """Price each subproblem and every candidate side of ``segments``.
+    def _price(self, table: np.ndarray, layout: "_PassLayout") -> "_SideStore":
+        """OptSeq's order and its Equation 3 cost for each row of ``layout``.
 
-        Rows are the subproblems, then every below side, then every above
-        side.  The split attribute's predicate may be decided on a side:
-        false ends it; true means the side's DP starts with that predicate
-        held, as a child starts with those its parent's split decided.  A
-        row holding every predicate is a true verdict.
+        A priced row's outcome counts are the difference of two
+        cumulative rows of ``table``.  Every row of DP set ``k``
+        satisfies the predicates in bitmask ``held[k]``, and the DP runs
+        over the other predicates: their joint
+        (:meth:`OutcomeCounter.joints`) sits on the states that hold them
+        all, and that sub-lattice of the one DP does exactly the smaller
+        DP's arithmetic.
         """
-        bindings = self._bindings
+        if not layout.dp_rows:
+            return _SideStore(
+                layout,
+                [0.0] * len(layout.rows),
+                np.zeros((0, len(layout.bindings)), dtype=np.int64),
+            )
+        counter = self._counter
+        cumulative = np.zeros((len(table) + 1, table.shape[1]))
+        np.cumsum(table, axis=0, out=cumulative[1:])
+        counts = cumulative[layout.upper] - cumulative[layout.lower]
+        joints = counter.joints(counts, layout.columns)
+        sums = superset_sums(np.stack([joints, counts]))
+        orders = _optimal_orders(sums[0], layout.charges, layout.held)
+        replayed, _ = replay_orders(
+            counter, sums[1], orders, layout.charges, layout.held
+        )
+        costs = np.zeros(len(layout.rows))
+        costs[layout.priced] = replayed.take(layout.last)
+        return _SideStore(layout, costs.tolist(), orders)
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _pass_layout(
+    schema: Schema,
+    cost_model: AcquisitionCostModel | None,
+    query: ConjunctiveQuery,
+    ranges: RangeVector,
+    at: tuple[int, int] | None,
+    sizes: tuple[int, ...],
+    points: tuple[int, ...],
+    smoothed: bool,
+) -> "_PassLayout":
+    """The :class:`_PassLayout` of one scoring pass, memoised.
+
+    A pure function of its arguments: the pass's subproblems are
+    ``ranges`` (split at ``at``), ``points`` its candidate splits, the
+    first ``sizes[0]`` for attribute 0 of subproblem 0 and so on, and
+    ``smoothed`` whether its distribution smooths.  The bounded cache is
+    shared by every planner: the stream loop builds a new planner for
+    every refit, and its windows keep meeting the same layouts.
+    """
+    return _PassLayout(schema, cost_model, query, ranges, at, sizes, points, smoothed)
+
+
+class _PassLayout:
+    """What one scoring pass derives from its inputs without a row.
+
+    Rows are the pass's subproblems, then every below side, then every
+    above side (see :class:`_SideStore`).  The split attribute's
+    predicate may be decided on a side: false ends it; true means the
+    side's DP starts with that predicate held, as a child starts with
+    those its parent's split decided.  A row holding every predicate is a
+    true verdict.  :meth:`OutcomeCounter.value_counts` reads ``shifts``
+    and ``values``, :meth:`OutcomeCounter.split_probabilities`
+    ``padding``, ``of_candidate`` and ``offsets``, and the DP the
+    ``dp_rows`` priced rows: the cumulative rows ``upper`` and ``lower``
+    whose difference is each one's counts, their charge tables, held
+    predicates, order lengths and joint ``columns``.  Every array is
+    read-only, because the layout is shared between passes, and index
+    arrays are int32, because the memo keeps many layouts.
+    """
+
+    __slots__ = (
+        "bindings",
+        "leaves",
+        "offset",
+        "total",
+        "shifts",
+        "values",
+        "padding",
+        "of_candidate",
+        "offsets",
+        "priced",
+        "rows",
+        "dp_rows",
+        "upper",
+        "lower",
+        "held",
+        "charges",
+        "lengths",
+        "last",
+        "columns",
+    )
+
+    def __init__(
+        self,
+        schema: Schema,
+        cost_model: AcquisitionCostModel | None,
+        query: ConjunctiveQuery,
+        ranges: RangeVector,
+        at: tuple[int, int] | None,
+        sizes: tuple[int, ...],
+        points: tuple[int, ...],
+        smoothed: bool,
+    ) -> None:
+        leaf = resolved_leaf(query, ranges)
+        bindings = (
+            () if leaf is not None else tuple(query.undetermined_predicates(ranges))
+        )
+        subproblems = (ranges,) if at is None else ranges.split(*at)
         count = len(bindings)
-        subproblems = len(self.subproblems)
-        sides = 2 * len(segments.points)
-        owners = np.concatenate(
-            [np.arange(subproblems), segments.owner, segments.owner]
+        # Each subproblem's verdict and the predicates it proves true;
+        # every predicate outside ``bindings`` holds throughout ``ranges``.
+        leaves: list[VerdictLeaf | None] = []
+        proven: list[int] = []
+        for subproblem in subproblems:
+            truths = [
+                predicate.truth_under(subproblem[index])
+                for predicate, index in bindings
+            ]
+            if leaf is None and Truth.FALSE in truths:
+                leaves.append(VerdictLeaf(verdict=False))
+            elif leaf is None and all(truth is Truth.TRUE for truth in truths):
+                leaves.append(VerdictLeaf(verdict=True))
+            else:
+                leaves.append(leaf)
+            proven.append(
+                sum(1 << bit for bit, truth in enumerate(truths) if truth is Truth.TRUE)
+            )
+        # Segments: every attribute's interval in each subproblem,
+        # subproblem by subproblem.
+        segments = _Segments(
+            np.array(
+                [
+                    [(interval.low, interval.high) for interval in subproblem]
+                    for subproblem in subproblems
+                ]
+            ),
+            sizes,
+            np.array(points, dtype=np.int64),
         )
-        store = _SideStore(
-            subproblems,
-            len(segments.points),
-            bindings,
-            [VerdictLeaf(verdict=False), VerdictLeaf(verdict=True), *self._leaves],
-        )
-        if not count:
-            # The pass's ranges decide the query: every row is its verdict.
-            store.costs = [0.0] * len(owners)
-            store.rows = -3 - owners
-            return store
-        # Each row's outcome counts: a difference of two cumulative rows.
+        self.bindings = bindings
+        # Leaves: 0 false, 1 true, 2 + k subproblem k's verdict.
+        self.leaves = (VerdictLeaf(verdict=False), VerdictLeaf(verdict=True), *leaves)
+        self.offset = len(subproblems)
+        self.total = len(points)
         lengths = segments.lengths.ravel()
         starts = np.cumsum(lengths) - lengths
+        self.shifts = starts.reshape(segments.lows.shape) - segments.lows
+        self.values = int(lengths.sum())
+        self.padding = OutcomeCounter.segment_padding(lengths)
+        self.of_candidate = segments.of_candidate.astype(np.int32)
+        self.offsets = segments.offsets.astype(np.int32)
+        owners = np.concatenate(
+            [np.arange(len(subproblems)), segments.owner, segments.owner]
+        )
+        if count:
+            verdicts, held = _side_verdicts(
+                bindings,
+                subproblems,
+                np.array(proven, dtype=np.int64),
+                np.array([leaf is not None for leaf in leaves]),
+                segments,
+                owners,
+            )
+        else:
+            # The pass's ranges decide the query: every row is its verdict.
+            verdicts, held = 2 + owners, np.zeros(len(owners), dtype=np.int64)
+        priced = verdicts < 0
+        self.priced = priced
+        self.rows = np.where(priced, np.cumsum(priced) - 1, -1 - verdicts).astype(
+            np.int32
+        )
+        self.dp_rows = int(np.count_nonzero(priced))
+        # Each row's outcome counts: a difference of two cumulative rows.
         width = segments.lows.shape[1]
         lower = starts[segments.of_candidate]
         upper = lower + segments.offsets
-        cumulative = np.zeros((len(table) + 1, table.shape[1]))
-        np.cumsum(table, axis=0, out=cumulative[1:])
-        counts = (
-            cumulative[
-                np.concatenate(
-                    [starts[::width] + lengths[::width], upper, lower + segments.span]
-                )
-            ]
-            - cumulative[np.concatenate([starts[::width], lower, upper])]
+        self.upper = np.concatenate(
+            [starts[::width] + lengths[::width], upper, lower + segments.span]
+        )[priced].astype(np.int32)
+        self.lower = np.concatenate([starts[::width], lower, upper])[priced].astype(
+            np.int32
         )
-        # The split attribute's predicate (bit -1: none) on every side,
-        # and whether the side's interval proves it true or false.
-        bit_of = np.full(len(self.subproblems[0]), -1)
-        bit_of[[index for _, index in bindings]] = np.arange(count)
-        bits = bit_of[segments.attribute]
-        bits = np.concatenate([bits, bits])
-        lows = np.concatenate([segments.low, segments.points])
-        highs = np.concatenate([segments.points - 1, segments.low + segments.span - 1])
-        # decided[2j + t, s]: side s proves predicate j true (t = 0) or false.
-        decided = np.concatenate(
-            [
-                truths
-                for predicate, _ in bindings
-                for truths in predicate.truths_under(lows, highs)
-            ]
-        ).reshape(2 * count, sides)
-        sides_of = np.arange(sides)
-        proven_true = decided[2 * bits, sides_of] & (bits >= 0)
-        proven_false = decided[2 * bits + 1, sides_of] & (bits >= 0)
-        held = self._held[owners] | np.concatenate(
-            [np.zeros(subproblems, dtype=np.int64), proven_true << np.maximum(bits, 0)]
+        held = self.held = held[priced]
+        splits = np.concatenate(
+            [np.full(len(subproblems), -1), segments.attribute, segments.attribute]
         )
-        # Leaves: 0 false, 1 true, 2 + k subproblem k's verdict.
-        verdicts = np.where(
-            self._resolved[owners],
-            2 + owners,
-            np.where(
-                np.concatenate([np.zeros(subproblems, dtype=bool), proven_false]),
-                0,
-                np.where(held == (1 << count) - 1, 1, -1),
-            ),
+        self.charges = (
+            _charge_tables(
+                schema,
+                cost_model,
+                bindings,
+                subproblems,
+                owners[priced],
+                splits[priced],
+            )
+            if self.dp_rows
+            else np.zeros((0, count, 1 << count))
         )
-        priced = verdicts < 0
-        costs = np.zeros(len(owners))
-        if priced.any():
-            splits = np.concatenate(
-                [np.full(subproblems, -1), segments.attribute, segments.attribute]
-            )
-            costs[priced], store.orders, lengths = self._optimal_sides(
-                counts[priced],
-                self._charge_tables(owners[priced], splits[priced]),
-                held[priced],
-            )
-            store.lengths = lengths
-        store.rows = np.where(priced, np.cumsum(priced) - 1, -1 - verdicts)
-        store.costs = costs.tolist()
-        return store
-
-    def _charge_tables(self, owners: np.ndarray, splits: np.ndarray) -> np.ndarray:
-        """Each DP row's :func:`charge_table`.
-
-        Row ``r`` has acquired its subproblem's narrowed attributes and
-        attribute ``splits[r]`` (-1: none).  Flat costs are one base table
-        with the acquired attributes' rows zeroed; a conditional cost
-        model's tables are built once per distinct acquired set, as
-        :func:`charge_table` builds them.
-        """
-        planner = self._planner
-        bindings = self._bindings
-        if planner.cost_model is None:
-            attribute_of = [index for _, index in bindings]
-            acquired = np.array(
-                [
-                    [subproblem.is_acquired(index) for index in attribute_of]
-                    for subproblem in self.subproblems
-                ]
-            )
-            zeroed = acquired[owners] | (np.array(attribute_of) == splits[:, None])
-            tables = np.where(
-                zeroed, 0.0, [planner.schema[index].cost for index in attribute_of]
-            )
-            return np.broadcast_to(
-                tables[:, :, None], (*tables.shape, 1 << len(bindings))
-            )
-        width = len(self.subproblems[0]) + 1
-        keys, inverse = np.unique(owners * width + splits + 1, return_inverse=True)
-        tables = []
-        for key in keys.tolist():
-            owner, split = divmod(key, width)
-            acquired = self.subproblems[owner].acquired_indices()
-            if split:
-                acquired = acquired | {split - 1}
-            tables.append(
-                charge_table(planner.schema, planner.cost_model, bindings, acquired)
-            )
-        return np.stack(tables)[inverse.ravel()]
-
-    def _optimal_sides(
-        self, counts: np.ndarray, charges: np.ndarray, held: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """OptSeq's order and its Equation 3 cost for each row of ``counts``.
-
-        ``charges[k]`` is row ``k``'s :func:`charge_table`.  Every row
-        of set ``k`` satisfies the predicates in bitmask ``held[k]``, and
-        the DP runs over the other predicates: their joint
-        (:meth:`OutcomeCounter.joints`) sits on the states that hold them
-        all, and that sub-lattice of the one DP does exactly the smaller
-        DP's arithmetic.  Returns each row's cost, order and order length.
-        """
-        count = charges.shape[1]
-        joints = self._counter.joints(counts, held)
-        sums = superset_sums(np.stack([joints, counts]))
-        orders = _optimal_orders(sums[0], charges, held)
-        costs, _ = replay_orders(self._counter, sums[1], orders, charges, held)
         lengths = count - ((held[:, None] >> np.arange(count)) & 1).sum(axis=1)
-        return costs[np.arange(len(counts)), lengths - 1], orders, lengths
+        self.lengths = lengths.astype(np.int32)
+        # Each DP row's cost: its last step's, flat in the replayed costs.
+        self.last = (np.arange(self.dp_rows) * count + lengths - 1).astype(np.int32)
+        self.columns = OutcomeCounter.joint_columns(held, count) if smoothed else ()
+        for array in (
+            self.shifts,
+            *self.padding,
+            self.of_candidate,
+            self.offsets,
+            self.priced,
+            self.rows,
+            self.upper,
+            self.lower,
+            self.held,
+            self.charges,
+            self.lengths,
+            self.last,
+            *(array for group in self.columns for array in group),
+        ):
+            array.flags.writeable = False
+
+
+def _side_verdicts(
+    bindings: tuple[PredicateBinding, ...],
+    subproblems: tuple[RangeVector, ...],
+    proven: np.ndarray,
+    resolved: np.ndarray,
+    segments: "_Segments",
+    owners: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's verdict (-1: none) and the predicates it holds.
+
+    ``proven[k]`` is the bitmask of the predicates subproblem ``k``
+    proves true, ``resolved[k]`` whether it has a verdict.  A row's
+    verdict indexes :attr:`_PassLayout.leaves`.
+    """
+    count = len(bindings)
+    subproblem_rows = len(subproblems)
+    sides = 2 * len(segments.points)
+    # The split attribute's predicate (bit -1: none) on every side,
+    # and whether the side's interval proves it true or false.
+    bit_of = np.full(len(subproblems[0]), -1)
+    bit_of[[index for _, index in bindings]] = np.arange(count)
+    bits = bit_of[segments.attribute]
+    bits = np.concatenate([bits, bits])
+    lows = np.concatenate([segments.low, segments.points])
+    highs = np.concatenate([segments.points - 1, segments.low + segments.span - 1])
+    # decided[2j + t, s]: side s proves predicate j true (t = 0) or false.
+    decided = np.concatenate(
+        [
+            truths
+            for predicate, _ in bindings
+            for truths in predicate.truths_under(lows, highs)
+        ]
+    ).reshape(2 * count, sides)
+    sides_of = np.arange(sides)
+    proven_true = decided[2 * bits, sides_of] & (bits >= 0)
+    proven_false = decided[2 * bits + 1, sides_of] & (bits >= 0)
+    held = proven[owners] | np.concatenate(
+        [np.zeros(subproblem_rows, dtype=np.int64), proven_true << np.maximum(bits, 0)]
+    )
+    verdicts = np.where(
+        resolved[owners],
+        2 + owners,
+        np.where(
+            np.concatenate([np.zeros(subproblem_rows, dtype=bool), proven_false]),
+            0,
+            np.where(held == (1 << count) - 1, 1, -1),
+        ),
+    )
+    return verdicts, held
+
+
+def _charge_tables(
+    schema: Schema,
+    cost_model: AcquisitionCostModel | None,
+    bindings: tuple[PredicateBinding, ...],
+    subproblems: tuple[RangeVector, ...],
+    owners: np.ndarray,
+    splits: np.ndarray,
+) -> np.ndarray:
+    """Each DP row's :func:`charge_table`.
+
+    Row ``r`` has acquired its subproblem's narrowed attributes and
+    attribute ``splits[r]`` (-1: none).  Flat costs are one base table
+    with the acquired attributes' rows zeroed; a conditional cost
+    model's tables are built once per distinct acquired set, as
+    :func:`charge_table` builds them.
+    """
+    if cost_model is None:
+        attribute_of = [index for _, index in bindings]
+        acquired = np.array(
+            [
+                [subproblem.is_acquired(index) for index in attribute_of]
+                for subproblem in subproblems
+            ]
+        )
+        zeroed = acquired[owners] | (np.array(attribute_of) == splits[:, None])
+        tables = np.where(zeroed, 0.0, [schema[index].cost for index in attribute_of])
+        return np.broadcast_to(tables[:, :, None], (*tables.shape, 1 << len(bindings)))
+    width = len(subproblems[0]) + 1
+    keys, inverse = np.unique(owners * width + splits + 1, return_inverse=True)
+    tables = []
+    for key in keys.tolist():
+        owner, split = divmod(key, width)
+        acquired = subproblems[owner].acquired_indices()
+        if split:
+            acquired = acquired | {split - 1}
+        tables.append(charge_table(schema, cost_model, bindings, acquired))
+    return np.stack(tables)[inverse.ravel()]
 
 
 class _Segments:
@@ -385,7 +543,7 @@ class _Segments:
     """
 
     def __init__(
-        self, bounds: np.ndarray, sizes: list[int], points: np.ndarray
+        self, bounds: np.ndarray, sizes: Sequence[int], points: np.ndarray
     ) -> None:
         self.lows = bounds[:, :, 0]
         self.lengths = bounds[:, :, 1] - self.lows + 1
@@ -398,39 +556,32 @@ class _Segments:
 
 
 class _SideStore:
-    """Costs and plans of every row one :meth:`_CountedScorer._price` priced.
+    """Costs and plans of every row of one pass's :class:`_PassLayout`.
 
     Rows are the pass's subproblems, then its candidate sides: side ``c``
     is row ``offset + c`` and side ``c + total`` is its above side.  A
     row's plan is ``leaves[-1 - rows[r]]`` when ``rows[r]`` is negative,
     else the first ``lengths[d]`` predicates of DP row ``d = rows[r]``'s
-    order.
+    order (``orders[d]``); every name but ``costs`` and ``orders`` is the
+    layout's.
     """
 
     def __init__(
-        self,
-        offset: int,
-        total: int,
-        bindings: list[PredicateBinding],
-        leaves: list[VerdictLeaf | None],
+        self, layout: _PassLayout, costs: list[float], orders: np.ndarray
     ) -> None:
-        self.offset = offset
-        self.total = total
-        self.bindings = bindings
-        self.leaves = leaves
-        self.costs: list[float] = []
-        self.rows = np.zeros(0, dtype=np.int64)
-        self.orders = np.zeros((0, len(bindings)), dtype=np.int64)
-        self.lengths = np.zeros(0, dtype=np.int64)
+        self.layout = layout
+        self.costs = costs
+        self.orders = orders
 
     def plan(self, row: int) -> PlanNode:
-        row = int(self.rows[row])
+        layout = self.layout
+        row = int(layout.rows[row])
         if row < 0:
-            leaf = self.leaves[-1 - row]
+            leaf = layout.leaves[-1 - row]
             assert leaf is not None
             return leaf
-        order = self.orders[row, : self.lengths[row]].tolist()
-        return sequential_node_from_order([self.bindings[j] for j in order])
+        order = self.orders[row, : layout.lengths[row]].tolist()
+        return sequential_node_from_order([layout.bindings[j] for j in order])
 
 
 class _CountedSides(SideScores):
@@ -440,8 +591,8 @@ class _CountedSides(SideScores):
         self, store: _SideStore, first: int, probabilities: list[float]
     ) -> None:
         self._store = store
-        self._below = store.offset + first
-        self._above = self._below + store.total
+        self._below = store.layout.offset + first
+        self._above = self._below + store.layout.total
         self._probabilities = probabilities
         self._costs = store.costs
 

@@ -415,7 +415,10 @@ class OutcomeCounter:
     :meth:`joints` and :meth:`pass_probabilities` turn those counts into
     exactly the floats that :func:`~repro.probability.base.probabilities_below`,
     :meth:`~EmpiricalDistribution.predicate_joint` and the sequential
-    conditioner report.
+    conditioner report.  What those methods need beyond the counts (the
+    table's segment shifts, :meth:`segment_padding` and
+    :meth:`joint_columns`) depends on no cell, so a caller can build it
+    once and pass it to every counter.
     """
 
     def __init__(
@@ -443,50 +446,63 @@ class OutcomeCounter:
         """Rows per outcome bitmask over every cell (float64 integer counts)."""
         return np.bincount(self._codes, weights=self._weights, minlength=self._size)
 
-    def value_counts(self, lows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    @property
+    def smoothing(self) -> float:
+        """The distribution's Laplace smoothing."""
+        return self._smoothing
+
+    def value_counts(self, shifts: np.ndarray, rows: int) -> np.ndarray:
         """Outcome counts per value of each attribute in each subproblem.
 
-        Segment ``(k, i)`` runs through attribute ``i``'s values
-        ``lows[k, i] .. lows[k, i] + lengths[k, i] - 1`` over the cells of
-        subproblem ``k``; the rows run through the segments in row-major
-        order, and column ``t`` counts the rows with outcome bitmask
-        ``t``.  Returns a float64 array of integer counts, shape
-        ``(lengths.sum(), 2**m)``.
+        Segment ``(k, i)`` is attribute ``i``'s interval in subproblem
+        ``k``; the segments run through the table's ``rows`` rows in
+        row-major order, and value ``v`` of a cell of subproblem ``k``
+        counts on row ``v + shifts[k, i]``.  Column ``t`` counts the rows
+        with outcome bitmask ``t``.  Returns a float64 array of integer
+        counts, shape ``(rows, 2**m)``.
         """
-        starts = np.cumsum(lengths).reshape(lengths.shape) - lengths
-        shifts = starts - lows
         # Each cell lands in its own subproblem's segments.
         values = self._cells + (
             shifts[0] if self._labels is None else np.take(shifts, self._labels, axis=0)
         )
         counts = np.bincount(
             (values * self._size + self._codes[:, None]).ravel(),
-            weights=np.repeat(self._weights, lows.shape[1]),
-            minlength=int(starts[-1, -1] + lengths[-1, -1]) * self._size,
+            weights=np.repeat(self._weights, shifts.shape[1]),
+            minlength=rows * self._size,
         )
         return counts.reshape(-1, self._size)
+
+    @staticmethod
+    def segment_padding(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The segments of a :meth:`value_counts` table as padded rows.
+
+        Segment ``s`` spans ``lengths[s]`` rows of the table and becomes
+        row ``s`` of a zero-padded array whose width is a multiple of 8.
+        Returns ``lengths`` and the mask of each padded row's first
+        ``lengths[s]`` entries: the segments run through the table in
+        order, so that row-major mask lays them out.
+        """
+        width = -(-int(lengths.max()) // 8) * 8
+        return lengths, np.arange(width) < lengths[:, None]
 
     def split_probabilities(
         self,
         counts: np.ndarray,
-        lengths: np.ndarray,
+        padding: tuple[np.ndarray, np.ndarray],
         segments: np.ndarray,
         offsets: np.ndarray,
     ) -> np.ndarray:
         """``P(X < x)`` of each candidate split of a :meth:`value_counts` table.
 
-        Segment ``s`` spans ``lengths[s]`` rows of ``counts``; candidate
-        ``c`` splits segment ``segments[c]`` ``offsets[c]`` values above
-        its low end.  Each is the float
-        :func:`~repro.probability.base.probabilities_below` reads from
-        :meth:`~EmpiricalDistribution.attribute_histogram`: every
-        segment's histogram is normalised, summed and accumulated as one
-        row of a zero-padded array.
+        ``padding`` lays the table's segments out as padded rows
+        (:meth:`segment_padding`); candidate ``c`` splits segment
+        ``segments[c]`` ``offsets[c]`` values above its low end.  Each is
+        the float :func:`~repro.probability.base.probabilities_below`
+        reads from :meth:`~EmpiricalDistribution.attribute_histogram`:
+        every segment's histogram is normalised, summed and accumulated
+        as one row of the zero-padded array.
         """
-        # Segments run through the table in order, so a row-major mask of
-        # each padded row's first ``lengths[s]`` entries lays them out.
-        width = -(-int(lengths.max()) // 8) * 8
-        inside = np.arange(width) < lengths[:, None]
+        lengths, inside = padding
         smoothed = np.zeros(inside.shape)
         smoothed[inside] = counts.sum(axis=1) + self._smoothing
         # Unsmoothed, the totals are integers, exact in any order.
@@ -504,14 +520,44 @@ class OutcomeCounter:
             offsets / lengths[segments],
         )
 
-    def joints(self, counts: np.ndarray, held: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def joint_columns(
+        held: np.ndarray, count: int
+    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Where :meth:`joints` places each row set's smoothed joint.
+
+        Row set ``k`` satisfies the predicates in bitmask ``held[k]`` (of
+        ``count``); its joint over the other predicates sits on the states
+        that hold them all: the smaller lattice's states with the held
+        bits put back in, ascending.  Returns one ``(rows, columns)`` pair
+        per number of held predicates: the row sets with that many, and
+        their states, one row each.
+        """
+        held_bits = (held[:, None] >> np.arange(count)) & 1
+        popcounts = held_bits.sum(axis=1)
+        groups = []
+        for popcount in np.flatnonzero(np.bincount(popcounts)).tolist():
+            rows = np.flatnonzero(popcounts == popcount)
+            free = np.nonzero(held_bits[rows] == 0)[1].reshape(len(rows), -1)
+            digits = (
+                np.arange(1 << (count - popcount))[:, None]
+                >> np.arange(count - popcount)
+            ) & 1
+            columns = held[rows, None] | (digits << free[:, None, :]).sum(axis=2)
+            groups.append((rows, columns))
+        return tuple(groups)
+
+    def joints(
+        self,
+        counts: np.ndarray,
+        columns: Sequence[tuple[np.ndarray, np.ndarray]],
+    ) -> np.ndarray:
         """:meth:`~EmpiricalDistribution.predicate_joint` of each row set.
 
-        Row ``k`` of ``counts`` holds one row set's outcome counts; each
-        of its rows satisfies every predicate in bitmask ``held[k]``.  Its
-        joint is the one over the other predicates, placed on the states
-        that hold all of ``held[k]`` (the smaller lattice's states with
-        the held bits put back in, ascending); other states get 0.
+        Row ``k`` of ``counts`` holds one row set's outcome counts, and
+        ``columns`` (:meth:`joint_columns`) says which predicates each row
+        set holds: its joint is the one over the other predicates, on the
+        states that hold all of its own; other states get 0.
         """
         if not self._smoothing:
             # Unsmoothed, a joint is its counts over their total, which
@@ -521,23 +567,13 @@ class OutcomeCounter:
             return np.divide(
                 counts, totals, out=np.zeros(counts.shape), where=totals > 0.0
             )
-        count = self._size.bit_length() - 1
-        held_bits = (held[:, None] >> np.arange(count)) & 1
-        popcounts = held_bits.sum(axis=1)
         joints = np.zeros(counts.shape)
-        for popcount in np.flatnonzero(np.bincount(popcounts)).tolist():
-            rows = np.flatnonzero(popcounts == popcount)
-            free = np.nonzero(held_bits[rows] == 0)[1].reshape(len(rows), -1)
-            digits = (
-                np.arange(1 << (count - popcount))[:, None]
-                >> np.arange(count - popcount)
-            ) & 1
-            columns = held[rows, None] | (digits << free[:, None, :]).sum(axis=2)
-            smoothed = counts[rows[:, None], columns] + self._smoothing
+        for rows, states in columns:
+            smoothed = counts[rows[:, None], states] + self._smoothing
             # A row set without rows has the all-zero joint.
             smoothed[counts[rows].sum(axis=1) == 0] = 0.0
             totals = smoothed.sum(axis=1, keepdims=True)
-            joints[rows[:, None], columns] = np.divide(
+            joints[rows[:, None], states] = np.divide(
                 smoothed, totals, out=np.zeros(smoothed.shape), where=totals > 0.0
             )
         return joints

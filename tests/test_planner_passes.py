@@ -7,11 +7,15 @@ expansion in one more, so a plan runs ``1 + expansions`` passes, each one
 ``plan_sequence``.  Counting wrappers pin those numbers.  A pass does a
 fixed number of numpy calls: widening the schema from 6 to 30 attributes
 (and so multiplying the candidate splits) adds none, because per-attribute
-and per-side work is array work.
+and per-side work is array work.  A pass whose layout (what it derives
+without counting a row) is already in the bounded, read-only memo makes
+fewer numpy calls than its cold twin, and a second stream of the same
+query finds its root layout there.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import Counter
 from typing import Any, Callable
@@ -24,7 +28,9 @@ import repro.planning.greedy_conditional
 import repro.planning.optimal_sequential
 import repro.probability.empirical
 import repro.probability.joint
-from repro.core import Attribute, ConjunctiveQuery, RangePredicate, Schema
+from repro.core import Attribute, ConjunctiveQuery, RangePredicate, RangeVector, Schema
+from repro.execution import AdaptiveStreamExecutor
+from repro.learn.workloads import adversarial_stream
 from repro.planning import (
     CorrSeqPlanner,
     GreedyConditionalPlanner,
@@ -222,3 +228,138 @@ def test_counting_numpy_sees_the_passes(monkeypatch):
     )
     assert min(per_pass) >= 20
     assert sys.modules["repro.probability.empirical"].np is not np
+
+
+def _numpy_calls_per_cold_pass(monkeypatch, planner, query):
+    """:func:`_numpy_calls_per_pass` with the layout memo emptied before
+    every pass, so each pass builds its layout."""
+    memo = repro.planning.optimal_sequential._pass_layout
+    scoring = repro.planning.greedy_conditional.greedy_splits
+
+    def cold(*args, **kwargs):
+        memo.cache_clear()
+        return scoring(*args, **kwargs)
+
+    monkeypatch.setattr(repro.planning.greedy_conditional, "greedy_splits", cold)
+    return _numpy_calls_per_pass(monkeypatch, planner, query)
+
+
+@pytest.mark.parametrize(
+    "smoothing, cold, warm", [(0.0, (85, 86), (46, 47)), (0.5, (101, 102), (51, 52))]
+)
+def test_a_warm_pass_makes_fewer_numpy_calls_than_its_cold_twin(
+    monkeypatch, smoothing, cold, warm
+):
+    """Numpy calls of the root pass, then of every expansion's pass: a
+    warm pass only counts, prices and replays."""
+    schema, data, query = _problem(noise=0)
+    with monkeypatch.context() as patch:
+        cold_passes, _, cold_result = _numpy_calls_per_cold_pass(
+            patch, _planner(schema, data, smoothing), query
+        )
+    _planner(schema, data, smoothing).plan(query)
+    with monkeypatch.context() as patch:
+        warm_passes, _, warm_result = _numpy_calls_per_pass(
+            patch, _planner(schema, data, smoothing), query
+        )
+    assert warm_result.plan == cold_result.plan
+    assert warm_result.expected_cost.hex() == cold_result.expected_cost.hex()
+    expansions = cold_result.stats.subproblems
+    assert cold_passes == [cold[0]] + [cold[1]] * expansions
+    assert warm_passes == [warm[0]] + [warm[1]] * expansions
+
+
+def test_the_layout_memo_never_holds_more_than_its_capacity():
+    memo = repro.planning.optimal_sequential._pass_layout
+    capacity = repro.planning.optimal_sequential._LAYOUTS
+    memo.cache_clear()
+    schema, data, _query = _problem(noise=0)
+    planner = _planner(schema, data, 0.0)
+    shapes = itertools.product((2, 3, 4, 5), (1, 2, 3, 4), (2, 3, 4))
+    for a_high, b_low, c_high in shapes:
+        query = ConjunctiveQuery(
+            schema,
+            [
+                RangePredicate("a", 1, a_high),
+                RangePredicate("b", b_low, 5),
+                RangePredicate("c", 1, c_high),
+            ],
+        )
+        planner.plan(query)
+        assert memo.cache_info().currsize <= capacity
+    info = memo.cache_info()
+    assert info.misses > capacity
+    assert info.currsize == info.maxsize == capacity
+
+
+def _arrays(value: Any) -> list[np.ndarray]:
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [array for part in value for array in _arrays(part)]
+    return []
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.5])
+def test_cached_layout_arrays_are_read_only(smoothing):
+    schema, data, query = _problem(noise=0)
+    distribution = EmpiricalDistribution(schema, data, smoothing=smoothing)
+    full = RangeVector.full(schema)
+    scorer = OptimalSequentialPlanner(distribution).split_scorer(query, full, (1, 3))
+    scorer.score_all(
+        [
+            [list(range(interval.low + 1, interval.high + 1)) for interval in ranges]
+            for ranges in scorer.subproblems
+        ]
+    )
+    layout = scorer._store.layout
+    arrays = [
+        array for name in layout.__slots__ for array in _arrays(getattr(layout, name))
+    ]
+    assert len(arrays) >= 13
+    assert bool(layout.columns) == bool(smoothing)
+    for array in arrays:
+        assert not array.flags.writeable
+        if array.size:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+
+def test_a_second_stream_of_the_same_query_builds_no_root_layout(monkeypatch):
+    """The adaptive executor builds a new planner for every refit, and
+    every refit scores the full ranges first: after one stream, the
+    memo holds that root layout for the next."""
+    built: list[tuple[RangeVector, Any]] = []
+    layout_class = repro.planning.optimal_sequential._PassLayout
+
+    def recording(schema, cost_model, query, ranges, at, *rest):
+        built.append((ranges, at))
+        return layout_class(schema, cost_model, query, ranges, at, *rest)
+
+    monkeypatch.setattr(repro.planning.optimal_sequential, "_PassLayout", recording)
+    memo = repro.planning.optimal_sequential._pass_layout
+    memo.cache_clear()
+
+    def stream(seed: int):
+        workload = adversarial_stream(3, 90, seed=seed)
+        executor = AdaptiveStreamExecutor(
+            workload.schema,
+            workload.query,
+            lambda distribution: GreedyConditionalPlanner(
+                distribution, CorrSeqPlanner(distribution), max_splits=5
+            ),
+            window=96,
+            replan_interval=128,
+            drift_threshold=1.3,
+        )
+        return workload.schema, executor.process(workload.data)
+
+    schema, first = stream(1)
+    full = RangeVector.full(schema)
+    assert (full, None) in built
+    built.clear()
+    hits = memo.cache_info().hits
+    _schema, second = stream(2)
+    assert len(second.replans) >= 2
+    assert memo.cache_info().hits > hits
+    assert (full, None) not in built
