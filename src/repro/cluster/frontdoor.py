@@ -174,10 +174,11 @@ class ClusterResponse:
 class _InProcessBackend:
     """Shard servers living on the event loop, batched per loop tick.
 
-    ``send`` only queues; a ``call_soon`` pump drains everything queued
-    for a shard in one batch, mirroring the worker loop's queue drain —
-    so requests submitted in the same tick coalesce and batch exactly
-    like they would across the process boundary, deterministically.
+    ``send`` only queues; a ``call_soon`` pump hands everything queued
+    for a shard to :meth:`~repro.cluster.shard.ShardServer.handle`, the
+    loop the worker process drains through too — so requests submitted
+    in the same tick coalesce and batch exactly like they would across
+    the process boundary, deterministically.
     """
 
     def __init__(
@@ -225,23 +226,8 @@ class _InProcessBackend:
             return
         on_message = self._on_message
         assert on_message is not None  # set by start() before any send()
-        window = self._configs[shard].batch_window
-        executes: list[ExecuteRequest] = []
-
-        def flush() -> None:
-            while executes:
-                chunk = executes[:window]
-                del executes[:window]
-                for reply in server.handle_batch(chunk):
-                    on_message(reply)
-
-        for message in batch:
-            if isinstance(message, ExecuteRequest):
-                executes.append(message)
-            elif isinstance(message, ControlRequest):
-                flush()
-                on_message(server.handle_control(message))
-        flush()
+        for reply in server.handle(batch):
+            on_message(reply)
 
     def alive(self, shard: int) -> bool:
         return shard in self._servers

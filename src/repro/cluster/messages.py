@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.attributes import Schema
 from repro.exceptions import ClusterError
-from repro.obs.trace import TraceContext
+from repro.obs.trace import TraceContext, TraceEvent
 from repro.planning.registry import PLANNER_NAMES
 
 __all__ = [
@@ -129,11 +129,10 @@ class ExecuteReply:
     ``expected_where_cost`` feeds the front door's Eq. 3 shed-accounting
     ledger.
 
-    When tracing, ``spans`` piggybacks the shard's exported span records
-    for this request — pre-encoded ``TraceEvent.to_json()`` lines.  Lines
-    rather than dicts keep the reply cheap: the JSON encode happens in
-    the worker process and the string pickles in one block, so the front
-    door's loop only copies it to the merged stream.
+    When tracing, ``spans`` piggybacks the shard's span records for this
+    request, as :class:`~repro.obs.trace.TraceEvent` objects: shared
+    in-process, pickled across a process boundary.  They are encoded only
+    where they are written out, on the front door's trace stream.
     """
 
     request_id: int
@@ -143,7 +142,7 @@ class ExecuteReply:
     error: str = ""
     statistics_version: int = 1
     expected_where_cost: float = 0.0
-    spans: tuple[str, ...] = ()
+    spans: tuple[TraceEvent, ...] = ()
 
 
 @dataclass(frozen=True)

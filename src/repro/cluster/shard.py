@@ -5,9 +5,11 @@
 metrics registry + optional profiling) and speaks the message protocol
 of :mod:`repro.cluster.messages`.  The same class backs both the
 multiprocessing worker loop (:mod:`repro.cluster.worker`) and the
-in-process backend the deterministic tests drive, so every behaviour the
-cluster promises — chaos, tracing, version sync — is testable without
-spawning processes.
+in-process backend the deterministic tests drive, and both hand each
+drained run of messages to the one :meth:`ShardServer.handle` loop, so
+every behaviour the cluster promises — chaos, tracing, version sync,
+an answer for every request of a batch that raises — is testable
+without spawning processes.
 
 The shard does no coalescing of its own: the front door's
 :class:`~repro.cluster.coalesce.CoalescingMap` already merged identical
@@ -35,16 +37,18 @@ the front door's request span, opened before the batch's ``serve`` call
 and closed after it, and annotated with that request's own Eq. 3 result
 fields.  The span is the request's trace parent, so the service's events
 for it (cache, plan, verify, execute) hang under it and ride back on its
-reply, followed by the span's own closing event.  A stacked pass shared
-by several requests reports its one ``execute`` event under the first of
-them.
+reply as :class:`~repro.obs.trace.TraceEvent` records, followed by the
+span's own closing event; the shard never encodes a span, the front
+door's tracer writes each record out.  A stacked pass shared by several
+requests reports its one ``execute`` event under the first of them.
 """
 
 from __future__ import annotations
 
+import logging
 from contextlib import AbstractContextManager, nullcontext
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -69,6 +73,8 @@ from repro.service.service import (
 )
 
 __all__ = ["ShardServer"]
+
+logger = logging.getLogger("repro.cluster")
 
 _SEED_MASK = (1 << 32) - 1
 
@@ -124,6 +130,54 @@ class ShardServer:
             tracer=self.tracer,
         )
 
+    def handle(
+        self, messages: Iterable[object]
+    ) -> list[ExecuteReply | ControlReply]:
+        """Answer a drained run of messages, replies in arrival order.
+
+        Control messages split the execute requests around them, so a
+        ``sync_version`` applies between batches the way the front door
+        observed them; each batch is served in chunks of at most
+        ``batch_window`` requests.  A chunk that raises is answered with
+        one error reply per request, so every waiter resolves.  Nothing
+        after a ``shutdown`` is served.
+        """
+        replies: list[ExecuteReply | ControlReply] = []
+        executes: list[ExecuteRequest] = []
+        for message in messages:
+            if isinstance(message, ExecuteRequest):
+                executes.append(message)
+            elif isinstance(message, ControlRequest):
+                replies.extend(self._serve(executes))
+                executes = []
+                replies.append(self.handle_control(message))
+                if message.kind == "shutdown":
+                    return replies
+        replies.extend(self._serve(executes))
+        return replies
+
+    def _serve(self, requests: list[ExecuteRequest]) -> list[ExecuteReply]:
+        replies: list[ExecuteReply] = []
+        window = self._config.batch_window
+        for start in range(0, len(requests), window):
+            chunk = requests[start : start + window]
+            try:
+                replies.extend(self.handle_batch(chunk))
+            except Exception as error:  # noqa: BLE001 - must answer every future
+                logger.exception("shard %d: a batch raised", self.shard_id)
+                version = self.service.engine.statistics_version
+                replies.extend(
+                    ExecuteReply(
+                        request_id=request.request_id,
+                        shard=self.shard_id,
+                        ok=False,
+                        error=f"{type(error).__name__}: {error}",
+                        statistics_version=version,
+                    )
+                    for request in chunk
+                )
+        return replies
+
     # ------------------------------------------------------------------
     # Execute path
     # ------------------------------------------------------------------
@@ -158,12 +212,12 @@ class ShardServer:
         outcomes.update(zip(pending, served))
         # A request's service events hang under its span: they ride on
         # its reply, ahead of the span's own closing event.
-        exports: dict[str, list[str]] = {
+        exports: dict[str, list[TraceEvent]] = {
             span.span_id: [] for span in spans if span is not None
         }
         for event in events:
             if event.parent in exports:
-                exports[event.parent].append(event.to_json())
+                exports[event.parent].append(event)
 
         version = self.service.engine.statistics_version
         replies: list[ExecuteReply] = []
@@ -171,15 +225,15 @@ class ShardServer:
             outcome = outcomes[position]
             ok, payload = outcome.error is None, outcome.result
             error = "" if ok else str(outcome.error)
-            lines: tuple[str, ...] = ()
+            records: tuple[TraceEvent, ...] = ()
             if span is not None:
                 fields = payload.trace_fields() if payload is not None else {}
                 span.annotate(ok=ok, **fields)
                 if error:
                     span.annotate(error=error)
                 closing = span.end()
-                closed = (closing.to_json(),) if closing is not None else ()
-                lines = (*exports[span.span_id], *closed)
+                closed = (closing,) if closing is not None else ()
+                records = (*exports[span.span_id], *closed)
             replies.append(
                 ExecuteReply(
                     request_id=request.request_id,
@@ -192,7 +246,7 @@ class ShardServer:
                         0.0 if outcome.prepared is None
                         else outcome.prepared.expected_where_cost
                     ),
-                    spans=lines,
+                    spans=records,
                 )
             )
         return replies

@@ -17,11 +17,16 @@ events also carry distributed-trace coordinates:
   the picklable capsule those coordinates travel in inside
   :mod:`repro.cluster.messages` wire records.
 
-A :class:`Tracer` both buffers recent events in a bounded deque (for
-tests and ``stats()``-style introspection) and, when given a stream,
-appends each event as one JSON line the moment it is emitted — the
-format ``repro serve-bench --trace-out`` and ``repro serve-sharded
---trace-out`` write and ``docs/OBSERVABILITY.md`` documents.  Tracers
+A span is a :class:`TraceEvent` record from the moment it is emitted
+until it is written out: a shard's spans ride back to the front door as
+records on its replies (pickled across a process boundary, shared
+in-process), and :meth:`Tracer.ingest` merges them as records.  A
+:class:`Tracer` buffers recent records in a bounded deque (for tests
+and ``stats()``-style introspection) and, when given a stream, writes
+each record as one JSON line the moment it is emitted or ingested — the
+only place a span is encoded, and the format ``repro serve-bench
+--trace-out`` and ``repro serve-sharded --trace-out`` write and
+``docs/OBSERVABILITY.md`` documents.  Tracers
 are *named*: span and trace ids are prefixed with the tracer's name
 (``shard1-s3``, ``fd-t17``), so ids minted by different processes can
 never collide in a merged trace file.  Timestamps and span durations
@@ -46,7 +51,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator
 
 __all__ = ["TRACE_PHASES", "Span", "TraceContext", "TraceEvent", "Tracer"]
 
@@ -157,26 +162,27 @@ class TraceEvent:
         record.update(self.fields)
         return record
 
+    def __reduce__(
+        self,
+    ) -> tuple[type["TraceEvent"], tuple[object, ...]]:
+        # Positional-args pickling, as for TraceContext: a traced reply
+        # carries a request's records across the process boundary.
+        return (
+            TraceEvent,
+            (
+                self.ts,
+                self.span,
+                self.phase,
+                self.fingerprint,
+                self.ms,
+                self.trace,
+                self.parent,
+                self.fields,
+            ),
+        )
+
     def to_json(self) -> str:
         return _ENCODE(self.as_dict())
-
-
-def _parse_event(data: dict[str, Any]) -> TraceEvent:
-    """Rebuild a :class:`TraceEvent` from an ``as_dict`` payload.
-
-    The known keys are popped; whatever remains is the event's free-form
-    ``fields`` mapping, so the round trip is lossless.
-    """
-    return TraceEvent(
-        ts=float(data.pop("ts", 0.0)),
-        span=str(data.pop("span", "")),
-        phase=str(data.pop("phase", "")),
-        fingerprint=str(data.pop("fingerprint", "")),
-        ms=data.pop("ms", None),
-        trace=str(data.pop("trace", "")),
-        parent=str(data.pop("parent", "")),
-        fields=data,
-    )
 
 
 class Span:
@@ -229,7 +235,8 @@ class Span:
         return TraceContext(trace_id=self.trace_id, parent_span=self.span_id)
 
     def annotate(self, **fields: Any) -> None:
-        """Attach extra fields to the closing event."""
+        """Attach extra fields to the closing event (before :meth:`end`:
+        the closing event shares this span's ``fields`` dict)."""
         self.fields.update(fields)
 
     def end(self, **fields: Any) -> TraceEvent | None:
@@ -265,9 +272,10 @@ class Span:
 class Tracer:
     """Collects :class:`TraceEvent` records; optionally streams JSON lines.
 
-    ``capacity`` bounds the in-memory buffer (oldest events fall off);
-    the output stream, when given, sees *every* event regardless of the
-    buffer.  The tracer never closes the stream it was handed.
+    ``capacity`` bounds the in-memory buffer of records (oldest events
+    fall off); the output stream, when given, sees *every* event
+    regardless of the buffer, each encoded once as it is written.  The
+    tracer never closes the stream it was handed.
     ``clock`` supplies event timestamps and span durations (seconds);
     inject a deterministic callable to make traces reproducible under
     test.  ``name`` prefixes every minted span/trace id — give each
@@ -283,11 +291,7 @@ class Tracer:
         name: str = "",
     ) -> None:
         self._stream = stream
-        # Ingested JSON lines stay undecoded (`str`) until first access:
-        # the front door ingests one line per reply on the serving hot
-        # path, while the buffer is only read after the fact.
-        self._events: deque[TraceEvent | str] = deque(maxlen=capacity)
-        self._lazy = False
+        self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self._spans = itertools.count(1)
         self._traces = itertools.count(1)
         self._emitted = 0
@@ -382,43 +386,16 @@ class Tracer:
         finally:
             self._collectors.remove(bucket)
 
-    def ingest(self, records: Iterable[Mapping[str, Any] | str]) -> int:
-        """Replay foreign event records (reply-piggybacked shard spans).
+    def ingest(self, records: Iterable[TraceEvent]) -> int:
+        """Merge foreign records (reply-piggybacked shard spans).
 
         Records pass through verbatim — timestamps, ids, and fields are
         the emitting tracer's — so the merged stream round-trips
-        byte-identically.  A record is either an ``as_dict`` mapping or
-        a pre-encoded ``to_json`` line; shards export the latter so the
-        encode happens in the worker process and the front door's reply
-        path (where every microsecond is serving overhead — see the
-        observability overhead benchmark) only writes the line verbatim
-        and parses it for the in-memory buffer.  Returns the number of
-        records ingested.
+        byte-identically.  Returns the number of records ingested.
         """
-        stream = self._stream
         count = 0
-        for record in records:
-            if isinstance(record, str):
-                if stream is not None:
-                    stream.write(record + "\n")
-                if self._collectors:
-                    event = _parse_event(json.loads(record))
-                    self._events.append(event)
-                    for bucket in self._collectors:
-                        bucket.append(event)
-                else:
-                    # Hot path: defer the decode until the buffer is read.
-                    self._events.append(record)
-                    self._lazy = True
-            else:
-                data = dict(record)
-                if stream is not None:
-                    stream.write(_ENCODE(data) + "\n")
-                event = _parse_event(data)
-                self._events.append(event)
-                for bucket in self._collectors:
-                    bucket.append(event)
-            self._emitted += 1
+        for event in records:
+            self._record(event)
             count += 1
         return count
 
@@ -427,34 +404,13 @@ class Tracer:
         for bucket in self._collectors:
             bucket.append(event)
         if self._stream is not None:
-            line = event.to_json()
-            self._stream.write(line + "\n")
-            # Buffer the encoded line rather than the event object:
-            # strings are not GC-tracked, so a full buffer of them adds
-            # nothing to collector sweeps on the serving path (retained
-            # event/dict objects churn through the GC generations and
-            # measurably tax cluster throughput).  ``events`` decodes
-            # lazily on first read.
-            self._events.append(line)
-            self._lazy = True
-        else:
-            self._events.append(event)
+            self._stream.write(event.to_json() + "\n")
+        self._events.append(event)
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """The buffered (most recent) events, oldest first."""
-        if self._lazy:
-            decoded = [
-                _parse_event(json.loads(entry))
-                if isinstance(entry, str)
-                else entry
-                for entry in self._events
-            ]
-            self._events = deque(decoded, maxlen=self._events.maxlen)
-            self._lazy = False
-        return tuple(
-            entry for entry in self._events if isinstance(entry, TraceEvent)
-        )
+        return tuple(self._events)
 
     @property
     def emitted(self) -> int:

@@ -22,7 +22,7 @@ from repro.cluster import (
     ShardedServiceCluster,
     ShardServer,
 )
-from repro.cluster.messages import ExecuteRequest
+from repro.cluster.messages import ControlReply, ControlRequest, ExecuteRequest
 from repro.core import Attribute, Schema
 from repro.engine import ResilientQueryResult
 from repro.faults import policy as fault_policy
@@ -131,3 +131,40 @@ def test_traced_cold_plain_request_nests_plan_and_execute() -> None:
         event["phase"] for event in tree.events if event.get("parent") == span["span"]
     ]
     assert nested == ["cache-miss", "plan", "verify", "execute"]
+
+
+def test_handle_splits_at_controls_and_chunks_by_window(monkeypatch) -> None:
+    chunks: list[list[int]] = []
+    handle_batch = ShardServer.handle_batch
+
+    def spy(self, requests):
+        chunks.append([request.request_id for request in requests])
+        return handle_batch(self, requests)
+
+    monkeypatch.setattr(ShardServer, "handle_batch", spy)
+    shard = ShardServer(
+        0, ShardConfig(schema=SCHEMA, history=HISTORY, batch_window=2)
+    )
+
+    def plain(request_id: int) -> ExecuteRequest:
+        return ExecuteRequest(request_id=request_id, text=A, readings=READINGS)
+
+    replies = shard.handle(
+        [
+            plain(1),
+            plain(2),
+            plain(3),
+            ControlRequest(request_id=10, kind="sync_version", version=3),
+            plain(4),
+            ControlRequest(request_id=11, kind="shutdown"),
+            plain(5),
+        ]
+    )
+    assert chunks == [[1, 2], [3], [4]]
+    # Replies in arrival order; nothing after the shutdown is served.
+    assert [reply.request_id for reply in replies] == [1, 2, 3, 10, 4, 11]
+    assert isinstance(replies[3], ControlReply)
+    # The sync applied between the batches around it.
+    assert [reply.statistics_version for reply in replies[:3]] == [1, 1, 1]
+    assert replies[4].statistics_version == 3
+    assert all(reply.ok for reply in replies if not isinstance(reply, ControlReply))

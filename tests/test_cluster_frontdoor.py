@@ -398,3 +398,28 @@ def test_bad_statement_fails_without_poisoning_the_batch() -> None:
             assert isinstance(bad, Exception)
 
     asyncio.run(main())
+
+
+def test_a_batch_that_raises_answers_every_waiter_at_once(monkeypatch) -> None:
+    # The in-process shard answers a crashed batch the way the process
+    # worker does, with one error reply per request, instead of leaving
+    # its waiters to the request timeout.
+    def boom(self, requests):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(shard_module.ShardServer, "handle_batch", boom)
+
+    async def main() -> None:
+        async with make_cluster(request_timeout=30.0) as cluster:
+            responses = await asyncio.wait_for(
+                cluster.execute_many(
+                    [(QUERY, READINGS), (QUERY, READINGS), (SHAPES[0], READINGS)]
+                ),
+                timeout=5.0,
+            )
+            for response in responses:
+                assert not response.ok
+                assert not response.shed
+                assert response.error == "RuntimeError: boom"
+
+    asyncio.run(main())

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pickle
 import time
 
 from repro.obs import TRACE_PHASES, Span, TraceContext, TraceEvent, Tracer
@@ -163,18 +164,51 @@ class TestSpans:
             span.end()
         records = [event.as_dict() for event in exported]
         sink = Tracer(clock=lambda: 9.0)
-        assert sink.ingest(records) == 2
+        assert sink.ingest(exported) == 2
         # The merged events keep their original coordinates and fields.
         assert [event.as_dict() for event in sink.events] == records
+        assert sink.emitted == 2
 
     def test_ingest_streams_merged_lines(self):
         stream = io.StringIO()
         sink = Tracer(stream=stream, clock=lambda: 1.0)
-        sink.ingest(
-            [{"ts": 7.0, "span": "sh-s1", "phase": "shard-execute",
-              "trace": "fd-t1", "parent": "fd-s1", "ms": 2.0, "shard": 3}]
+        records = [
+            TraceEvent(ts=7.0, span="sh-s1", phase="plan", trace="fd-t1",
+                       parent="sh-s2", ms=0.25, fields={"planner": "corr-seq"}),
+            TraceEvent(ts=7.5, span="sh-s2", phase="shard-execute",
+                       trace="fd-t1", parent="fd-s1", ms=2.0,
+                       fields={"shard": 3}),
+        ]
+        assert sink.ingest(records) == 2
+        # One verbatim line per record, in order, and the records
+        # themselves in the buffer.
+        assert stream.getvalue() == "".join(
+            event.to_json() + "\n" for event in records
         )
-        record = json.loads(stream.getvalue())
-        assert record["ts"] == 7.0
+        record = json.loads(stream.getvalue().splitlines()[1])
+        assert record["ts"] == 7.5
         assert record["shard"] == 3
         assert record["trace"] == "fd-t1"
+        assert sink.events == tuple(records)
+
+
+class TestPickling:
+    def test_trace_event_with_nested_fields_round_trips(self):
+        event = TraceEvent(
+            ts=1.25,
+            span="shard1-s4",
+            phase="shard-execute",
+            fingerprint="abcd",
+            ms=0.125,
+            trace="fd-t2",
+            parent="fd-s3",
+            fields={"shard": 1, "costs": {"where": 2.5, "steps": [1, 2]}},
+        )
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(event, protocol=protocol))
+            assert copy == event
+            assert copy.to_json() == event.to_json()
+
+    def test_trace_context_round_trips(self):
+        context = TraceContext("fd-t1", "fd-s1", (("sent_ts", "1.5"),))
+        assert pickle.loads(pickle.dumps(context)) == context
