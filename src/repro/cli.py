@@ -1041,7 +1041,8 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
             tracer = None
             if enabled and args.trace_out is not None:
                 trace_stream = args.trace_out.open("w", encoding="utf-8")
-                tracer = Tracer(stream=trace_stream)
+                # Every event goes to the file; nothing reads a buffer.
+                tracer = Tracer(stream=trace_stream, capacity=0)
             service = AcquisitionalService(
                 engine,
                 cache_capacity=args.capacity,
@@ -1224,9 +1225,10 @@ def _command_serve_sharded(args: argparse.Namespace) -> int:
         if args.trace_out is not None:
             # The front door's tracer is the merge point: its own events
             # stream here directly, and shard spans (piggybacked on
-            # replies) land in the same file through ingest().
+            # replies) land in the same file through ingest(); nothing
+            # reads a buffer, so the tracer keeps none.
             trace_stream = args.trace_out.open("w", encoding="utf-8")
-            tracer = Tracer(stream=trace_stream, name="fd")
+            tracer = Tracer(stream=trace_stream, capacity=0, name="fd")
         try:
             async with ShardedServiceCluster(config, tracer=tracer) as cluster:
                 responses, elapsed = await _drive_cluster(

@@ -43,6 +43,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -68,7 +69,12 @@ from repro.obs.exposition import render_prometheus
 from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.obs.trace import Span, TraceContext, Tracer
 from repro.service.fingerprint import StatementMemo, fingerprint_statement
-from repro.service.metrics import MetricsRegistry, merge_snapshots
+from repro.service.metrics import (
+    Counter,
+    LatencyHistogram,
+    MetricsRegistry,
+    merge_snapshots,
+)
 
 __all__ = ["ClusterConfig", "ClusterResponse", "ShardedServiceCluster"]
 
@@ -471,6 +477,20 @@ class ShardedServiceCluster:
     async def __aexit__(self, *_exc: object) -> None:
         await self.stop()
 
+    # The serving path's metrics, each bound on first use: the registry
+    # lists a series from then on, as when it was looked up per request.
+    @cached_property
+    def _requests(self) -> Counter:
+        return self._metrics.counter("requests")
+
+    @cached_property
+    def _dispatched(self) -> Counter:
+        return self._metrics.counter("requests_dispatched")
+
+    @cached_property
+    def _latency(self) -> LatencyHistogram:
+        return self._metrics.histogram("request")
+
     @property
     def live_shards(self) -> frozenset[int]:
         return frozenset(self._live)
@@ -508,7 +528,7 @@ class ShardedServiceCluster:
             raise ClusterError("cluster is not started")
         if not self._live:
             raise ClusterError("every shard is down")
-        self._metrics.counter("requests").increment()
+        self._requests.increment()
         start = time.perf_counter()
         tracer = self._tracer
 
@@ -593,7 +613,7 @@ class ShardedServiceCluster:
 
         reply: ExecuteReply = await future
         latency = time.perf_counter() - start
-        self._metrics.histogram("request").observe(latency)
+        self._latency.observe(latency)
         shed_reply = (not reply.ok) and reply.error.startswith("shed:")
         self._slo.record(latency * 1e3, ok=reply.ok, shed=shed_reply)
         trace_id = ""
@@ -670,7 +690,7 @@ class ShardedServiceCluster:
         return int(shard)
 
     def _dispatch(self, shard: int, request: ExecuteRequest) -> None:
-        self._metrics.counter("requests_dispatched").increment()
+        self._dispatched.increment()
         try:
             self._backend.send(shard, request)
         except ShardUnavailableError:

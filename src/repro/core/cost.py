@@ -26,7 +26,7 @@ Implements the paper's three cost quantities plus the Section 2.4 extension:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.probability.base import Distribution
 
 __all__ = [
     "dataset_execution",
+    "projection_charges",
     "empirical_cost",
     "expected_cost",
     "cost_decomposition",
@@ -123,7 +124,7 @@ class DatasetExecution:
     """Per-row outcome of running a plan over a dataset.
 
     ``projection`` holds each row's unread SELECT cost when the walk was
-    given a ``select`` list, else None.
+    given ``leaf_charges``, else None.
     """
 
     costs: np.ndarray
@@ -153,7 +154,7 @@ def dataset_execution(
     cost_model: AcquisitionCostModel | None = None,
     observer: ExecutionObserver | None = None,
     reads: np.ndarray | None = None,
-    select: Sequence[int] | None = None,
+    leaf_charges: Mapping[str, float] | None = None,
 ) -> DatasetExecution:
     """Run a plan over every row of ``data`` with vectorized tree routing.
 
@@ -176,11 +177,11 @@ def dataset_execution(
     ``reads`` (when given) is a rows-by-attributes boolean matrix that
     receives ``True`` wherever a row's walk acquired an attribute.
 
-    ``select`` (when given) lists the attribute indices a query returns,
-    duplicates included.  Every row that reaches a leaf is charged, in
-    ``projection``, the schema cost of each listed attribute neither its
-    path nor the leaf's steps read.  Only matching rows are projected, and
-    a matching row at a sequential leaf has read every step.
+    ``leaf_charges`` (when given) is a SELECT list's
+    :func:`projection_charges` table for ``plan``: every row that reaches
+    a leaf is charged, in ``projection``, the leaf's entry.  Only matching
+    rows are projected, and a matching row at a sequential leaf has read
+    every step.
     """
     matrix = np.asarray(data)
     if matrix.ndim != 2 or matrix.shape[1] != len(schema):
@@ -191,17 +192,17 @@ def dataset_execution(
     attribute_costs = schema.costs
     row_costs = np.zeros(matrix.shape[0], dtype=np.float64)
     verdicts = np.zeros(matrix.shape[0], dtype=bool)
-    projection = None if select is None else np.zeros(matrix.shape[0])
+    projection = None if leaf_charges is None else np.zeros(matrix.shape[0])
 
     def charge(index: int, acquired: frozenset[int] | set[int]) -> float:
         if cost_model is None:
             return attribute_costs[index]
         return cost_model.cost(index, acquired)
 
-    def project(rows: np.ndarray, acquired: frozenset[int]) -> None:
-        unread = [index for index in select if index not in acquired]
+    def project(rows: np.ndarray, path: str) -> None:
+        unread = leaf_charges[path]
         if unread:
-            projection[rows] = sum(attribute_costs[index] for index in unread)
+            projection[rows] = unread
 
     def walk(
         node: PlanNode,
@@ -218,7 +219,7 @@ def dataset_execution(
             if node.verdict:
                 verdicts[rows] = True
             if projection is not None:
-                project(rows, acquired)
+                project(rows, path)
             if observer is not None:
                 observer.on_verdict(path, node, int(rows.size))
             return
@@ -243,10 +244,7 @@ def dataset_execution(
             if observer is not None:
                 observer.on_sequential(path, node, int(rows.size))
             if projection is not None:
-                project(
-                    rows,
-                    acquired.union(step.attribute_index for step in node.steps),
-                )
+                project(rows, path)
             alive = rows
             mutable_acquired = set(acquired)
             for position, step in enumerate(node.steps):
@@ -285,6 +283,34 @@ def dataset_execution(
     return DatasetExecution(
         costs=row_costs, verdicts=verdicts, projection=projection
     )
+
+
+def projection_charges(
+    plan: PlanNode, schema: Schema, select: Sequence[int]
+) -> dict[str, float]:
+    """Each leaf's unread-SELECT charge, keyed by node path.
+
+    ``select`` lists the attribute indices a query returns, duplicates
+    included.  A leaf's entry sums, in ``select`` order, the schema cost
+    of each one neither the leaf's path nor its steps read.
+    """
+    costs = schema.costs
+    charges: dict[str, float] = {}
+
+    def walk(node: PlanNode, acquired: frozenset[int], path: str) -> None:
+        if isinstance(node, ConditionNode):
+            acquired = acquired | {node.attribute_index}
+            walk(node.below, acquired, path + "/below")
+            walk(node.above, acquired, path + "/above")
+            return
+        if isinstance(node, SequentialNode):
+            acquired = acquired.union(step.attribute_index for step in node.steps)
+        elif not isinstance(node, VerdictLeaf):
+            return  # the walker raises on reaching it
+        charges[path] = sum(costs[index] for index in select if index not in acquired)
+
+    walk(plan, frozenset(), "root")
+    return charges
 
 
 def empirical_cost(

@@ -15,14 +15,14 @@ have touched — and can EXPLAIN its plans with branch probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
 from repro.core.analysis import annotate_plan, plan_summary
 from repro.core.attributes import Schema
-from repro.core.cost import ExecutionObserver, dataset_execution
+from repro.core.cost import ExecutionObserver, dataset_execution, projection_charges
 from repro.core.plan import PlanNode
 from repro.core.query import ConjunctiveQuery
 from repro.engine.language import ParsedQuery, parse_query
@@ -54,11 +54,16 @@ PlannerFactory = Callable[[EmpiricalDistribution], Planner]
 class PreparedQuery:
     """A parsed, planned statement ready for repeated execution.
 
-    Frozen and hashable (all fields are immutable), so prepared statements
-    can key caches directly — the serving layer relies on this.
-    ``statistics_version`` records which generation of engine statistics
-    the plan was trained on; ``planning_seconds`` is the wall-clock cost
-    of producing it.
+    Frozen and hashable (all compared fields are immutable), so prepared
+    statements can key caches directly — the serving layer relies on
+    this.  ``statistics_version`` records which generation of engine
+    statistics the plan was trained on; ``planning_seconds`` is the
+    wall-clock cost of producing it.
+
+    Construction binds what every execution shares, outside equality:
+    the result ``columns``, their attribute indices ``select`` and the
+    plan's :func:`~repro.core.cost.projection_charges` table
+    ``leaf_charges`` (read-only).
     """
 
     text: str
@@ -68,6 +73,18 @@ class PreparedQuery:
     planner: str
     statistics_version: int = 1
     planning_seconds: float = 0.0
+    columns: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    select: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    leaf_charges: Mapping[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        schema = self.parsed.query.schema
+        columns = schema.names if self.parsed.select_all else self.parsed.select
+        select = tuple(schema.index_of(name) for name in columns)
+        charges = projection_charges(self.plan, schema, select)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "select", select)
+        object.__setattr__(self, "leaf_charges", charges)
 
     @property
     def query(self) -> ConjunctiveQuery:
@@ -324,15 +341,7 @@ class AcquisitionalEngine:
         acquisitions are accounted in ``projection_cost`` but are not
         node events, so they stay outside the profile.
         """
-        matrix = self.validate_readings(readings)
-        columns, select = self._select_indices(prepared)
-        outcome = dataset_execution(
-            prepared.plan, matrix, self._schema, observer=observer, select=select
-        )
-        return self._build_result(
-            columns, select, matrix, outcome.costs, outcome.verdicts,
-            outcome.projection,
-        )
+        return self.execute_prepared_many(prepared, [readings], observer)[0]
 
     def execute_prepared_resilient(
         self,
@@ -377,14 +386,14 @@ class AcquisitionalEngine:
         outcome = executor.run(prepared.plan, matrix, schedule, rng)
         # Each matching row pays projection at the leaf its true readings
         # reach, as on the fault-free path.
-        columns, select = self._select_indices(prepared)
         matching = np.flatnonzero(outcome.verdicts)
         extra = np.zeros(matrix.shape[0])
         extra[matching] = dataset_execution(
-            prepared.plan, matrix[matching], self._schema, select=select
+            prepared.plan, matrix[matching], self._schema,
+            leaf_charges=prepared.leaf_charges,
         ).projection
         result = self._build_result(
-            columns, select, matrix, outcome.costs, outcome.verdicts, extra
+            prepared, matrix, outcome.costs, outcome.verdicts, extra
         )
         return ResilientQueryResult(
             result=result,
@@ -414,9 +423,9 @@ class AcquisitionalEngine:
             return []
         # One batch runs in place, without a stacking copy.
         stacked = matrices[0] if len(matrices) == 1 else np.vstack(matrices)
-        columns, select = self._select_indices(prepared)
         outcome = dataset_execution(
-            prepared.plan, stacked, self._schema, observer=observer, select=select
+            prepared.plan, stacked, self._schema, observer=observer,
+            leaf_charges=prepared.leaf_charges,
         )
         results: list[QueryResult] = []
         start = 0
@@ -424,8 +433,7 @@ class AcquisitionalEngine:
             end = start + matrix.shape[0]
             results.append(
                 self._build_result(
-                    columns,
-                    select,
+                    prepared,
                     matrix,
                     outcome.costs[start:end],
                     outcome.verdicts[start:end],
@@ -445,18 +453,9 @@ class AcquisitionalEngine:
             )
         return matrix
 
-    def _select_indices(
-        self, prepared: PreparedQuery
-    ) -> tuple[tuple[str, ...], list[int]]:
-        if prepared.parsed.select_all:
-            return self._schema.names, list(range(len(self._schema)))
-        columns = prepared.parsed.select
-        return columns, [self._schema.index_of(name) for name in columns]
-
     @staticmethod
     def _build_result(
-        columns: tuple[str, ...],
-        select: list[int],
+        prepared: PreparedQuery,
         matrix: np.ndarray,
         costs: np.ndarray,
         verdicts: np.ndarray,
@@ -464,19 +463,18 @@ class AcquisitionalEngine:
     ) -> QueryResult:
         """The matching rows, gathered once and assembled column-wise.
 
-        One ``tolist`` of the transposed gather (a list per column) and
-        one ``zip`` build the row tuples directly, allocating far fewer
-        GC-tracked objects than a 2-D ``tolist`` plus a ``tuple`` per
-        row; values stay Python ints.
+        One ``compress`` on the verdict mask gathers the matches, one
+        ``tolist`` per SELECT column and one ``zip`` build the row tuples
+        directly, allocating far fewer GC-tracked objects than a 2-D
+        ``tolist`` plus a ``tuple`` per row; values stay Python ints.
         """
-        matching = np.flatnonzero(verdicts)
-        picked = matrix[np.ix_(matching, select)].astype(np.int64, copy=False)
+        matches = matrix.compress(verdicts, axis=0).astype(np.int64, copy=False)
         return QueryResult(
-            columns=columns,
-            rows=tuple(zip(*picked.T.tolist())),
+            columns=prepared.columns,
+            rows=tuple(zip(*(matches[:, index].tolist() for index in prepared.select))),
             tuples_scanned=matrix.shape[0],
             where_cost=float(costs.sum()),
-            projection_cost=float(extra[matching].sum()),
+            projection_cost=float(extra.compress(verdicts).sum()),
         )
 
     def explain(self, text: str) -> str:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -70,7 +70,7 @@ from repro.service.fingerprint import (
     StatementMemo,
     fingerprint_parsed,
 )
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 
 from repro.verify import VerificationReport, verify_plan
 from repro.verify.rules import check_cost
@@ -281,6 +281,30 @@ class AcquisitionalService:
         ) = None
         engine.add_statistics_listener(self._on_statistics_version)
 
+    # The request path's metrics, each bound on first use: the registry
+    # lists a series from then on, as when it was looked up per request.
+    @cached_property
+    def _queries(self) -> Counter:
+        return self._metrics.counter("queries")
+
+    @cached_property
+    def _ledger(self) -> Gauge:
+        return self._metrics.gauge("acquisition_cost_total")
+
+    @cached_property
+    def _execution(self) -> LatencyHistogram:
+        return self._metrics.histogram("execution")
+
+    @cached_property
+    def _cache_hits(self) -> Counter:
+        events = self._metrics.labeled_counter("cache_events", "event")
+        return events.labels(event="hit")
+
+    @cached_property
+    def _cache_misses(self) -> Counter:
+        events = self._metrics.labeled_counter("cache_events", "event")
+        return events.labels(event="miss")
+
     def _timer(self) -> "Callable[[], float]":
         """The clock trace durations are measured on.
 
@@ -396,9 +420,7 @@ class AcquisitionalService:
         if self._cache_enabled:
             cached = self._cache.get(fingerprint, version)
             event = "miss" if cached is None else "hit"
-            self._metrics.labeled_counter("cache_events", "event").labels(
-                event=event
-            ).increment()
+            (self._cache_misses if cached is None else self._cache_hits).increment()
             if self._tracer is not None:
                 self._emit(f"cache-{event}", where, fingerprint=str(fingerprint))
             if cached is not None:
@@ -473,7 +495,7 @@ class AcquisitionalService:
         still run, and nothing runs twice.
         """
         # 1. fingerprint, and group.
-        self._metrics.counter("queries").increment(len(requests))
+        self._queries.increment(len(requests))
         span = self._tracer.new_span() if self._tracer is not None else ""
         outcomes = [_UNSERVED] * len(requests)
         groups: dict[Any, tuple[ParsedQuery, QueryFingerprint, list[int]]] = {}
@@ -487,7 +509,7 @@ class AcquisitionalService:
             key = fingerprint if request.faults is None else position
             groups.setdefault(key, (parsed, fingerprint, []))[2].append(position)
 
-        ledger = self._metrics.gauge("acquisition_cost_total")
+        ledger = self._ledger
         for parsed, fingerprint, positions in groups.values():
             lead = requests[positions[0]]
             faults = lead.faults
@@ -532,7 +554,7 @@ class AcquisitionalService:
                     outcomes[position] = Outcome(error=error)
                 continue
             # 4. account.
-            self._metrics.histogram("execution").observe(time.perf_counter() - start)
+            self._execution.observe(time.perf_counter() - start)
             if self._tracer is not None:
                 if faults is None:
                     phase, fields = "execute", {

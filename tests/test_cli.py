@@ -475,6 +475,34 @@ class TestServeBenchObservability:
             phases.add(event["phase"])
         assert {"plan", "execute", "cache-hit", "cache-miss"} <= phases
 
+    def test_trace_out_tracer_buffers_nothing(self, trace_dir, tmp_path, monkeypatch):
+        from tests.test_cli_sharded import record_cli_tracers
+
+        tracers = record_cli_tracers(monkeypatch)
+        trace_out = tmp_path / "trace.jsonl"
+        code = main(
+            [
+                "serve-bench",
+                "--schema",
+                str(trace_dir / "schema.json"),
+                "--trace",
+                str(trace_dir / "train.csv"),
+                "--shapes",
+                "4",
+                "--requests",
+                "20",
+                "--rows-per-request",
+                "32",
+                "--trace-out",
+                str(trace_out),
+            ]
+        )
+        assert code == 0
+        (tracer,) = tracers
+        lines = trace_out.read_text().splitlines()
+        assert tracer.events == ()
+        assert tracer.emitted == len(lines) > 0
+
 
 class TestLintPlan:
     QUERY = "SELECT * WHERE light >= 9 AND temp <= 5"

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.obs.trace import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,18 @@ def trace_dir(tmp_path_factory):
         == 0
     )
     return out
+
+
+def record_cli_tracers(monkeypatch) -> list[Tracer]:
+    """Every tracer the CLI builds from now on, in construction order."""
+    tracers: list[Tracer] = []
+
+    def build(*args, **kwargs) -> Tracer:
+        tracers.append(Tracer(*args, **kwargs))
+        return tracers[-1]
+
+    monkeypatch.setattr(cli, "Tracer", build)
+    return tracers
 
 
 def _serve(trace_dir, tmp_path, *extra: str) -> dict:
@@ -130,6 +144,17 @@ class TestServeSharded:
         text = exposition.read_text()
         assert 'shard="front_door"' in text
         assert 'shard="0"' in text and 'shard="1"' in text
+
+    def test_trace_out_tracer_buffers_nothing(
+        self, trace_dir, tmp_path, monkeypatch
+    ) -> None:
+        tracers = record_cli_tracers(monkeypatch)
+        trace_out = tmp_path / "trace.jsonl"
+        _serve(trace_dir, tmp_path, "--trace-out", str(trace_out))
+        (tracer,) = tracers
+        lines = trace_out.read_text().splitlines()
+        assert tracer.events == ()
+        assert tracer.emitted == len(lines) > 0
 
     def test_invalid_outage_shard_is_rejected(
         self, trace_dir, tmp_path, capsys

@@ -177,7 +177,7 @@ def old_projection_extra(
     a matching row passed every step of its sequential leaf, so only
     condition nodes route and a leaf has read all its step attributes.
     """
-    _columns, select_indices = self._select_indices(prepared)
+    select_indices = prepared.select
     extra = np.zeros(matrix.shape[0], dtype=np.float64)
     costs = self._schema.costs
 
@@ -278,7 +278,6 @@ def cost_model(schema: Schema, name: str) -> AcquisitionCostModel | None:
 def assert_walks_match(engine, prepared, matrix, model=None):
     """Both walks over ``matrix``: every per-row output and event agrees."""
     schema = engine.schema
-    _columns, select = engine._select_indices(prepared)
     old_events, new_events = Recorder(), Recorder()
     old_reads = np.zeros(matrix.shape, dtype=bool)
     new_reads = np.zeros(matrix.shape, dtype=bool)
@@ -286,7 +285,8 @@ def assert_walks_match(engine, prepared, matrix, model=None):
         prepared.plan, matrix, schema, model, old_events, old_reads
     )
     new = dataset_execution(
-        prepared.plan, matrix, schema, model, new_events, new_reads, select=select
+        prepared.plan, matrix, schema, model, new_events, new_reads,
+        leaf_charges=prepared.leaf_charges,
     )
     assert new.costs.tobytes() == old.costs.tobytes()
     assert np.array_equal(new.verdicts, old.verdicts)
@@ -356,7 +356,7 @@ def test_disjunctive_and_hand_plans_match_two_walks(data, mode_cost):
 
 def old_assembly(engine, prepared, matrix, costs, verdicts):
     """``rows``, ``where_cost`` and ``projection_cost`` the two-walk way."""
-    _columns, select = engine._select_indices(prepared)
+    select = list(prepared.select)
     matching = np.flatnonzero(verdicts)
     extra = old_projection_extra(engine, prepared, matrix, verdicts)
     rows = tuple(
